@@ -45,8 +45,7 @@ from .lqcore import (
     riccati_residual,
     solve_oracle,
 )
-from .network import allocate_gains
-from .qlearning import run_centralized
+from .network import allocate_gains, build_graph
 from .sampling import RngStream, monte_carlo_cost
 from .svgplot import line_plot
 
@@ -164,43 +163,42 @@ def _run_one_seed(
 ) -> dict:
     entry: dict = {"seed": seed, "status": "ok"}
     seed_dir.mkdir(parents=True, exist_ok=True)
-    single = mode != "both"
-    alloc = allocate_gains(
-        config.graph, (config.system.n, config.system.m), config.gain_mode
-    )
+    dims = (config.system.n, config.system.m)
+    single = build_graph("single")
+    # kind -> (graph, gains, options); the centralized run is one sensor
+    # with L_1 = I on the learning stream itself.
+    learners = {
+        "centralized": (single, allocate_gains(single, dims, "uniform"), {}),
+        "distributed": (
+            config.graph,
+            allocate_gains(config.graph, dims, config.gain_mode),
+            {
+                "w": config.consensus_weight,
+                "shared_noise": config.shared_noise,
+                "init": config.init,
+                "spread_scale": config.spread_scale,
+            },
+        ),
+    }
+    kinds = tuple(learners) if mode == "both" else (mode,)
     try:
-        if mode in ("centralized", "both"):
-            trace = run_centralized(
-                config.system,
-                config.noise,
-                config.schedule,
-                config.rounds,
-                RngStream(seed, _STREAM_LEARN),
-                oracle=oracle,
-            )
-            name = "trace.csv" if single else "trace_centralized.csv"
-            trace.write_csv(seed_dir / name)
-            _plot_trace(trace, seed_dir / "plots", "centralized")
-            entry["centralized"] = _trace_stats(trace)
-        if mode in ("distributed", "both"):
+        for kind in kinds:
+            graph, gains, options = learners[kind]
             trace = run_distributed(
                 config.system,
                 config.noise,
-                config.graph,
-                alloc,
+                graph,
+                gains,
                 config.schedule,
                 config.rounds,
                 RngStream(seed, _STREAM_LEARN),
                 oracle=oracle,
-                w=config.consensus_weight,
-                shared_noise=config.shared_noise,
-                init=config.init,
-                spread_scale=config.spread_scale,
+                **options,
             )
-            name = "trace.csv" if single else "trace_distributed.csv"
+            name = f"trace_{kind}.csv" if mode == "both" else "trace.csv"
             trace.write_csv(seed_dir / name)
-            _plot_trace(trace, seed_dir / "plots", "distributed")
-            entry["distributed"] = _trace_stats(trace)
+            _plot_trace(trace, seed_dir / "plots", kind)
+            entry[kind] = _trace_stats(trace)
     except DivergedError as exc:
         entry["status"] = "diverged"
         entry["round"] = exc.step

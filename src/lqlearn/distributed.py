@@ -6,8 +6,10 @@ synchronous round, computes from the pre-round estimates (Jacobi-style)
     G_i <- G_i + w * sum_{j in N_i} (G_j - G_i) + alpha(k) * L_i Y(G_i),
 
 where w is the consensus weight, L_i the sensor's innovation gain
-(sum_i L_i = N*I) and Y the sampled Bellman residual. With a single sensor
-and L_1 = I this collapses exactly to the centralized iteration.
+(sum_i L_i = N*I) and Y the sampled Bellman residual. The N estimates are
+held as one (N, d, d) array, and each step of a round runs once on the whole
+stack. With a single sensor and L_1 = I the round is exactly the centralized
+iteration, which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
@@ -32,17 +34,14 @@ _NS_SENSOR_NOISE = 2
 
 @dataclass(frozen=True)
 class SensorBank:
-    """Per-sensor estimates after round k."""
+    """Per-sensor estimates after round k, stacked as one (N, d, d) array."""
 
-    estimates: tuple
+    G: np.ndarray
     k: int
 
     @property
     def n_sensors(self) -> int:
-        return len(self.estimates)
-
-    def mats(self) -> list[np.ndarray]:
-        return [g.mat for g in self.estimates]
+        return self.G.shape[0]
 
 
 def distributed_round(
@@ -57,7 +56,8 @@ def distributed_round(
 
     reals is a single Realization shared by every sensor, or one per sensor.
     All sensors read the same pre-round neighbor values; updates commit
-    together (simultaneous Jacobi sweep).
+    together (simultaneous Jacobi sweep). Mixing, innovation, symmetrization
+    and the divergence guard each run once on the whole stack.
     """
     N = bank.n_sensors
     if isinstance(reals, Realization):
@@ -67,24 +67,24 @@ def distributed_round(
                          "must agree on the sensor count")
 
     alpha = sched.alpha(bank.k)
-    pre = bank.mats()
-    uniform = alloc.mode == "uniform"
-    new = []
-    for i in range(N):
-        update = pre[i].copy()
-        for j in cons.graph.neighbors(i):
-            update += cons.w * (pre[j] - pre[i])
-        Y = y_operator(bank.estimates[i], reals[i], sys.Q, sys.R)
-        update += alpha * (Y if uniform else alloc.matrices[i] @ Y)
-        new.append(QFactor.symmetrized(update, sys.n, sys.m))
+    G = bank.G
+    Y = np.stack([y_operator(g, r, sys.Q, sys.R) for g, r in zip(G, reals)])
+    # L.G taken over the pairwise differences G_j - G_i (rows of L sum to
+    # zero), so estimates that agree stay bit-exact on any graph.
+    G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
+    G = G + alpha * (np.asarray(alloc.matrices) @ Y)
+    G = (G + G.transpose(0, 2, 1)) / 2.0
 
-    for i, g in enumerate(new):
-        if g.fro_norm() > DIVERGENCE_CAP:
-            raise DivergedError(
-                f"sensor {i} exceeded {DIVERGENCE_CAP:g} at round {bank.k + 1}",
-                step=bank.k + 1,
-            )
-    return SensorBank(estimates=tuple(new), k=bank.k + 1)
+    # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
+    norms = np.linalg.norm(G, axis=(1, 2))
+    if not norms.max() <= DIVERGENCE_CAP:
+        i = int(np.argmin(norms <= DIVERGENCE_CAP))
+        raise DivergedError(
+            f"sensor {i} left ||G||_F <= {DIVERGENCE_CAP:g} (norm {norms[i]:g}) "
+            f"at round {bank.k + 1}",
+            step=bank.k + 1,
+        )
+    return SensorBank(G=G, k=bank.k + 1)
 
 
 def _psd_jitter(rng: RngStream, d: int, scale: float) -> np.ndarray:
@@ -106,22 +106,19 @@ def initial_bank(
 ) -> SensorBank:
     """All sensors at diag(Q, R); "spread" adds per-sensor PSD jitter so the
     consensus dynamics are visible from round one."""
-    base = (G0 if G0 is not None else QFactor.cost_diag(sys)).mat
+    base = G0.mat if G0 is not None else sys.cost_block()
     d = sys.n + sys.m
     if init == "identity":
-        estimates = [QFactor(base.copy(), sys.n, sys.m) for _ in range(n_sensors)]
+        G = np.repeat(base[None], n_sensors, axis=0)
     elif init == "spread":
-        estimates = [
-            QFactor.symmetrized(
-                base + _psd_jitter(rng.substream(_NS_JITTER, i), d, spread_scale),
-                sys.n,
-                sys.m,
-            )
+        jitters = (
+            _psd_jitter(rng.substream(_NS_JITTER, i), d, spread_scale)
             for i in range(n_sensors)
-        ]
+        )
+        G = np.stack([symmetrize(base + e) for e in jitters])
     else:
         raise ValueError(f"unknown initialization mode {init!r}")
-    return SensorBank(estimates=tuple(estimates), k=0)
+    return SensorBank(G=G, k=0)
 
 
 def run_distributed(
@@ -175,7 +172,7 @@ def run_distributed(
             omegas = [draw_noise(r) for r in sensor_rngs]
             reals = [realize(sys, wv) for wv in omegas]
         bank = distributed_round(bank, sys, cons, alloc, reals, sched)
-        trace.record_round(alpha, omegas, bank.mats())
+        trace.record_round(alpha, omegas, bank.G)
     return trace
 
 

@@ -171,13 +171,6 @@ class QFactor:
     def uu(self) -> np.ndarray:
         return self.mat[self.n :, self.n :]
 
-    def fro_norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
-    def norm1(self) -> float:
-        """Entrywise 1-norm, the per-sensor quantity the norm plots track."""
-        return float(np.abs(self.mat).sum())
-
 
 @dataclass(frozen=True)
 class Gain:
@@ -206,9 +199,8 @@ class OracleSolution:
     residual: float
 
 
-def _pinv_uu(G: QFactor, pinv_tol: float) -> np.ndarray:
+def _pinv_uu(uu: np.ndarray, pinv_tol: float) -> np.ndarray:
     """Pseudo-inverse of G_uu, warning when it is rank-deficient at the cutoff."""
-    uu = G.uu
     svals = np.linalg.svd(uu, compute_uv=False)
     if svals.size and svals[-1] <= pinv_tol * svals[0]:
         warnings.warn(
@@ -220,14 +212,21 @@ def _pinv_uu(G: QFactor, pinv_tol: float) -> np.ndarray:
     return np.linalg.pinv(uu, rcond=pinv_tol)
 
 
+def _schur(mat: np.ndarray, n: int, pinv_tol: float) -> np.ndarray:
+    """G_xx - G_xu G_uu^+ G_ux of a raw (n+m)x(n+m) array, symmetrized."""
+    return symmetrize(
+        mat[:n, :n] - mat[:n, n:] @ _pinv_uu(mat[n:, n:], pinv_tol) @ mat[n:, :n]
+    )
+
+
 def pi_map(G: QFactor, pinv_tol: float = PINV_TOL) -> np.ndarray:
     """Schur complement G_xx - G_xu G_uu^+ G_ux, recovering P from G."""
-    return symmetrize(G.xx - G.xu @ _pinv_uu(G, pinv_tol) @ G.ux)
+    return _schur(G.mat, G.n, pinv_tol)
 
 
 def gamma_map(G: QFactor, pinv_tol: float = PINV_TOL) -> Gain:
     """Feedback gain -G_uu^+ G_ux recovered from the Q-factor blocks."""
-    return Gain(-_pinv_uu(G, pinv_tol) @ G.ux)
+    return Gain(-_pinv_uu(G.uu, pinv_tol) @ G.ux)
 
 
 def expectation_map(

@@ -8,6 +8,9 @@ matrices (A(k), B(k)) and iterates
 where Y rebuilds the sampled Bellman residual from the current Q-factor and
 alpha(k) follows a Robbins-Monro power-law schedule. Under well-posedness the
 iterates converge almost surely to the fixed point G* of the expectation map.
+
+This is the 1-sensor case of the distributed round (no neighbors, L_1 = I),
+so both entry points here run lqlearn.distributed.distributed_round.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedError
-from .lqcore import PINV_TOL, QFactor, SystemModel, NoiseModel, pi_map, symmetrize
-from .sampling import Realization, RngStream, draw_noise, realize
+from .lqcore import PINV_TOL, QFactor, SystemModel, NoiseModel, _schur, symmetrize
+from .network import allocate_gains, build_graph, consensus_operator
+from .sampling import Realization, RngStream
 from .trace import RunTrace
 
 # Abort threshold on ||G||_F; a capped abort with diagnostics beats silent NaN
-# when an adversarial seed blows up the heavy-tailed early steps.
+# when an adversarial seed blows up the heavy-tailed early steps. A NaN norm
+# trips it too.
 DIVERGENCE_CAP = 1e9
 
 
@@ -56,25 +60,26 @@ class Schedule:
 
 
 def y_operator(
-    G: QFactor,
+    G: np.ndarray,
     real: Realization,
     Q: np.ndarray,
     R: np.ndarray,
     pinv_tol: float = PINV_TOL,
 ) -> np.ndarray:
-    """Sampled Bellman residual at G for one plant realization.
+    """Sampled Bellman residual at the raw (n+m)x(n+m) estimate G for one
+    plant realization.
 
     [[Q + A_k' P A_k, A_k' P B_k], [B_k' P A_k, B_k' P B_k + R]] - G
     with P = pi_map(G); symmetrized. Its expectation under the true noise law
     vanishes exactly at G*.
     """
-    P = pi_map(G, pinv_tol)
+    n = Q.shape[0]
+    P = _schur(G, n, pinv_tol)
     Uk = real.stacked()
     M = Uk.T @ P @ Uk
-    n = Q.shape[0]
     M[:n, :n] += Q
     M[n:, n:] += R
-    return symmetrize(M - G.mat)
+    return symmetrize(M - G)
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,11 @@ class LearnerState:
 
     G: QFactor
     k: int
-    trace: RunTrace | None = None
+
+
+def _single_sensor(sys: SystemModel):
+    graph = build_graph("single")
+    return graph, allocate_gains(graph, (sys.n, sys.m), "uniform")
 
 
 def centralized_step(
@@ -92,18 +101,15 @@ def centralized_step(
     real: Realization,
     sched: Schedule,
 ) -> LearnerState:
-    """One update G <- G + alpha(k) Y(G); appends to the trace if present."""
-    alpha = sched.alpha(state.k)
-    Y = y_operator(state.G, real, sys.Q, sys.R)
-    G_next = QFactor.symmetrized(state.G.mat + alpha * Y, sys.n, sys.m)
-    if G_next.fro_norm() > DIVERGENCE_CAP:
-        raise DivergedError(
-            f"centralized iterate exceeded {DIVERGENCE_CAP:g} at step {state.k + 1}",
-            step=state.k + 1,
-        )
-    if state.trace is not None:
-        state.trace.record_round(alpha, [real.omega], [G_next.mat])
-    return LearnerState(G=G_next, k=state.k + 1, trace=state.trace)
+    """One update G <- G + alpha(k) Y(G): a distributed round on one sensor."""
+    from .distributed import SensorBank, distributed_round
+
+    graph, gains = _single_sensor(sys)
+    bank = SensorBank(G=state.G.mat[None], k=state.k)
+    bank = distributed_round(
+        bank, sys, consensus_operator(graph), gains, real, sched
+    )
+    return LearnerState(G=QFactor(bank.G[0], sys.n, sys.m), k=bank.k)
 
 
 def run_centralized(
@@ -121,18 +127,11 @@ def run_centralized(
     oracle solution is supplied the trace records the Frobenius error to G*
     per step.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng.with_noise(noise)
-    trace = RunTrace(
-        kind="centralized",
-        n_sensors=1,
-        G_star=None if oracle is None else oracle.G_star.mat,
+    from .distributed import run_distributed
+
+    graph, gains = _single_sensor(sys)
+    trace = run_distributed(
+        sys, noise, graph, gains, sched, iters, rng, oracle=oracle, G0=G0
     )
-    state = LearnerState(
-        G=G0 if G0 is not None else QFactor.cost_diag(sys), k=0, trace=trace
-    )
-    for _ in range(iters):
-        real = realize(sys, draw_noise(rng))
-        state = centralized_step(state, sys, real, sched)
+    trace.kind = "centralized"
     return trace

@@ -66,36 +66,28 @@ class RunTrace:
     def n_rounds(self) -> int:
         return len(self.alphas)
 
-    def record_round(
-        self, alpha: float, omegas: list[float], mats: list[np.ndarray]
-    ) -> None:
-        """Append the post-update metrics of one round."""
-        if len(omegas) != self.n_sensors or len(mats) != self.n_sensors:
+    def record_round(self, alpha: float, omegas: list[float], G: np.ndarray) -> None:
+        """Append the post-update metrics of one round from the (N, d, d) stack."""
+        if len(omegas) != self.n_sensors or G.shape[0] != self.n_sensors:
             raise ValueError("one omega and one estimate per sensor expected")
         self.alphas.append(float(alpha))
         self.omegas.append([float(w) for w in omegas])
-        self.norm1.append([float(np.abs(g).sum()) for g in mats])
-
-        fro_norms = [float(np.linalg.norm(g)) for g in mats]
-        self.max_fro_norm = max(self.max_fro_norm, max(fro_norms))
+        self.norm1.append(np.abs(G).sum(axis=(1, 2)).tolist())
+        self.max_fro_norm = max(
+            self.max_fro_norm, float(np.linalg.norm(G, axis=(1, 2)).max())
+        )
 
         if self.n_sensors >= 2:
-            diameter = max(
-                float(np.linalg.norm(mats[i] - mats[j]))
-                for i in range(self.n_sensors)
-                for j in range(i + 1, self.n_sensors)
-            )
+            diameter = float(np.linalg.norm(G[:, None] - G[None], axis=(2, 3)).max())
         else:
             diameter = None
         self.diameters.append(diameter)
 
-        mean = mats[0] if self.n_sensors == 1 else np.mean(mats, axis=0)
+        mean = G[0] if self.n_sensors == 1 else np.mean(G, axis=0)
         self.mean_history.append(mean)
 
         if self.G_star is not None:
-            self.fro_err.append(
-                [float(np.linalg.norm(g - self.G_star)) for g in mats]
-            )
+            self.fro_err.append(np.linalg.norm(G - self.G_star, axis=(1, 2)).tolist())
             self.mean_err.append(float(np.linalg.norm(mean - self.G_star)))
 
     def final_mean(self) -> np.ndarray:

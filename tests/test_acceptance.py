@@ -116,7 +116,7 @@ def test_criterion_03_unbiased_fixed_point(preset_cfg, preset_oracle):
         total = np.zeros((3, 3))
         total_sq = np.zeros((3, 3))
         for omega in draw_noise(rng, n_draws):
-            Y = y_operator(oracle.G_star, realize(preset_cfg.system, omega),
+            Y = y_operator(oracle.G_star.mat, realize(preset_cfg.system, omega),
                            preset_cfg.system.Q, preset_cfg.system.R)
             total += Y
             total_sq += Y * Y

@@ -18,15 +18,14 @@ from lqlearn import (
     realize,
     run_centralized,
     run_distributed,
+    symmetrize,
 )
 from lqlearn.errors import DivergedError, SeedMismatchError
 from lqlearn.qlearning import LearnerState
 
 
 def bank_of(sys, mats):
-    return SensorBank(
-        estimates=tuple(QFactor.symmetrized(m, sys.n, sys.m) for m in mats), k=0
-    )
+    return SensorBank(G=np.array([symmetrize(m) for m in mats]), k=0)
 
 
 class TestDistributedRound:
@@ -38,8 +37,8 @@ class TestDistributedRound:
         bank = bank_of(det_sys, [det_oracle.G_star.mat] * 4)
         nxt = distributed_round(bank, det_sys, cons, alloc,
                                 realize(det_sys, 0.0), Schedule())
-        for g_new in nxt.estimates:
-            assert g_new.mat == pytest.approx(det_oracle.G_star.mat, abs=1e-12)
+        for g_new in nxt.G:
+            assert g_new == pytest.approx(det_oracle.G_star.mat, abs=1e-12)
         assert nxt.k == 1
 
     def test_two_sensor_averaging(self, bench_sys):
@@ -54,8 +53,8 @@ class TestDistributedRound:
         nxt = distributed_round(bank, bench_sys, cons, alloc,
                                 realize(bench_sys, 0.0), Schedule(scale=0.0))
         avg = (G1 + G2) / 2.0
-        assert nxt.estimates[0].mat == pytest.approx(avg, abs=1e-14)
-        assert nxt.estimates[1].mat == pytest.approx(avg, abs=1e-14)
+        assert nxt.G[0] == pytest.approx(avg, abs=1e-14)
+        assert nxt.G[1] == pytest.approx(avg, abs=1e-14)
 
     def test_single_round_replay_fixture(self, bench_sys, bench_noise):
         # Identical init + shared noise + uniform gains: every sensor matches
@@ -80,11 +79,11 @@ class TestDistributedRound:
         rng = np.random.default_rng(5)
         mats = [m + m.T for m in rng.standard_normal((4, 3, 3))]
         bank = bank_of(bench_sys, mats)
-        mean_before = np.mean(bank.mats(), axis=0)
+        mean_before = np.mean(bank.G, axis=0)
         for _ in range(10):
             bank = distributed_round(bank, bench_sys, cons, alloc,
                                      realize(bench_sys, 0.0), Schedule(scale=0.0))
-        mean_after = np.mean(bank.mats(), axis=0)
+        mean_after = np.mean(bank.G, axis=0)
         assert np.linalg.norm(mean_after - mean_before) <= 1e-12
 
     def test_diameter_non_increasing_under_mixing(self, bench_sys):
@@ -96,7 +95,7 @@ class TestDistributedRound:
         bank = bank_of(bench_sys, mats)
 
         def diameter(b):
-            ms = b.mats()
+            ms = b.G
             return max(
                 np.linalg.norm(ms[i] - ms[j])
                 for i in range(4)
@@ -127,11 +126,11 @@ class TestDistributedRound:
 
         ys = [
             y_operator(gi, real, bench_sys.Q, bench_sys.R)
-            for gi in bank.estimates
+            for gi in bank.G
         ]
-        expected = np.mean(bank.mats(), axis=0) + sched.alpha(0) * np.mean(ys, axis=0)
+        expected = np.mean(bank.G, axis=0) + sched.alpha(0) * np.mean(ys, axis=0)
         nxt = distributed_round(bank, bench_sys, cons, alloc, real, sched)
-        assert np.linalg.norm(np.mean(nxt.mats(), axis=0) - expected) <= 1e-12
+        assert np.linalg.norm(np.mean(nxt.G, axis=0) - expected) <= 1e-12
 
     def test_matches_centralized_when_equal_estimates(self, bench_sys,
                                                       bench_noise):
@@ -143,8 +142,8 @@ class TestDistributedRound:
         bank = bank_of(bench_sys, [G0.mat] * 4)
         nxt = distributed_round(bank, bench_sys, cons, alloc, real, Schedule())
         cent = centralized_step(LearnerState(G0, 0), bench_sys, real, Schedule())
-        for g_new in nxt.estimates:
-            assert np.linalg.norm(g_new.mat - cent.G.mat) <= 1e-12
+        for g_new in nxt.G:
+            assert np.linalg.norm(g_new - cent.G.mat) <= 1e-12
 
     def test_symmetry_each_round(self, bench_sys, bench_noise):
         # masked gains scale the owned rows by N, so keep alpha(0)*N < 1
@@ -167,6 +166,49 @@ class TestDistributedRound:
         with pytest.raises(DivergedError):
             distributed_round(bank, sys, cons, alloc, realize(sys, 0.0),
                               Schedule())
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_estimate_raises_diverged(self, bad):
+        # NaN fails "norm > cap" as well as "norm <= cap"; the guard must
+        # still name the sensor and the round.
+        sys = SystemModel(A=[[1.0]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
+                          Q=[[1.0]], R=[[1.0]])
+        g = build_graph("single")
+        bank = SensorBank(G=np.array([np.diag([bad, 1.0])]), k=4)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            DivergedError, match="sensor 0 .* at round 5"
+        ) as info:
+            distributed_round(bank, sys, consensus_operator(g),
+                              allocate_gains(g, (1, 1), "uniform"),
+                              realize(sys, 0.0), Schedule())
+        assert info.value.step == 5
+
+    @pytest.mark.parametrize("mode", ["uniform", "masked"])
+    def test_matches_written_out_update_on_irregular_graph(self, bench_sys,
+                                                           mode):
+        g = build_graph("edges:1-2,2-3,3-4,1-4,1-3")
+        cons = consensus_operator(g)
+        alloc = allocate_gains(g, (2, 1), mode)
+        rng = np.random.default_rng(13)
+        mats = [m @ m.T + np.eye(3) for m in rng.standard_normal((4, 3, 3))]
+        bank = bank_of(bench_sys, mats)
+        reals = [realize(bench_sys, wv) for wv in (0.3, 1.1, -0.4, 0.9)]
+        sched = Schedule(scale=0.2)
+        nxt = distributed_round(bank, bench_sys, cons, alloc, reals, sched)
+
+        from lqlearn import y_operator
+
+        alpha = sched.alpha(0)
+        for i in range(4):
+            Gi = bank.G[i]
+            ref = Gi.copy()
+            for j in g.neighbors(i):
+                ref += cons.w * (bank.G[j] - Gi)
+            Y = y_operator(Gi, reals[i], bench_sys.Q, bench_sys.R)
+            ref += alpha * alloc.matrices[i] @ Y
+            # masked L_i scales rows only; the round symmetrizes its output
+            ref = (ref + ref.T) / 2.0
+            assert np.abs(nxt.G[i] - ref).max() <= 1e-13
 
 
 class TestRunDistributed:
@@ -208,8 +250,8 @@ class TestRunDistributed:
         b1 = initial_bank(bench_sys, 4, RngStream(1), init="spread")
         b2 = initial_bank(bench_sys, 4, RngStream(1), init="spread")
         base = QFactor.cost_diag(bench_sys).mat
-        mats = b1.mats()
-        assert all(np.array_equal(a, b) for a, b in zip(mats, b2.mats()))
+        mats = b1.G
+        assert all(np.array_equal(a, b) for a, b in zip(mats, b2.G))
         assert len({m.tobytes() for m in mats}) == 4
         for m in mats:
             jitter = m - base

@@ -77,20 +77,20 @@ class TestYOperator:
 
     def test_zero_for_every_draw_when_deterministic(self, det_sys, det_oracle):
         for omega in (-2.0, 0.0, 0.7, 3.0):
-            Y = y_operator(det_oracle.G_star, realize(det_sys, omega),
+            Y = y_operator(det_oracle.G_star.mat, realize(det_sys, omega),
                            det_sys.Q, det_sys.R)
             assert np.linalg.norm(Y) <= 1e-10
 
     def test_benchmark_fixture_at_unit_omega(self, bench_sys):
         G = QFactor.cost_diag(bench_sys)
-        Y = y_operator(G, realize(bench_sys, 1.0), bench_sys.Q, bench_sys.R)
+        Y = y_operator(G.mat, realize(bench_sys, 1.0), bench_sys.Q, bench_sys.R)
         expected = np.array(
             [[0.324, 0.0, 0.288], [0.0, 1.372, 0.98], [0.288, 0.98, 0.956]]
         )
         assert Y == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric_output(self, bench_sys, bench_oracle):
-        Y = y_operator(bench_oracle.G_star, realize(bench_sys, 0.3),
+        Y = y_operator(bench_oracle.G_star.mat, realize(bench_sys, 0.3),
                        bench_sys.Q, bench_sys.R)
         assert np.array_equal(Y, Y.T)
 
