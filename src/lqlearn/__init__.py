@@ -64,7 +64,6 @@ from .qlearning import (
 )
 from .sampling import (
     CostEstimate,
-    Realization,
     RngStream,
     Trajectory,
     draw_noise,
@@ -98,7 +97,6 @@ __all__ = [
     "OracleSolution",
     "QFactor",
     "RankDeficientWarning",
-    "Realization",
     "RngStream",
     "RunTrace",
     "Schedule",

@@ -84,6 +84,20 @@ def _matrix(raw, name: str, errors: list[str]):
     return None
 
 
+def _non_finite(value, path: str) -> list[str]:
+    """Field paths of every NaN or infinite number in a parsed JSON value;
+    json.loads accepts NaN, Infinity and -Infinity."""
+    if isinstance(value, float):
+        return [] if np.isfinite(value) else [path]
+    if isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    else:
+        return []
+    return [p for sub, v in items for p in _non_finite(v, sub)]
+
+
 def _get(data: dict, key: str, errors: list[str], required: bool = True):
     if key not in data:
         if required:
@@ -102,6 +116,8 @@ def from_dict(data: dict) -> ExperimentConfig:
     for key in data:
         if key not in _KNOWN_KEYS:
             errors.append(f"unknown field {key!r}")
+    non_finite = _non_finite(data, "")
+    errors.extend(f"{path} must be a finite number" for path in non_finite)
 
     system = None
     sys_raw = _get(data, "system", errors)
@@ -114,7 +130,7 @@ def from_dict(data: dict) -> ExperimentConfig:
             mat = _matrix(sys_raw[name], f"system.{name}", errors)
             if mat is not None:
                 mats[name] = mat
-        if len(mats) == 6:
+        if len(mats) == 6 and not _non_finite(sys_raw, "system"):
             try:
                 system = SystemModel(**mats)
             except ValueError as exc:
@@ -147,7 +163,7 @@ def from_dict(data: dict) -> ExperimentConfig:
                 offset=int(sched_raw.get("offset", 2)),
                 scale=float(sched_raw.get("scale", 1.0)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             errors.append(f"schedule: {exc}")
     else:
         errors.append("schedule must be an object")
@@ -231,13 +247,13 @@ def from_dict(data: dict) -> ExperimentConfig:
             oracle_max_iter = int(oracle_raw.get("max_iter", oracle_max_iter))
             if oracle_tol <= 0 or oracle_max_iter < 1:
                 errors.append("oracle tol must be > 0 and max_iter >= 1")
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             errors.append("oracle settings must be numbers")
     else:
         errors.append("oracle must be an object")
 
     validation = None
-    if system is not None:
+    if system is not None and not _non_finite(data.get("validation"), "validation"):
         val_raw = data.get("validation", {})
         if isinstance(val_raw, dict):
             x0 = val_raw.get("x0", [1.0] * system.n)

@@ -15,7 +15,6 @@ iteration, which is how lqlearn.qlearning runs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import DivergedError, SeedMismatchError
 from .lqcore import QFactor, NoiseModel, SystemModel, symmetrize
 from .network import ConsensusOperator, GainAllocation, Graph, consensus_operator
 from .qlearning import DIVERGENCE_CAP, Schedule, y_operator
-from .sampling import Realization, RngStream, draw_noise, realize
+from .sampling import RngStream, draw_noise, realize
 from .trace import RunTrace
 
 # Substream namespaces under the experiment stream: spread-init jitter and
@@ -49,26 +48,26 @@ def distributed_round(
     sys: SystemModel,
     cons: ConsensusOperator,
     alloc: GainAllocation,
-    reals: Realization | Sequence[Realization],
+    Uk: np.ndarray,
     sched: Schedule,
 ) -> SensorBank:
     """One synchronous round from the pre-round estimates.
 
-    reals is a single Realization shared by every sensor, or one per sensor.
+    Uk is one sampled plant [A_k B_k] (n x (n+m)) shared by every sensor, or
+    an (N, n, n+m) stack with one plant per sensor (see sampling.realize).
     All sensors read the same pre-round neighbor values; updates commit
     together (simultaneous Jacobi sweep). Mixing, innovation, symmetrization
     and the divergence guard each run once on the whole stack.
     """
     N = bank.n_sensors
-    if isinstance(reals, Realization):
-        reals = [reals] * N
-    if len(reals) != N or alloc.n_sensors != N or cons.graph.n_sensors != N:
-        raise ValueError("bank, consensus operator, gains and realizations "
-                         "must agree on the sensor count")
+    Uk = np.broadcast_to(Uk, (N, sys.n, sys.n + sys.m))
+    if alloc.n_sensors != N or cons.graph.n_sensors != N:
+        raise ValueError("bank, consensus operator and gains must agree on "
+                         "the sensor count")
 
     alpha = sched.alpha(bank.k)
     G = bank.G
-    Y = np.stack([y_operator(g, r, sys.Q, sys.R) for g, r in zip(G, reals)])
+    Y = np.stack([y_operator(g, u, sys.Q, sys.R) for g, u in zip(G, Uk)])
     # L.G taken over the pairwise differences G_j - G_i (rows of L sum to
     # zero), so estimates that agree stay bit-exact on any graph.
     G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
@@ -89,9 +88,7 @@ def distributed_round(
 
 def _psd_jitter(rng: RngStream, d: int, scale: float) -> np.ndarray:
     """Seeded symmetric PSD perturbation with Frobenius norm = scale."""
-    from scipy.special import ndtri
-
-    M = ndtri(rng.uniform_open(size=d * d)).reshape(d, d)
+    M = draw_noise(rng, NoiseModel(0.0, 1.0), d * d).reshape(d, d)
     E = symmetrize(M.T @ M)
     return scale * E / np.linalg.norm(E)
 
@@ -138,40 +135,32 @@ def run_distributed(
 ) -> RunTrace:
     """Execute synchronous rounds and record the full trace.
 
+    The whole (rounds, N) noise tape is drawn before the first round.
     shared_noise=True evaluates every sensor's residual on the same sampled
-    plant (one draw per round, taken before the per-sensor updates, so the
-    result is independent of evaluation order); otherwise each sensor owns a
+    plant (one draw per round from rng); otherwise each sensor owns a
     private noise substream. When an oracle is supplied the trace also
     records the error of the averaged iterate to G*.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     cons = consensus_operator(graph, w)
-    rng.with_noise(noise)
     N = graph.n_sensors
 
     bank = initial_bank(sys, N, rng, init=init, spread_scale=spread_scale, G0=G0)
-    sensor_rngs = None
-    if not shared_noise:
-        sensor_rngs = [
-            rng.substream(_NS_SENSOR_NOISE, i).with_noise(noise) for i in range(N)
-        ]
+    streams = [rng] if shared_noise else [
+        rng.substream(_NS_SENSOR_NOISE, i) for i in range(N)
+    ]
+    tape = np.stack([draw_noise(r, noise, rounds) for r in streams], axis=1)
+    tape = np.broadcast_to(tape, (rounds, N))
 
     trace = RunTrace(
         kind="distributed",
         n_sensors=N,
         G_star=None if oracle is None else oracle.G_star.mat,
     )
-    for _ in range(rounds):
+    for omegas in tape:
         alpha = sched.alpha(bank.k)
-        if shared_noise:
-            omega = draw_noise(rng)
-            omegas = [omega] * N
-            reals: Realization | list[Realization] = realize(sys, omega)
-        else:
-            omegas = [draw_noise(r) for r in sensor_rngs]
-            reals = [realize(sys, wv) for wv in omegas]
-        bank = distributed_round(bank, sys, cons, alloc, reals, sched)
+        bank = distributed_round(bank, sys, cons, alloc, realize(sys, omegas), sched)
         trace.record_round(alpha, omegas, bank.G)
     return trace
 

@@ -316,6 +316,12 @@ def optimal_gain_closed_form(
     return Gain(K)
 
 
+def _closed_loop(K: Gain, sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
+    """(Acl, Abcl) = (A + BK, Abar + Bbar K): under u = Kx the sampled plant
+    steps x(k+1) = (Acl + w(k) Abcl) x(k)."""
+    return sys.A + sys.B @ K.K, sys.A_bar + sys.B_bar @ K.K
+
+
 def ms_stability_check(
     K: Gain, sys: SystemModel, noise: NoiseModel
 ) -> StabilityReport:
@@ -329,8 +335,7 @@ def ms_stability_check(
     Acl = A + BK, Abcl = Abar + Bbar K. Stable iff the spectral radius of
     the n^2 x n^2 operator T is < 1.
     """
-    Acl = sys.A + sys.B @ K.K
-    Abcl = sys.A_bar + sys.B_bar @ K.K
+    Acl, Abcl = _closed_loop(K, sys)
     T = (
         np.kron(Acl, Acl)
         + noise.mu * (np.kron(Acl, Abcl) + np.kron(Abcl, Acl))

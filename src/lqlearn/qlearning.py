@@ -21,7 +21,7 @@ import numpy as np
 
 from .lqcore import PINV_TOL, QFactor, SystemModel, NoiseModel, _schur, symmetrize
 from .network import allocate_gains, build_graph, consensus_operator
-from .sampling import Realization, RngStream
+from .sampling import RngStream
 from .trace import RunTrace
 
 # Abort threshold on ||G||_F; a capped abort with diagnostics beats silent NaN
@@ -61,13 +61,13 @@ class Schedule:
 
 def y_operator(
     G: np.ndarray,
-    real: Realization,
+    Uk: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
     pinv_tol: float = PINV_TOL,
 ) -> np.ndarray:
     """Sampled Bellman residual at the raw (n+m)x(n+m) estimate G for one
-    plant realization.
+    sampled plant Uk = [A_k B_k] (see sampling.realize).
 
     [[Q + A_k' P A_k, A_k' P B_k], [B_k' P A_k, B_k' P B_k + R]] - G
     with P = pi_map(G); symmetrized. Its expectation under the true noise law
@@ -75,7 +75,6 @@ def y_operator(
     """
     n = Q.shape[0]
     P = _schur(G, n, pinv_tol)
-    Uk = real.stacked()
     M = Uk.T @ P @ Uk
     M[:n, :n] += Q
     M[n:, n:] += R
@@ -98,7 +97,7 @@ def _single_sensor(sys: SystemModel):
 def centralized_step(
     state: LearnerState,
     sys: SystemModel,
-    real: Realization,
+    Uk: np.ndarray,
     sched: Schedule,
 ) -> LearnerState:
     """One update G <- G + alpha(k) Y(G): a distributed round on one sensor."""
@@ -107,7 +106,7 @@ def centralized_step(
     graph, gains = _single_sensor(sys)
     bank = SensorBank(G=state.G.mat[None], k=state.k)
     bank = distributed_round(
-        bank, sys, consensus_operator(graph), gains, real, sched
+        bank, sys, consensus_operator(graph), gains, Uk, sched
     )
     return LearnerState(G=QFactor(bank.G[0], sys.n, sys.m), k=bank.k)
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DivergedError, NotStabilizingError
-from .lqcore import Gain, NoiseModel, SystemModel, ms_stability_check
+from .lqcore import Gain, NoiseModel, SystemModel, _closed_loop, ms_stability_check
 
 # Trajectories whose state norm exceeds this are flagged as diverging and
 # truncated; far below float overflow, far above anything a stable loop does.
@@ -27,24 +27,16 @@ _U53 = float(2**53)
 class RngStream:
     """One logical random stream per experiment component.
 
-    Identical (seed, stream_id) always reproduce the same draws. A NoiseModel
-    may be attached so draw_noise() knows its Gaussian parameters.
+    Identical (seed, stream_id) always reproduce the same draws.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        stream_id: int = 0,
-        noise: NoiseModel | None = None,
-        _spawn: tuple[int, ...] = (),
-    ):
+    def __init__(self, seed: int, stream_id: int = 0, _spawn: tuple[int, ...] = ()):
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not 0 <= stream_id < 2**64:
             raise ValueError("stream_id must be a 64-bit unsigned integer")
         self.seed = seed
         self.stream_id = stream_id
-        self.noise = noise
         self._spawn = _spawn
         self._gen: np.random.Generator | None = None
 
@@ -59,13 +51,7 @@ class RngStream:
 
     def substream(self, *indices: int) -> "RngStream":
         """Fresh derived stream; disjoint from this one and all siblings."""
-        return RngStream(
-            self.seed, self.stream_id, self.noise, (*self._spawn, *indices)
-        )
-
-    def with_noise(self, noise: NoiseModel) -> "RngStream":
-        self.noise = noise
-        return self
+        return RngStream(self.seed, self.stream_id, (*self._spawn, *indices))
 
     def uniform_open(self, size: int | None = None):
         """Uniforms strictly inside (0, 1): (k + 0.5) / 2^53."""
@@ -76,51 +62,36 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def draw_noise(rng: RngStream, size: int | None = None):
-    """Gaussian draw(s) w ~ N(mu, sigma2) via inverse CDF; advances the stream."""
-    if rng.noise is None:
-        raise ValueError("no NoiseModel attached to this stream")
-    sigma = np.sqrt(rng.noise.sigma2)
+def draw_noise(rng: RngStream, noise: NoiseModel, size: int | None = None):
+    """Gaussian draw(s) w ~ N(mu, sigma2) via inverse CDF; advances the stream.
+
+    A batch of size draws equals size successive scalar draws, bit for bit.
+    """
     z = ndtri(rng.uniform_open(size))
-    if size is None:
-        return float(rng.noise.mu + sigma * z)
-    return rng.noise.mu + sigma * z
+    w = noise.mu + np.sqrt(noise.sigma2) * z
+    return float(w) if size is None else w
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sampled plant (A_k, B_k) = (A + Abar*w, B + Bbar*w)."""
+def realize(sys: SystemModel, omega) -> np.ndarray:
+    """Sampled plant [A_k B_k] = [A B] + w*[Abar Bbar]; consumes no randomness.
 
-    A_k: np.ndarray
-    B_k: np.ndarray
-    omega: float
-
-    def stacked(self) -> np.ndarray:
-        """[A_k B_k] as an n x (n+m) array."""
-        return np.hstack([self.A_k, self.B_k])
-
-
-def realize(sys: SystemModel, omega: float) -> Realization:
-    """Exact affine combination; consumes no randomness."""
-    return Realization(
-        A_k=sys.A + sys.A_bar * omega,
-        B_k=sys.B + sys.B_bar * omega,
-        omega=float(omega),
-    )
+    A scalar omega gives one n x (n+m) array, an array of shape S gives
+    S + (n, n+m).
+    """
+    U, V = sys.stacked()
+    return U + np.asarray(omega)[..., None, None] * V
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Closed-loop rollout: states x(0..T), inputs u(0..T-1), stage costs.
+    """Closed-loop rollout: states x(0..T) and stage costs.
 
-    overflow=True means ||x|| crossed OVERFLOW_LIMIT and the rollout was
-    truncated at overflow_step.
+    overflow=True means ||x|| left OVERFLOW_LIMIT (or became NaN) and the
+    rollout was truncated at overflow_step.
     """
 
     xs: np.ndarray
-    us: np.ndarray
     costs: np.ndarray
-    omegas: np.ndarray
     overflow: bool
     overflow_step: int | None = None
 
@@ -136,40 +107,32 @@ def simulate_trajectory(
     horizon: int,
     rng: RngStream,
 ) -> Trajectory:
-    """Roll out x(k+1) = A(k)x(k) + B(k)u(k) under u(k) = K x(k).
+    """Roll out x(k+1) = (Acl + w(k) Abcl) x(k), the plant under u(k) = K x(k).
 
-    One fresh noise draw per step feeds both A(k) and B(k). Stage cost is
-    x'Qx + u'Ru.
+    Acl = A + BK and Abcl = Abar + Bbar K, so one fresh noise draw per step
+    feeds both A(k) and B(k). Stage cost is x'(Q + K'RK)x = x'Qx + u'Ru.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    rng.with_noise(noise)
-    omegas = np.atleast_1d(draw_noise(rng, size=horizon))
+    x = np.asarray(x0, dtype=float).reshape(sys.n)
+    Acl, Abcl = _closed_loop(K, sys)
+    C = sys.Q + K.K.T @ sys.R @ K.K
 
-    xs = [x0]
-    us = []
+    xs = [x]
     costs = []
-    x = x0
-    overflow = False
     overflow_step = None
-    for k in range(horizon):
-        u = K.K @ x
-        costs.append(float(x @ sys.Q @ x + u @ sys.R @ u))
-        us.append(u)
-        rk = realize(sys, omegas[k])
-        x = rk.A_k @ x + rk.B_k @ u
-        if np.linalg.norm(x) > OVERFLOW_LIMIT:
-            overflow = True
+    for k, w in enumerate(draw_noise(rng, noise, horizon).tolist()):
+        costs.append(float(x @ C @ x))
+        x = Acl @ x + w * (Abcl @ x)
+        # "not <=" is true for NaN as well as overflow.
+        if not np.linalg.norm(x) <= OVERFLOW_LIMIT:
             overflow_step = k + 1
             break
         xs.append(x)
     return Trajectory(
         xs=np.array(xs),
-        us=np.array(us),
         costs=np.array(costs),
-        omegas=omegas[: len(costs)],
-        overflow=overflow,
+        overflow=overflow_step is not None,
         overflow_step=overflow_step,
     )
 

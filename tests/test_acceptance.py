@@ -112,11 +112,11 @@ def test_criterion_03_unbiased_fixed_point(preset_cfg, preset_oracle):
         assert np.linalg.norm(drift.mat - oracle.G_star.mat) <= 1e-10
 
         n_draws = 100_000
-        rng = RngStream(12345).with_noise(preset_cfg.noise)
+        omegas = draw_noise(RngStream(12345), preset_cfg.noise, n_draws)
         total = np.zeros((3, 3))
         total_sq = np.zeros((3, 3))
-        for omega in draw_noise(rng, n_draws):
-            Y = y_operator(oracle.G_star.mat, realize(preset_cfg.system, omega),
+        for Uk in realize(preset_cfg.system, omegas):
+            Y = y_operator(oracle.G_star.mat, Uk,
                            preset_cfg.system.Q, preset_cfg.system.R)
             total += Y
             total_sq += Y * Y

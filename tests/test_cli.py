@@ -61,6 +61,17 @@ class TestCmdOracle:
         payload = json.loads((tmp_path / "oracle.json").read_text())
         assert np.asarray(payload["G_star"]) == pytest.approx(np.eye(3))
 
+    def test_nan_matrix_entry_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"system": {"A": [[NaN]], "A_bar": 0.0, "B": 1.0, "B_bar": 0.0,'
+            ' "Q": 1.0, "R": 1.0}, "noise": {"mu": 0.0, "sigma2": 0.0},'
+            ' "graph": "single", "seeds": 1}'
+        )
+        assert run_cli("oracle", "--config", config, "--out", tmp_path) == 2
+        assert "system.A[0][0] must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.json").exists()
+
     def test_oracle_failure_exit_code(self, tmp_path):
         config = write_config(
             tmp_path,

@@ -112,6 +112,29 @@ class TestValidation:
         assert cfg.validation.horizon == 400
         assert cfg.validation.n_runs == 2000
 
+    @pytest.mark.parametrize(
+        "keys, path",
+        [
+            (("system", "A", 0, 1), "system.A[0][1]"),
+            (("noise", "mu"), "noise.mu"),
+            (("noise", "sigma2"), "noise.sigma2"),
+            (("validation", "x0", 0), "validation.x0[0]"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_number_rejected_with_its_path(self, keys, path, bad):
+        # json.loads turns NaN and Infinity literals into these floats.
+        data = base_config(rounds=0, validation={"x0": [1.0, 1.0]})
+        target = data
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = bad
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(data)
+        violations = info.value.violations
+        assert f"{path} must be a finite number" in violations
+        assert any("rounds" in v for v in violations)  # reported alongside
+
 
 class TestLoadConfig:
     def test_parse_error_carries_location(self, tmp_path):

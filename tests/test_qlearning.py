@@ -112,8 +112,8 @@ class TestCentralizedStep:
     def test_one_step_replay_fixture(self, bench_sys, bench_noise):
         from lqlearn import draw_noise
 
-        rng = RngStream(0).with_noise(bench_noise)
-        omega = draw_noise(rng)
+        rng = RngStream(0)
+        omega = draw_noise(rng, bench_noise)
         assert omega == pytest.approx(1.1854360793774206, abs=1e-15)
         state = LearnerState(QFactor.cost_diag(bench_sys), 0)
         nxt = centralized_step(state, bench_sys, realize(bench_sys, omega),
@@ -128,13 +128,14 @@ class TestCentralizedStep:
         assert nxt.G.mat == pytest.approx(expected, abs=1e-14)
 
     def test_preserves_symmetry(self, bench_sys, bench_noise):
-        rng = RngStream(4).with_noise(bench_noise)
+        rng = RngStream(4)
         state = LearnerState(QFactor.cost_diag(bench_sys), 0)
         from lqlearn import draw_noise
 
         for _ in range(50):
             state = centralized_step(
-                state, bench_sys, realize(bench_sys, draw_noise(rng)), Schedule()
+                state, bench_sys, realize(bench_sys, draw_noise(rng, bench_noise)),
+                Schedule(),
             )
             assert np.array_equal(state.G.mat, state.G.mat.T)
 

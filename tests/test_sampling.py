@@ -11,35 +11,32 @@ from lqlearn import (
     realize,
     simulate_trajectory,
 )
-from lqlearn.errors import NotStabilizingError
+from lqlearn.errors import DivergedError, NotStabilizingError
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 class TestRngStream:
     def test_same_key_same_sequence(self):
-        a = RngStream(123, 7, NoiseModel(0.5, 2.0))
-        b = RngStream(123, 7, NoiseModel(0.5, 2.0))
-        assert [draw_noise(a) for _ in range(50)] == [
-            draw_noise(b) for _ in range(50)
+        noise = NoiseModel(0.5, 2.0)
+        a, b = RngStream(123, 7), RngStream(123, 7)
+        assert [draw_noise(a, noise) for _ in range(50)] == [
+            draw_noise(b, noise) for _ in range(50)
         ]
 
     def test_different_stream_ids_differ(self):
-        a = RngStream(123, 0, NoiseModel(0.0, 1.0))
-        b = RngStream(123, 1, NoiseModel(0.0, 1.0))
-        assert draw_noise(a, 10).tolist() != draw_noise(b, 10).tolist()
+        noise = NoiseModel(0.0, 1.0)
+        a, b = RngStream(123, 0), RngStream(123, 1)
+        assert draw_noise(a, noise, 10).tolist() != draw_noise(b, noise, 10).tolist()
 
     def test_substreams_disjoint_and_reproducible(self):
-        root = RngStream(9, 0, NoiseModel(0.0, 1.0))
-        first = draw_noise(root.substream(0), 5)
-        again = draw_noise(root.substream(0), 5)
-        other = draw_noise(root.substream(1), 5)
+        noise = NoiseModel(0.0, 1.0)
+        root = RngStream(9, 0)
+        first = draw_noise(root.substream(0), noise, 5)
+        again = draw_noise(root.substream(0), noise, 5)
+        other = draw_noise(root.substream(1), noise, 5)
         assert np.array_equal(first, again)
         assert not np.array_equal(first, other)
-
-    def test_requires_noise_model(self):
-        with pytest.raises(ValueError, match="NoiseModel"):
-            draw_noise(RngStream(0))
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -48,47 +45,57 @@ class TestRngStream:
 
 class TestDrawNoise:
     def test_degenerate_gaussian_returns_mu_exactly(self):
-        rng = RngStream(0, 0, NoiseModel(3.25, 0.0))
-        assert all(draw_noise(rng) == 3.25 for _ in range(100))
+        rng, noise = RngStream(0, 0), NoiseModel(3.25, 0.0)
+        assert all(draw_noise(rng, noise) == 3.25 for _ in range(100))
 
     def test_sample_mean_within_clt_bound(self):
         mu, sigma2, n = 1.0, 0.1, 100_000
-        rng = RngStream(2024, 0, NoiseModel(mu, sigma2))
-        samples = draw_noise(rng, n)
+        samples = draw_noise(RngStream(2024, 0), NoiseModel(mu, sigma2), n)
         bound = 4.0 * np.sqrt(sigma2 / n)
         assert abs(samples.mean() - mu) < bound
         assert samples.var() == pytest.approx(sigma2, rel=0.05)
 
     def test_batched_draws_match_scalar_draws(self):
-        a = RngStream(5, 0, NoiseModel(1.0, 0.1))
-        b = RngStream(5, 0, NoiseModel(1.0, 0.1))
-        assert [draw_noise(a) for _ in range(32)] == list(draw_noise(b, 32))
+        noise = NoiseModel(1.0, 0.1)
+        a, b = RngStream(5, 0), RngStream(5, 0)
+        assert [draw_noise(a, noise) for _ in range(32)] == list(
+            draw_noise(b, noise, 32)
+        )
 
 
 class TestRealize:
     def test_zero_omega(self, bench_sys):
         r = realize(bench_sys, 0.0)
-        assert np.array_equal(r.A_k, bench_sys.A)
-        assert np.array_equal(r.B_k, bench_sys.B)
+        assert np.array_equal(r[:, :2], bench_sys.A)
+        assert np.array_equal(r[:, 2:], bench_sys.B)
 
     def test_unit_omega_benchmark_values(self, bench_sys):
         r = realize(bench_sys, 1.0)
-        assert r.A_k == pytest.approx(np.array([[0.9, 0.0], [0.0, 1.4]]))
-        assert r.B_k == pytest.approx(np.array([[0.8], [1.0]]))
+        assert r[:, :2] == pytest.approx(np.array([[0.9, 0.0], [0.0, 1.4]]))
+        assert r[:, 2:] == pytest.approx(np.array([[0.8], [1.0]]))
 
     def test_bars_zero_ignores_omega(self, det_sys):
         r = realize(det_sys, 17.5)
-        assert np.array_equal(r.A_k, det_sys.A)
-        assert np.array_equal(r.B_k, det_sys.B)
+        assert np.array_equal(r[:, :2], det_sys.A)
+        assert np.array_equal(r[:, 2:], det_sys.B)
 
     def test_affine_in_omega(self, bench_sys):
         a, b, w1, w2 = 0.3, 0.7, -1.2, 2.1
         combo = realize(bench_sys, a * w1 + b * w2)
         r1, r2 = realize(bench_sys, w1), realize(bench_sys, w2)
         expected = (
-            a * r1.A_k + b * r2.A_k - (a + b - 1.0) * bench_sys.A
+            a * r1[:, :2] + b * r2[:, :2] - (a + b - 1.0) * bench_sys.A
         )
-        assert combo.A_k == pytest.approx(expected, abs=1e-14)
+        assert combo[:, :2] == pytest.approx(expected, abs=1e-14)
+
+    def test_array_equals_stacked_scalar_calls(self, bench_sys):
+        omegas = draw_noise(RngStream(11), NoiseModel(1.0, 0.1), 20).reshape(4, 5)
+        batch = realize(bench_sys, omegas)
+        assert batch.shape == (4, 5, 2, 3)
+        scalar = np.stack([
+            np.stack([realize(bench_sys, float(w)) for w in row]) for row in omegas
+        ])
+        assert np.array_equal(batch, scalar)
 
 
 class TestSimulateTrajectory:
@@ -137,6 +144,42 @@ class TestSimulateTrajectory:
             total += float(traj.xs[-1] @ traj.xs[-1])
         assert total / runs < 2.0 * 1e-3
 
+    def test_matches_written_out_open_loop(self, bench_sys, bench_noise,
+                                           bench_oracle):
+        # x(k+1) = A(k)x + B(k)u with u = Kx and stage cost x'Qx + u'Ru,
+        # one draw per step shared by A(k) and B(k).
+        K = bench_oracle.K_star
+        horizon = 300
+        traj = simulate_trajectory(bench_sys, bench_noise, K, [1.0, -0.5],
+                                   horizon, RngStream(8, 2))
+        rng = RngStream(8, 2)
+        x = np.array([1.0, -0.5])
+        xs, costs = [x], []
+        for _ in range(horizon):
+            w = draw_noise(rng, bench_noise)
+            A_k = bench_sys.A + bench_sys.A_bar * w
+            B_k = bench_sys.B + bench_sys.B_bar * w
+            u = K.K @ x
+            costs.append(x @ bench_sys.Q @ x + u @ bench_sys.R @ u)
+            x = A_k @ x + B_k @ u
+            xs.append(x)
+        assert not traj.overflow
+        assert traj.xs.shape == (horizon + 1, 2)
+        # Relative to the trajectory's scale so far: the state decays towards
+        # 0, where the two summation orders may differ in every digit.
+        xs, costs = np.array(xs), np.array(costs)
+        x_scale = np.maximum.accumulate(np.linalg.norm(xs, axis=1))
+        assert np.all(np.linalg.norm(traj.xs - xs, axis=1) <= 1e-12 * x_scale)
+        cost_scale = np.maximum.accumulate(costs)
+        assert np.all(np.abs(traj.costs - costs) <= 1e-12 * cost_scale)
+
+    def test_nan_state_counts_as_overflow(self, scalar_sys):
+        traj = simulate_trajectory(scalar_sys, NoiseModel(0.0, 0.0),
+                                   Gain([[-0.5]]), [np.nan], 10, RngStream(0))
+        assert traj.overflow
+        assert traj.overflow_step == 1
+        assert len(traj.xs) == 1
+
 
 class TestMonteCarloCost:
     def test_deterministic_plant_zero_stderr(self, det_sys, det_noise, det_oracle):
@@ -157,6 +200,12 @@ class TestMonteCarloCost:
         with pytest.raises(NotStabilizingError):
             monte_carlo_cost(bench_sys, bench_noise, Gain([[0.0, 0.0]]),
                              [1.0, 1.0], 50, 5, RngStream(0))
+
+    def test_nan_start_raises_diverged(self, scalar_sys):
+        K = Gain([[-(np.sqrt(5) - 1) / 2]])
+        with pytest.raises(DivergedError, match="run 0 overflowed at step 1"):
+            monte_carlo_cost(scalar_sys, NoiseModel(0.0, 0.0), K, [np.nan],
+                             20, 5, RngStream(1))
 
     def test_deterministic_given_seed(self, bench_sys, bench_noise, bench_oracle):
         a = monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star,
