@@ -98,6 +98,11 @@ def _non_finite(value, path: str) -> list[str]:
     return [p for sub, v in items for p in _non_finite(v, sub)]
 
 
+def _is_int(value) -> bool:
+    """An integer JSON number; bool is an int subclass in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get(data: dict, key: str, errors: list[str], required: bool = True):
     if key not in data:
         if required:
@@ -196,19 +201,17 @@ def from_dict(data: dict) -> ExperimentConfig:
             errors.append(str(exc))
 
     rounds = data.get("rounds", 200)
-    if not isinstance(rounds, int) or rounds < 1:
+    if not _is_int(rounds) or rounds < 1:
         errors.append(f"rounds must be a positive integer, got {rounds!r}")
 
     seeds_raw = data.get("seeds", 1)
     seeds: tuple = ()
-    if isinstance(seeds_raw, int) and not isinstance(seeds_raw, bool):
+    if _is_int(seeds_raw):
         if seeds_raw < 1:
             errors.append("seeds count must be >= 1")
         else:
             seeds = tuple(range(seeds_raw))
-    elif isinstance(seeds_raw, list) and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds_raw
-    ):
+    elif isinstance(seeds_raw, list) and all(_is_int(s) for s in seeds_raw):
         if not seeds_raw:
             errors.append("seeds list must not be empty")
         seeds = tuple(seeds_raw)
@@ -256,18 +259,21 @@ def from_dict(data: dict) -> ExperimentConfig:
     if system is not None and not _non_finite(data.get("validation"), "validation"):
         val_raw = data.get("validation", {})
         if isinstance(val_raw, dict):
-            x0 = val_raw.get("x0", [1.0] * system.n)
+            n_errors = len(errors)
+            counts = {}
+            for key, default, low in (("horizon", 400, 1), ("n_runs", 2000, 2)):
+                value = counts[key] = val_raw.get(key, default)
+                if not _is_int(value) or value < low:
+                    errors.append(
+                        f"validation.{key} must be an integer >= {low}, got {value!r}"
+                    )
             try:
-                x0 = np.asarray(x0, dtype=float).reshape(system.n)
-                validation = ValidationSettings(
-                    x0=x0,
-                    horizon=int(val_raw.get("horizon", 400)),
-                    n_runs=int(val_raw.get("n_runs", 2000)),
-                )
-                if validation.horizon < 1 or validation.n_runs < 2:
-                    errors.append("validation horizon >= 1 and n_runs >= 2 required")
+                x0 = np.asarray(val_raw.get("x0", [1.0] * system.n), dtype=float)
+                x0 = x0.reshape(system.n)
             except (TypeError, ValueError):
                 errors.append(f"validation.x0 must be a length-{system.n} vector")
+            if len(errors) == n_errors:
+                validation = ValidationSettings(x0=x0, **counts)
         else:
             errors.append("validation must be an object")
 

@@ -72,7 +72,7 @@ def distributed_round(
     # zero), so estimates that agree stay bit-exact on any graph.
     G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
     G = G + alpha * (np.asarray(alloc.matrices) @ Y)
-    G = (G + G.transpose(0, 2, 1)) / 2.0
+    G = symmetrize(G)
 
     # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
     norms = np.linalg.norm(G, axis=(1, 2))

@@ -39,8 +39,8 @@ DEFAULT_ORACLE_MAX_ITER = 100_000
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """(M + M') / 2."""
-    return (mat + mat.T) / 2.0
+    """(M + M') / 2, over the last two axes of a stack of matrices."""
+    return (mat + mat.swapaxes(-1, -2)) / 2.0
 
 
 def _as_matrix(value, name: str) -> np.ndarray:

@@ -67,7 +67,8 @@ def y_operator(
     pinv_tol: float = PINV_TOL,
 ) -> np.ndarray:
     """Sampled Bellman residual at the raw (n+m)x(n+m) estimate G for one
-    sampled plant Uk = [A_k B_k] (see sampling.realize).
+    sampled plant Uk = [A_k B_k] (see sampling.realize), or for each plant of
+    a stack Uk of shape S + (n, n+m), giving S + (n+m, n+m).
 
     [[Q + A_k' P A_k, A_k' P B_k], [B_k' P A_k, B_k' P B_k + R]] - G
     with P = pi_map(G); symmetrized. Its expectation under the true noise law
@@ -75,9 +76,9 @@ def y_operator(
     """
     n = Q.shape[0]
     P = _schur(G, n, pinv_tol)
-    M = Uk.T @ P @ Uk
-    M[:n, :n] += Q
-    M[n:, n:] += R
+    M = Uk.swapaxes(-1, -2) @ P @ Uk
+    M[..., :n, :n] += Q
+    M[..., n:, n:] += R
     return symmetrize(M - G)
 
 

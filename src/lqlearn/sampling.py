@@ -99,6 +99,16 @@ class Trajectory:
         return float(self.costs.sum())
 
 
+def _prefix_products(M: np.ndarray) -> np.ndarray:
+    """Overwrite a stack of step matrices with its prefix products
+    M[k] ... M[0], in ceil(log2(len(M))) batched matmuls (a doubling scan)."""
+    s = 1
+    while s < len(M):
+        M[s:] = M[s:] @ M[:-s]
+        s *= 2
+    return M
+
+
 def simulate_trajectory(
     sys: SystemModel,
     noise: NoiseModel,
@@ -111,27 +121,48 @@ def simulate_trajectory(
 
     Acl = A + BK and Abcl = Abar + Bbar K, so one fresh noise draw per step
     feeds both A(k) and B(k). Stage cost is x'(Q + K'RK)x = x'Qx + u'Ru.
+
+    The states are x(k) = M(k-1) ... M(0) x(0) with M(k) = Acl + w(k) Abcl,
+    all computed at once from a prefix-product scan over time. The scan holds
+    horizon x n x n floats (12.8 KB at n = 2 and 400 steps) where a step-by-
+    step rollout holds horizon x n.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     x = np.asarray(x0, dtype=float).reshape(sys.n)
     Acl, Abcl = _closed_loop(K, sys)
     C = sys.Q + K.K.T @ sys.R @ K.K
+    w = draw_noise(rng, noise, horizon)
 
-    xs = [x]
-    costs = []
+    chunks = [x[None]]
+    k = 0  # steps taken
     overflow_step = None
-    for k, w in enumerate(draw_noise(rng, noise, horizon).tolist()):
-        costs.append(float(x @ C @ x))
-        x = Acl @ x + w * (Abcl @ x)
-        # "not <=" is true for NaN as well as overflow.
-        if not np.linalg.norm(x) <= OVERFLOW_LIMIT:
-            overflow_step = k + 1
-            break
-        xs.append(x)
+    # Products past an overflow may reach inf or NaN; they are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < horizon:
+            seg = _prefix_products(Acl + w[k:, None, None] * Abcl) @ x
+            # "not <=" is true for NaN as well as overflow.
+            bad = np.flatnonzero(~(np.linalg.norm(seg, axis=1) <= OVERFLOW_LIMIT))
+            if not bad.size:
+                chunks.append(seg)
+                break
+            j = int(bad[0])
+            chunks.append(seg[:j])
+            # Retake the flagged step from the last kept state: a state is
+            # also flagged when a product overflowed but the state did not
+            # (x(0) orthogonal to a growing mode), and the scan resumes there.
+            last = seg[j - 1] if j else x
+            x = Acl @ last + w[k + j] * (Abcl @ last)
+            if not np.linalg.norm(x) <= OVERFLOW_LIMIT:
+                overflow_step = k + j + 1
+                break
+            chunks.append(x[None])
+            k += j + 1
+    xs = np.concatenate(chunks)
+    kept = xs[:horizon]
     return Trajectory(
-        xs=np.array(xs),
-        costs=np.array(costs),
+        xs=xs,
+        costs=((kept @ C) * kept).sum(axis=1),
         overflow=overflow_step is not None,
         overflow_step=overflow_step,
     )

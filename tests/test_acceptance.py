@@ -113,15 +113,10 @@ def test_criterion_03_unbiased_fixed_point(preset_cfg, preset_oracle):
 
         n_draws = 100_000
         omegas = draw_noise(RngStream(12345), preset_cfg.noise, n_draws)
-        total = np.zeros((3, 3))
-        total_sq = np.zeros((3, 3))
-        for Uk in realize(preset_cfg.system, omegas):
-            Y = y_operator(oracle.G_star.mat, Uk,
-                           preset_cfg.system.Q, preset_cfg.system.R)
-            total += Y
-            total_sq += Y * Y
-        mean = total / n_draws
-        var = total_sq / n_draws - mean**2
+        Y = y_operator(oracle.G_star.mat, realize(preset_cfg.system, omegas),
+                       preset_cfg.system.Q, preset_cfg.system.R)
+        mean = Y.mean(axis=0)
+        var = (Y * Y).mean(axis=0) - mean**2
         se = np.sqrt(var / n_draws)
         assert np.linalg.norm(mean) <= 4.0 * np.linalg.norm(se)
 

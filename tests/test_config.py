@@ -112,6 +112,22 @@ class TestValidation:
         assert cfg.validation.horizon == 400
         assert cfg.validation.n_runs == 2000
 
+    @pytest.mark.parametrize("field", ["horizon", "n_runs"])
+    @pytest.mark.parametrize("bad", ["abc", 2.5, True, 0])
+    def test_bad_validation_count_named_in_its_violation(self, field, bad):
+        data = base_config(rounds=0, validation={"x0": [1.0, 1.0], field: bad})
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(data)
+        violations = info.value.violations
+        assert any(v.startswith(f"validation.{field} must be an integer")
+                   for v in violations)
+        assert not any("x0" in v for v in violations)
+        assert any("rounds" in v for v in violations)  # reported alongside
+
+    def test_bool_rounds_rejected(self):
+        with pytest.raises(ConfigValidationError, match="rounds"):
+            from_dict(base_config(rounds=True))
+
     @pytest.mark.parametrize(
         "keys, path",
         [

@@ -12,8 +12,35 @@ from lqlearn import (
     simulate_trajectory,
 )
 from lqlearn.errors import DivergedError, NotStabilizingError
+from lqlearn.sampling import OVERFLOW_LIMIT
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def sequential_rollout(sys, noise, K, x0, horizon, rng):
+    """Step-by-step reference: x(k+1) = A(k)x + B(k)u with u = Kx, stage cost
+    x'Qx + u'Ru, truncated at the first state with not ||x|| <= limit."""
+    x = np.asarray(x0, dtype=float)
+    xs, costs = [x], []
+    for k in range(horizon):
+        w = draw_noise(rng, noise)
+        u = K.K @ x
+        costs.append(x @ sys.Q @ x + u @ sys.R @ u)
+        x = (sys.A + sys.A_bar * w) @ x + (sys.B + sys.B_bar * w) @ u
+        if not np.linalg.norm(x) <= OVERFLOW_LIMIT:
+            return np.array(xs), np.array(costs), k + 1
+        xs.append(x)
+    return np.array(xs), np.array(costs), None
+
+
+def assert_close_to_running_scale(actual, expected, bound=1e-12):
+    """Differences relative to the largest magnitude reached so far: a state
+    decaying through 0 may differ in every digit between summation orders."""
+    expected = np.asarray(expected)
+    diff = np.abs(np.asarray(actual) - expected).reshape(len(expected), -1)
+    size = np.abs(expected).reshape(len(expected), -1)
+    scale = np.maximum.accumulate(np.linalg.norm(size, axis=1))
+    assert np.all(np.linalg.norm(diff, axis=1) <= bound * scale)
 
 
 class TestRngStream:
@@ -173,6 +200,50 @@ class TestSimulateTrajectory:
         cost_scale = np.maximum.accumulate(costs)
         assert np.all(np.abs(traj.costs - costs) <= 1e-12 * cost_scale)
 
+    @pytest.mark.parametrize("a, step", [(3.0, 26), (1e3, 5), (1e100, 1)])
+    def test_exact_overflow_step(self, a, step):
+        sys = SystemModel(A=[[a]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
+                          Q=[[1.0]], R=[[1.0]])
+        traj = simulate_trajectory(sys, NoiseModel(0.0, 0.0), Gain([[0.0]]),
+                                   [1.0], 400, RngStream(0))
+        assert traj.overflow
+        assert traj.overflow_step == step
+        assert len(traj.xs) == step
+        assert len(traj.costs) == step
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unstable_noisy_loop_matches_sequential(self, bench_sys, bench_noise,
+                                                    seed):
+        # Under K = [0.5 0.5] the mean step Acl + Abcl has spectral radius
+        # above 2, so every run overflows within the horizon; Acl and Abcl
+        # do not commute, so the order of the products matters.
+        K = Gain([[0.5, 0.5]])
+        traj = simulate_trajectory(bench_sys, bench_noise, K, [1.0, -0.5], 2000,
+                                   RngStream(seed, 4))
+        xs, costs, step = sequential_rollout(bench_sys, bench_noise, K,
+                                             [1.0, -0.5], 2000,
+                                             RngStream(seed, 4))
+        assert step is not None
+        assert traj.overflow_step == step
+        assert traj.xs.shape == xs.shape and traj.costs.shape == costs.shape
+        assert_close_to_running_scale(traj.xs, xs)
+        assert_close_to_running_scale(traj.costs, costs)
+
+    def test_start_orthogonal_to_growing_mode_does_not_overflow(self):
+        # The products of diag(1e3, 0.5) overflow after ~103 steps, but
+        # x0 = [0, 1] never touches the growing mode and decays.
+        sys = SystemModel(A=[[1e3, 0.0], [0.0, 0.5]], A_bar=np.zeros((2, 2)),
+                          B=np.eye(2), B_bar=np.zeros((2, 2)),
+                          Q=np.eye(2), R=np.eye(2))
+        K = Gain(np.zeros((2, 2)))
+        traj = simulate_trajectory(sys, NoiseModel(0.0, 0.0), K, [0.0, 1.0],
+                                   400, RngStream(0))
+        xs, costs, step = sequential_rollout(sys, NoiseModel(0.0, 0.0), K,
+                                             [0.0, 1.0], 400, RngStream(0))
+        assert step is None and not traj.overflow
+        assert np.array_equal(traj.xs, xs)
+        assert np.array_equal(traj.costs, costs)
+
     def test_nan_state_counts_as_overflow(self, scalar_sys):
         traj = simulate_trajectory(scalar_sys, NoiseModel(0.0, 0.0),
                                    Gain([[-0.5]]), [np.nan], 10, RngStream(0))
@@ -206,6 +277,21 @@ class TestMonteCarloCost:
         with pytest.raises(DivergedError, match="run 0 overflowed at step 1"):
             monte_carlo_cost(scalar_sys, NoiseModel(0.0, 0.0), K, [np.nan],
                              20, 5, RngStream(1))
+
+    def test_matches_mean_of_sequential_rollouts(self, bench_sys, bench_noise,
+                                                  bench_oracle):
+        K = bench_oracle.K_star
+        rng = RngStream(21)
+        est = monte_carlo_cost(bench_sys, bench_noise, K, [1.0, 1.0], 400, 30,
+                               rng)
+        totals = [
+            sequential_rollout(bench_sys, bench_noise, K, [1.0, 1.0], 400,
+                               rng.substream(run))[1].sum()
+            for run in range(30)
+        ]
+        assert est.mean == pytest.approx(np.mean(totals), rel=1e-12, abs=0.0)
+        assert est.std_err == pytest.approx(np.std(totals, ddof=1) / np.sqrt(30),
+                                            rel=1e-12, abs=0.0)
 
     def test_deterministic_given_seed(self, bench_sys, bench_noise, bench_oracle):
         a = monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star,
