@@ -56,7 +56,6 @@ from .network import (
     consensus_operator,
 )
 from .qlearning import (
-    LearnerState,
     Schedule,
     centralized_step,
     run_centralized,
@@ -88,7 +87,6 @@ __all__ = [
     "Gain",
     "GainAllocation",
     "Graph",
-    "LearnerState",
     "LqLearnError",
     "NoConvergenceError",
     "NoiseModel",

@@ -27,6 +27,7 @@ from .config import (
     load_config,
     load_preset,
     preset_names,
+    seed_violations,
 )
 from .distributed import run_distributed
 from .errors import (
@@ -45,7 +46,8 @@ from .lqcore import (
     riccati_residual,
     solve_oracle,
 )
-from .network import allocate_gains, build_graph
+from .network import allocate_gains
+from .qlearning import single_sensor
 from .sampling import RngStream, monte_carlo_cost
 from .svgplot import line_plot
 
@@ -85,12 +87,7 @@ def _solve(config: ExperimentConfig) -> OracleSolution:
 
 
 def cmd_oracle(config: ExperimentConfig, out_dir: Path) -> int:
-    try:
-        oracle = _solve(config)
-    except (NoConvergenceError, NotStabilizingError) as exc:
-        log.error("oracle failed: %s", exc)
-        print(f"oracle failed: {exc}", file=_sys.stderr)
-        return EXIT_ORACLE
+    oracle = _solve(config)
     report = ms_stability_check(oracle.K_star, config.system, config.noise)
     payload = {
         "G_star": _listify(oracle.G_star.mat),
@@ -164,11 +161,10 @@ def _run_one_seed(
     entry: dict = {"seed": seed, "status": "ok"}
     seed_dir.mkdir(parents=True, exist_ok=True)
     dims = (config.system.n, config.system.m)
-    single = build_graph("single")
     # kind -> (graph, gains, options); the centralized run is one sensor
     # with L_1 = I on the learning stream itself.
     learners = {
-        "centralized": (single, allocate_gains(single, dims, "uniform"), {}),
+        "centralized": (*single_sensor(config.system), {}),
         "distributed": (
             config.graph,
             allocate_gains(config.graph, dims, config.gain_mode),
@@ -216,13 +212,7 @@ def _median_over(runs: list[dict], kind: str, key: str):
 
 
 def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
-    try:
-        oracle = _solve(config)
-    except (NoConvergenceError, NotStabilizingError) as exc:
-        log.error("oracle failed: %s", exc)
-        print(f"oracle failed: {exc}", file=_sys.stderr)
-        return EXIT_ORACLE
-
+    oracle = _solve(config)
     runs = []
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed:04d}"
@@ -271,34 +261,42 @@ def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_validate_controller(
-    config: ExperimentConfig, out_dir: Path, seed: int | None
-) -> int:
-    summary_path = out_dir / "summary.json"
-    try:
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"cannot read {summary_path}: {exc} (run `lqlearn run` first)",
-              file=_sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        oracle = _solve(config)
-    except (NoConvergenceError, NotStabilizingError) as exc:
-        print(f"oracle failed: {exc}", file=_sys.stderr)
-        return EXIT_ORACLE
+def _read_run(config: ExperimentConfig, summary_path: Path, seed: int | None):
+    """(seed, kind, final averaged estimate) of one run in summary.json.
 
+    seed None picks the summary's first seed; kind and the estimate are None
+    when that seed has no clean run. An unreadable or wrongly shaped summary
+    raises OSError, ValueError, LookupError or TypeError.
+    """
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
     if seed is None:
         seed = summary["seeds"][0]
     run = next((r for r in summary["runs"] if r["seed"] == seed), None)
     if run is None or run["status"] != "ok":
-        print(f"no clean run for seed {seed} in {summary_path}", file=_sys.stderr)
-        return EXIT_VALIDATION
+        return seed, None, None
     kind = "distributed" if "distributed" in run else "centralized"
     G_final = QFactor.symmetrized(
         np.asarray(run[kind]["final_G_mean"], dtype=float),
         config.system.n,
         config.system.m,
     )
+    return seed, kind, G_final
+
+
+def cmd_validate_controller(
+    config: ExperimentConfig, out_dir: Path, seed: int | None
+) -> int:
+    summary_path = out_dir / "summary.json"
+    try:
+        seed, kind, G_final = _read_run(config, summary_path, seed)
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        print(f"cannot read {summary_path}: {type(exc).__name__}: {exc} "
+              "(run `lqlearn run` first)", file=_sys.stderr)
+        return EXIT_VALIDATION
+    oracle = _solve(config)
+    if G_final is None:
+        print(f"no clean run for seed {seed} in {summary_path}", file=_sys.stderr)
+        return EXIT_VALIDATION
 
     learned = gamma_map(G_final)
     gain_gap = float(np.linalg.norm(learned.K - oracle.K_star.K))
@@ -378,9 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     from dataclasses import replace
 
+    errors = []
     if getattr(args, "rounds", None) is not None:
         if args.rounds < 1:
-            raise ConfigValidationError(["rounds must be >= 1"])
+            errors.append("rounds must be >= 1")
         config = replace(config, rounds=args.rounds)
     if getattr(args, "seeds", None) is not None:
         raw = str(args.seeds)
@@ -390,12 +389,16 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
             else:
                 seeds = tuple(range(int(raw)))
         except ValueError:
-            raise ConfigValidationError(
-                [f"--seeds must be a count or comma-separated list, got {raw!r}"]
-            ) from None
-        if not seeds:
-            raise ConfigValidationError(["--seeds produced an empty list"])
-        config = replace(config, seeds=seeds)
+            errors.append(
+                f"--seeds must be a count or comma-separated list, got {raw!r}"
+            )
+        else:
+            if not seeds:
+                errors.append("--seeds produced an empty list")
+            errors.extend(seed_violations(seeds))
+            config = replace(config, seeds=seeds)
+    if errors:
+        raise ConfigValidationError(errors)
     return config
 
 
@@ -424,6 +427,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(config, args.mode, out_dir)
         return cmd_validate_controller(config, out_dir, args.seed)
+    except (NoConvergenceError, NotStabilizingError) as exc:
+        log.error("oracle failed: %s", exc)
+        print(f"oracle failed: {exc}", file=_sys.stderr)
+        return EXIT_ORACLE
     except LqLearnError as exc:
         print(str(exc), file=_sys.stderr)
         return EXIT_VALIDATION

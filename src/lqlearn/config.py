@@ -103,6 +103,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def seed_violations(seeds) -> list[str]:
+    """One message per seed outside [0, 2**64), the seeds RngStream takes."""
+    return [f"seed {s} is outside [0, 2**64)" for s in seeds if not 0 <= s < 2**64]
+
+
 def _get(data: dict, key: str, errors: list[str], required: bool = True):
     if key not in data:
         if required:
@@ -217,6 +222,7 @@ def from_dict(data: dict) -> ExperimentConfig:
         seeds = tuple(seeds_raw)
     else:
         errors.append("seeds must be a count or a list of integers")
+    errors.extend(seed_violations(seeds))
 
     shared_noise = data.get("shared_noise", True)
     if not isinstance(shared_noise, bool):

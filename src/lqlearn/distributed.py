@@ -56,8 +56,9 @@ def distributed_round(
     Uk is one sampled plant [A_k B_k] (n x (n+m)) shared by every sensor, or
     an (N, n, n+m) stack with one plant per sensor (see sampling.realize).
     All sensors read the same pre-round neighbor values; updates commit
-    together (simultaneous Jacobi sweep). Mixing, innovation, symmetrization
-    and the divergence guard each run once on the whole stack.
+    together (simultaneous Jacobi sweep). Mixing, innovation (L_i Y_i as the
+    row scaling by alloc.scale[i]), symmetrization and the divergence guard
+    each run once on the whole stack.
     """
     N = bank.n_sensors
     Uk = np.broadcast_to(Uk, (N, sys.n, sys.n + sys.m))
@@ -71,7 +72,7 @@ def distributed_round(
     # L.G taken over the pairwise differences G_j - G_i (rows of L sum to
     # zero), so estimates that agree stay bit-exact on any graph.
     G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
-    G = G + alpha * (np.asarray(alloc.matrices) @ Y)
+    G = G + alpha * (alloc.scale[:, :, None] * Y)
     G = symmetrize(G)
 
     # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
@@ -153,11 +154,7 @@ def run_distributed(
     tape = np.stack([draw_noise(r, noise, rounds) for r in streams], axis=1)
     tape = np.broadcast_to(tape, (rounds, N))
 
-    trace = RunTrace(
-        kind="distributed",
-        n_sensors=N,
-        G_star=None if oracle is None else oracle.G_star.mat,
-    )
+    trace = RunTrace(N, G_star=None if oracle is None else oracle.G_star.mat)
     for omegas in tape:
         alpha = sched.alpha(bank.k)
         bank = distributed_round(bank, sys, cons, alloc, realize(sys, omegas), sched)
@@ -182,28 +179,24 @@ class ComparisonReport:
 def compare_centralized(trace_d: RunTrace, trace_c: RunTrace) -> ComparisonReport:
     """Measure the distributed-to-centralized gap round by round.
 
-    Both traces must come from the same seed with shared noise; any omega
-    discrepancy raises SeedMismatchError.
+    trace_c must be a 1-sensor trace. Both traces must come from the same
+    seed with shared noise; any omega discrepancy raises SeedMismatchError
+    naming the first round where it occurs.
     """
-    if trace_d.kind != "distributed" or trace_c.kind != "centralized":
-        raise ValueError("expected (distributed, centralized) traces")
+    if trace_c.n_sensors != 1:
+        raise ValueError(f"centralized trace needs 1 sensor, got {trace_c.n_sensors}")
     if trace_d.n_rounds != trace_c.n_rounds:
         raise ValueError(
             f"round counts differ: {trace_d.n_rounds} vs {trace_c.n_rounds}"
         )
-    for r in range(trace_c.n_rounds):
-        ref = trace_c.omegas[r][0]
-        if any(wv != ref for wv in trace_d.omegas[r]):
-            raise SeedMismatchError(
-                f"noise sequences differ at round {r + 1}; traces must share "
-                "a seed and use shared noise"
-            )
-    gaps = np.array(
-        [
-            np.linalg.norm(trace_d.mean_history[r] - trace_c.mean_history[r])
-            for r in range(trace_c.n_rounds)
-        ]
-    )
+    differ = (np.asarray(trace_d.omegas) != np.asarray(trace_c.omegas)).any(axis=1)
+    if differ.any():
+        raise SeedMismatchError(
+            f"noise sequences differ at round {differ.argmax() + 1}; traces must "
+            "share a seed and use shared noise"
+        )
+    diff = np.asarray(trace_d.mean_history) - np.asarray(trace_c.mean_history)
+    gaps = np.linalg.norm(diff, axis=(1, 2))
     return ComparisonReport(
         gaps=gaps, final_gap=float(gaps[-1]), max_gap=float(gaps.max())
     )

@@ -1,4 +1,4 @@
-"""Communication graph, Laplacian consensus operator, and sensor gain matrices.
+"""Communication graph, Laplacian consensus operator, and sensor gains.
 
 Sensors are numbered 0..N-1 internally. The "edges:" descriptor accepts the
 1-based sensor labels used in config files ("edges:1-2,2-3") and shifts them
@@ -163,35 +163,31 @@ def consensus_operator(g: Graph, w: float | None = None) -> ConsensusOperator:
 
 @dataclass(frozen=True)
 class GainAllocation:
-    """Per-sensor innovation gain matrices L_1..L_N with sum(L_i) = N*I.
+    """Per-sensor diagonal innovation gains L_1..L_N with sum(L_i) = N*I.
 
+    scale is the (N, d) array of their diagonals: L_i = diag(scale[i]), so
+    L_i Y is the row scaling scale[i][:, None] * Y.
     uniform: every sensor applies the full residual (L_i = I).
     masked: sensor i owns the coordinates c with c mod N == i and applies
     L_i = N * E_i, making "partial information per sensor" concrete.
     """
 
     mode: str
-    matrices: tuple
+    scale: np.ndarray
 
     @property
     def n_sensors(self) -> int:
-        return len(self.matrices)
+        return self.scale.shape[0]
 
 
 def allocate_gains(g: Graph, dims: tuple[int, int], mode: str) -> GainAllocation:
-    """Build the gain matrices for the given graph and (n, m) dimensions."""
-    n, m = dims
-    d = n + m
+    """Build the gain diagonals for the given graph and (n, m) dimensions."""
+    d = sum(dims)
     N = g.n_sensors
     if mode == "uniform":
-        mats = tuple(np.eye(d) for _ in range(N))
+        scale = np.ones((N, d))
     elif mode == "masked":
-        mats = []
-        for i in range(N):
-            sel = np.zeros(d)
-            sel[np.arange(d) % N == i] = 1.0
-            mats.append(N * np.diag(sel))
-        mats = tuple(mats)
+        scale = float(N) * (np.arange(d) % N == np.arange(N)[:, None])
     else:
         raise ValueError(f"unknown gain mode {mode!r}")
-    return GainAllocation(mode=mode, matrices=mats)
+    return GainAllocation(mode=mode, scale=scale)

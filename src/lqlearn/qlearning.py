@@ -9,13 +9,14 @@ where Y rebuilds the sampled Bellman residual from the current Q-factor and
 alpha(k) follows a Robbins-Monro power-law schedule. Under well-posedness the
 iterates converge almost surely to the fixed point G* of the expectation map.
 
-This is the 1-sensor case of the distributed round (no neighbors, L_1 = I),
-so both entry points here run lqlearn.distributed.distributed_round.
+This is the 1-sensor case of the distributed learner (no neighbors, L_1 = I):
+both entry points here run lqlearn.distributed on a 1-sensor SensorBank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .lqcore import PINV_TOL, QFactor, SystemModel, NoiseModel, _schur, symmetri
 from .network import allocate_gains, build_graph, consensus_operator
 from .sampling import RngStream
 from .trace import RunTrace
+
+if TYPE_CHECKING:
+    from .distributed import SensorBank
 
 # Abort threshold on ||G||_F; a capped abort with diagnostics beats silent NaN
 # when an adversarial seed blows up the heavy-tailed early steps. A NaN norm
@@ -82,34 +86,24 @@ def y_operator(
     return symmetrize(M - G)
 
 
-@dataclass(frozen=True)
-class LearnerState:
-    """Current iterate of the centralized learner."""
-
-    G: QFactor
-    k: int
-
-
-def _single_sensor(sys: SystemModel):
+def single_sensor(sys: SystemModel):
+    """(graph, gains) of the centralized learner: one sensor, no edges, L_1 = I."""
     graph = build_graph("single")
     return graph, allocate_gains(graph, (sys.n, sys.m), "uniform")
 
 
 def centralized_step(
-    state: LearnerState,
+    bank: SensorBank,
     sys: SystemModel,
     Uk: np.ndarray,
     sched: Schedule,
-) -> LearnerState:
-    """One update G <- G + alpha(k) Y(G): a distributed round on one sensor."""
-    from .distributed import SensorBank, distributed_round
+) -> SensorBank:
+    """One update G <- G + alpha(k) Y(G) of a 1-sensor bank: a distributed
+    round on the single-sensor network."""
+    from .distributed import distributed_round
 
-    graph, gains = _single_sensor(sys)
-    bank = SensorBank(G=state.G.mat[None], k=state.k)
-    bank = distributed_round(
-        bank, sys, consensus_operator(graph), gains, Uk, sched
-    )
-    return LearnerState(G=QFactor(bank.G[0], sys.n, sys.m), k=bank.k)
+    graph, gains = single_sensor(sys)
+    return distributed_round(bank, sys, consensus_operator(graph), gains, Uk, sched)
 
 
 def run_centralized(
@@ -129,9 +123,7 @@ def run_centralized(
     """
     from .distributed import run_distributed
 
-    graph, gains = _single_sensor(sys)
-    trace = run_distributed(
+    graph, gains = single_sensor(sys)
+    return run_distributed(
         sys, noise, graph, gains, sched, iters, rng, oracle=oracle, G0=G0
     )
-    trace.kind = "centralized"
-    return trace

@@ -1,9 +1,9 @@
-"""Per-round run records shared by the centralized and distributed learners.
+"""Per-round run records of the learner.
 
-A trace row exists for every (round, sensor) pair. The centralized learner is
-recorded as a single sensor with id 0, which makes a 1-sensor distributed run
-produce a byte-identical CSV: same columns, same values, and the consensus
-diameter is empty in both cases (a max over an empty set of sensor pairs).
+A trace row exists for every (round, sensor) pair. A trace is centralized
+exactly when it has one sensor: the centralized learner is the 1-sensor
+distributed run, recorded as sensor id 0 with an empty consensus diameter
+(a max over an empty set of sensor pairs).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class RunTrace:
     and the final controller extracted.
     """
 
-    kind: str
     n_sensors: int
     G_star: np.ndarray | None = None
     alphas: list[float] = field(default_factory=list)
@@ -56,8 +55,6 @@ class RunTrace:
     max_fro_norm: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("centralized", "distributed"):
-            raise ValueError(f"unknown trace kind {self.kind!r}")
         if self.G_star is not None:
             self.fro_err = []
             self.mean_err = []

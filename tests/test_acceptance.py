@@ -260,7 +260,7 @@ def test_criterion_10_invariant_suite(preset_cfg):
             for mode in ("uniform", "masked"):
                 alloc = allocate_gains(graph, (2, 1), mode)
                 assert np.array_equal(
-                    sum(alloc.matrices), graph.n_sensors * np.eye(3)
+                    np.diag(alloc.scale.sum(axis=0)), graph.n_sensors * np.eye(3)
                 )
             cons = consensus_operator(graph)
             ones = np.ones(graph.n_sensors)

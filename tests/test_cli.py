@@ -86,6 +86,27 @@ class TestCmdOracle:
         )
         assert run_cli("oracle", "--config", config, "--out", tmp_path) == 4
 
+    @pytest.mark.parametrize("command", ["run", "validate-controller"])
+    def test_oracle_failure_exit_code_of_every_command(self, tmp_path, command,
+                                                       capsys):
+        config = write_config(
+            tmp_path,
+            {
+                "system": {"A": 2.0, "A_bar": 0.0, "B": 0.0, "B_bar": 0.0,
+                           "Q": 1.0, "R": 1.0},
+                "noise": {"mu": 0.0, "sigma2": 0.0},
+                "graph": "single",
+                "oracle": {"max_iter": 50},
+                "seeds": 1,
+            },
+        )
+        G = [[1.0, 0.0], [0.0, 1.0]]
+        summary = {"seeds": [0], "runs": [{"seed": 0, "status": "ok",
+                                           "centralized": {"final_G_mean": G}}]}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert run_cli(command, "--config", config, "--out", tmp_path) == 4
+        assert "oracle failed" in capsys.readouterr().err
+
 
 class TestCmdRun:
     def test_distributed_row_count(self, tmp_path):
@@ -143,6 +164,25 @@ class TestCmdRun:
             },
         )
         assert run_cli("run", "--config", config, "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "source, bad",
+        [
+            (("--seeds", "1,-3"), -3),
+            (("--seeds", f"0,{2**64}"), 2**64),
+            ({"seeds": [-1]}, -1),
+            ({"seeds": [2**64]}, 2**64),
+        ],
+    )
+    def test_out_of_range_seed_exit_code(self, tmp_path, capsys, source, bad):
+        if isinstance(source, dict):
+            config = json.loads(single_sensor_config(tmp_path).read_text())
+            source = ("--config", write_config(tmp_path, {**config, **source}))
+        else:
+            source = ("--preset", "paper_sec4", *source)
+        assert run_cli("run", *source, "--out", tmp_path / "out") == 2
+        assert f"seed {bad} is outside [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_all_diverged_exit_code(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -249,6 +289,14 @@ class TestCmdValidateController:
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("validate-controller", "--preset", "paper_sec4",
                        "--out", tmp_path / "nothing") == 2
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"seeds": [0]}'])
+    def test_malformed_summary_exit_code(self, tmp_path, capsys, text):
+        (tmp_path / "summary.json").write_text(text)
+        assert run_cli("validate-controller", "--preset", "paper_sec4",
+                       "--out", tmp_path) == 2
+        assert f"cannot read {tmp_path / 'summary.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "controller_report.json").exists()
 
 
 class TestSvgPlots:

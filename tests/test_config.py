@@ -124,6 +124,15 @@ class TestValidation:
         assert not any("x0" in v for v in violations)
         assert any("rounds" in v for v in violations)  # reported alongside
 
+    @pytest.mark.parametrize("seeds, bad", [([-1], -1), ([2**64], 2**64),
+                                            ([0, 3, -3], -3)])
+    def test_out_of_range_seed_named_in_its_violation(self, seeds, bad):
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(base_config(rounds=0, seeds=seeds))
+        violations = info.value.violations
+        assert f"seed {bad} is outside [0, 2**64)" in violations
+        assert any("rounds" in v for v in violations)  # reported alongside
+
     def test_bool_rounds_rejected(self):
         with pytest.raises(ConfigValidationError, match="rounds"):
             from_dict(base_config(rounds=True))

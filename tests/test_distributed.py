@@ -21,7 +21,6 @@ from lqlearn import (
     symmetrize,
 )
 from lqlearn.errors import DivergedError, SeedMismatchError
-from lqlearn.qlearning import LearnerState
 
 
 def bank_of(sys, mats):
@@ -141,9 +140,10 @@ class TestDistributedRound:
         real = realize(bench_sys, 0.85)
         bank = bank_of(bench_sys, [G0.mat] * 4)
         nxt = distributed_round(bank, bench_sys, cons, alloc, real, Schedule())
-        cent = centralized_step(LearnerState(G0, 0), bench_sys, real, Schedule())
+        cent = centralized_step(SensorBank(G0.mat[None], 0), bench_sys, real,
+                                Schedule())
         for g_new in nxt.G:
-            assert np.linalg.norm(g_new - cent.G.mat) <= 1e-12
+            assert np.linalg.norm(g_new - cent.G[0]) <= 1e-12
 
     def test_symmetry_each_round(self, bench_sys, bench_noise):
         # masked gains scale the owned rows by N, so keep alpha(0)*N < 1
@@ -205,7 +205,7 @@ class TestDistributedRound:
             for j in g.neighbors(i):
                 ref += cons.w * (bank.G[j] - Gi)
             Y = y_operator(Gi, reals[i], bench_sys.Q, bench_sys.R)
-            ref += alpha * alloc.matrices[i] @ Y
+            ref += alpha * np.diag(alloc.scale[i]) @ Y
             # masked L_i scales rows only; the round symmetrizes its output
             ref = (ref + ref.T) / 2.0
             assert np.abs(nxt.G[i] - ref).max() <= 1e-13
@@ -317,3 +317,38 @@ class TestCompareCentralized:
                              RngStream(0))
         with pytest.raises(ValueError, match="round counts"):
             compare_centralized(td, tc)
+
+    def test_multi_sensor_centralized_side_rejected(self, bench_sys,
+                                                    bench_noise):
+        g = build_graph("ring:4")
+        alloc = allocate_gains(g, (2, 1), "uniform")
+        td = run_distributed(bench_sys, bench_noise, g, alloc, Schedule(), 20,
+                             RngStream(0))
+        with pytest.raises(ValueError, match="1 sensor, got 4"):
+            compare_centralized(td, td)
+
+    def test_seed_mismatch_names_first_differing_round(self, bench_sys,
+                                                       bench_noise):
+        g = build_graph("ring:4")
+        alloc = allocate_gains(g, (2, 1), "uniform")
+        td = run_distributed(bench_sys, bench_noise, g, alloc, Schedule(), 30,
+                             RngStream(0))
+        tc = run_centralized(bench_sys, bench_noise, Schedule(), 30,
+                             RngStream(0))
+        for r in (4, 11):
+            tc.omegas[r] = [tc.omegas[r][0] + 1.0]
+        with pytest.raises(SeedMismatchError, match="at round 5;"):
+            compare_centralized(td, tc)
+
+    def test_one_sensor_distributed_trace_is_centralized_side(self, bench_sys,
+                                                              bench_noise):
+        ring, single = build_graph("ring:4"), build_graph("single")
+        td = run_distributed(bench_sys, bench_noise, ring,
+                             allocate_gains(ring, (2, 1), "uniform"),
+                             Schedule(), 60, RngStream(4))
+        tc = run_distributed(bench_sys, bench_noise, single,
+                             allocate_gains(single, (2, 1), "uniform"),
+                             Schedule(), 60, RngStream(4))
+        report = compare_centralized(td, tc)
+        assert report.n_rounds == 60
+        assert report.max_gap == 0.0

@@ -122,14 +122,15 @@ class TestAllocateGains:
     def test_uniform_sums_to_NI(self):
         g = build_graph("ring:4")
         alloc = allocate_gains(g, (2, 1), "uniform")
-        assert all(np.array_equal(L, np.eye(3)) for L in alloc.matrices)
-        total = sum(alloc.matrices)
+        assert all(np.array_equal(np.diag(s), np.eye(3)) for s in alloc.scale)
+        total = np.diag(alloc.scale.sum(axis=0))
         assert np.array_equal(total, 4.0 * np.eye(3))
 
     def test_masked_square_case(self):
         g = build_graph("ring:3")
         alloc = allocate_gains(g, (2, 1), "masked")
-        for i, L in enumerate(alloc.matrices):
+        for i, s in enumerate(alloc.scale):
+            L = np.diag(s)
             e = np.zeros(3)
             e[i] = 1.0
             assert np.array_equal(L, 3.0 * np.diag(e))
@@ -137,8 +138,10 @@ class TestAllocateGains:
     def test_masked_round_robin(self):
         g = build_graph("path:2")
         alloc = allocate_gains(g, (2, 1), "masked")
-        assert np.array_equal(alloc.matrices[0], 2.0 * np.diag([1.0, 0.0, 1.0]))
-        assert np.array_equal(alloc.matrices[1], 2.0 * np.diag([0.0, 1.0, 0.0]))
+        assert np.array_equal(np.diag(alloc.scale[0]),
+                              2.0 * np.diag([1.0, 0.0, 1.0]))
+        assert np.array_equal(np.diag(alloc.scale[1]),
+                              2.0 * np.diag([0.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("desc,dims", [("ring:4", (2, 1)), ("star:5", (3, 2)),
                                            ("complete:7", (2, 2))])
@@ -146,7 +149,7 @@ class TestAllocateGains:
         g = build_graph(desc)
         for mode in ("uniform", "masked"):
             alloc = allocate_gains(g, dims, mode)
-            total = sum(alloc.matrices)
+            total = np.diag(alloc.scale.sum(axis=0))
             assert np.array_equal(total, g.n_sensors * np.eye(sum(dims)))
 
     def test_rejects_unknown_mode(self):

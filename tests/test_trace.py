@@ -12,7 +12,7 @@ def _sym(rng, shape):
 def test_record_round_metrics_match_brute_force():
     rng = np.random.default_rng(41)
     G_star = _sym(rng, (3, 3))
-    trace = RunTrace(kind="distributed", n_sensors=5, G_star=G_star)
+    trace = RunTrace(n_sensors=5, G_star=G_star)
     stacks = [_sym(rng, (5, 3, 3)) for _ in range(3)]
     stacks[1] *= 4.0  # the largest norm falls in a middle round
     for r, G in enumerate(stacks):
@@ -44,13 +44,13 @@ def test_record_round_metrics_match_brute_force():
 
 def test_single_sensor_round_has_no_diameter():
     G = np.eye(3)[None]
-    trace = RunTrace(kind="centralized", n_sensors=1)
+    trace = RunTrace(n_sensors=1)
     trace.record_round(0.5, [1.0], G)
     assert trace.diameters == [None]
     assert np.array_equal(trace.final_mean(), np.eye(3))
 
 
 def test_record_round_rejects_wrong_sensor_count():
-    trace = RunTrace(kind="distributed", n_sensors=2)
+    trace = RunTrace(n_sensors=2)
     with pytest.raises(ValueError, match="one omega"):
         trace.record_round(0.5, [1.0, 1.0], np.zeros((3, 3, 3)))
