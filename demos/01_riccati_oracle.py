@@ -39,7 +39,7 @@ print("\nRiccati solution P = Pi(G*) =\n", oracle.P)
 print("Riccati residual:", f"{riccati_residual(oracle.P, system, noise):.3e}")
 
 # the gain from the Q-factor blocks agrees with the fully expanded formula
-K_blocks = gamma_map(oracle.G_star)
+K_blocks = gamma_map(oracle.G_star.mat, system.n)
 K_closed = optimal_gain_closed_form(oracle.P, system, noise)
 print("\nK* from blocks      :", K_blocks.K)
 print("K* from closed form :", K_closed.K)

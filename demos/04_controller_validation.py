@@ -10,7 +10,6 @@ import numpy as np
 
 from lqlearn import (
     NoiseModel,
-    QFactor,
     RngStream,
     Schedule,
     SystemModel,
@@ -39,8 +38,7 @@ alloc = allocate_gains(graph, (2, 1), "uniform")
 trace = run_distributed(system, noise, graph, alloc, Schedule(), 5000,
                         RngStream(0), oracle=oracle)
 
-G_learned = QFactor.symmetrized(trace.final_mean(), system.n, system.m)
-K_learned = gamma_map(G_learned)
+K_learned = gamma_map(trace.final_mean(), system.n)
 print("learned gain :", K_learned.K)
 print("oracle gain  :", oracle.K_star.K)
 print("gain gap     :", f"{np.linalg.norm(K_learned.K - oracle.K_star.K):.4f}")

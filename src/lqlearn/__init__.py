@@ -49,7 +49,6 @@ from .lqcore import (
 )
 from .network import (
     ConsensusOperator,
-    GainAllocation,
     Graph,
     allocate_gains,
     build_graph,
@@ -85,7 +84,6 @@ __all__ = [
     "DivergedError",
     "ExperimentConfig",
     "Gain",
-    "GainAllocation",
     "Graph",
     "LqLearnError",
     "NoConvergenceError",

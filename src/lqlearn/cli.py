@@ -298,7 +298,7 @@ def cmd_validate_controller(
         print(f"no clean run for seed {seed} in {summary_path}", file=_sys.stderr)
         return EXIT_VALIDATION
 
-    learned = gamma_map(G_final)
+    learned = gamma_map(G_final.mat, G_final.n)
     gain_gap = float(np.linalg.norm(learned.K - oracle.K_star.K))
     report = ms_stability_check(learned, config.system, config.noise)
 

@@ -9,7 +9,8 @@ on the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .errors import (
     DisconnectedError,
     NotContractiveError,
 )
-from .lqcore import NoiseModel, SystemModel
+from .lqcore import DEFAULT_ORACLE_MAX_ITER, DEFAULT_ORACLE_TOL, NoiseModel, SystemModel
 from .network import Graph, build_graph, consensus_operator
 from .qlearning import Schedule
 
@@ -52,8 +53,8 @@ class ValidationSettings:
     """Monte Carlo settings for controller validation."""
 
     x0: np.ndarray
-    horizon: int = 400
-    n_runs: int = 2000
+    horizon: int
+    n_runs: int
 
 
 @dataclass(frozen=True)
@@ -62,25 +63,53 @@ class ExperimentConfig:
     noise: NoiseModel
     schedule: Schedule
     graph: Graph
-    gain_mode: str = "uniform"
-    consensus_weight: float | None = None
-    rounds: int = 200
-    seeds: tuple = (0,)
-    shared_noise: bool = True
-    init: str = "identity"
-    spread_scale: float = 0.1
-    oracle_tol: float = 1e-12
-    oracle_max_iter: int = 100_000
-    validation: ValidationSettings = None
-    output_dir: str = "out"
+    gain_mode: str
+    consensus_weight: float | None
+    rounds: int
+    seeds: tuple
+    shared_noise: bool
+    init: str
+    spread_scale: float
+    oracle_tol: float
+    oracle_max_iter: int
+    validation: ValidationSettings
+    output_dir: str
+
+
+def _is_number(value) -> bool:
+    """A JSON number; bool is an int subclass in Python."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """An integer JSON number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, path: str, errors: list[str]) -> float | None:
+    """value as a float when it is a finite JSON number; otherwise None, with
+    the violation added to errors. NaN and infinity come back as None
+    unreported, since _non_finite already names them."""
+    if not _is_number(value):
+        errors.append(f"{path} must be a number, got {value!r}")
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        errors.append(f"{path} must be a finite number")
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _matrix(raw, name: str, errors: list[str]):
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _is_number(raw):
         return [[float(raw)]]
-    if isinstance(raw, list) and raw and all(isinstance(r, list) for r in raw):
+    if (isinstance(raw, list) and raw
+            and all(isinstance(r, list) and all(map(_is_number, r)) for r in raw)):
         return raw
-    errors.append(f"{name} must be a row-major nested list (or a bare scalar)")
+    errors.append(
+        f"{name} must be a row-major nested list of numbers (or a bare number)"
+    )
     return None
 
 
@@ -98,20 +127,14 @@ def _non_finite(value, path: str) -> list[str]:
     return [p for sub, v in items for p in _non_finite(v, sub)]
 
 
-def _is_int(value) -> bool:
-    """An integer JSON number; bool is an int subclass in Python."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def seed_violations(seeds) -> list[str]:
     """One message per seed outside [0, 2**64), the seeds RngStream takes."""
     return [f"seed {s} is outside [0, 2**64)" for s in seeds if not 0 <= s < 2**64]
 
 
-def _get(data: dict, key: str, errors: list[str], required: bool = True):
+def _get(data: dict, key: str, errors: list[str]):
     if key not in data:
-        if required:
-            errors.append(f"missing field {key!r}")
+        errors.append(f"missing field {key!r}")
         return None
     return data[key]
 
@@ -154,27 +177,35 @@ def from_dict(data: dict) -> ExperimentConfig:
         family = noise_raw.get("family", "gaussian")
         if family != "gaussian":
             errors.append(f"unsupported noise family {family!r} (gaussian only)")
-        try:
-            noise = NoiseModel(
-                mu=float(noise_raw.get("mu", 0.0)),
-                sigma2=float(noise_raw.get("sigma2", 0.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"noise: {exc}")
+        mu = _number(noise_raw.get("mu", 0.0), "noise.mu", errors)
+        sigma2 = _number(noise_raw.get("sigma2", 0.0), "noise.sigma2", errors)
+        if mu is not None and sigma2 is not None:
+            try:
+                noise = NoiseModel(mu=mu, sigma2=sigma2)
+            except ValueError as exc:
+                errors.append(f"noise: {exc}")
     elif noise_raw is not None:
         errors.append("noise must be an object with mu and sigma2")
 
     schedule = None
     sched_raw = data.get("schedule", {})
     if isinstance(sched_raw, dict):
-        try:
-            schedule = Schedule(
-                exponent=float(sched_raw.get("exponent", 0.6)),
-                offset=int(sched_raw.get("offset", 2)),
-                scale=float(sched_raw.get("scale", 1.0)),
+        params = {
+            "exponent": _number(
+                sched_raw.get("exponent", 0.6), "schedule.exponent", errors
+            ),
+            "offset": sched_raw.get("offset", 2),
+            "scale": _number(sched_raw.get("scale", 1.0), "schedule.scale", errors),
+        }
+        if not _is_int(params["offset"]):
+            errors.append(
+                f"schedule.offset must be an integer, got {params['offset']!r}"
             )
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append(f"schedule: {exc}")
+        elif None not in params.values():
+            try:
+                schedule = Schedule(**params)
+            except (ValueError, OverflowError) as exc:
+                errors.append(f"schedule: {exc}")
     else:
         errors.append("schedule must be an object")
 
@@ -194,11 +225,7 @@ def from_dict(data: dict) -> ExperimentConfig:
 
     consensus_weight = data.get("consensus_weight")
     if consensus_weight is not None:
-        try:
-            consensus_weight = float(consensus_weight)
-        except (TypeError, ValueError):
-            errors.append("consensus_weight must be a number or null")
-            consensus_weight = None
+        consensus_weight = _number(consensus_weight, "consensus_weight", errors)
     if graph is not None:
         try:
             consensus_operator(graph, consensus_weight)
@@ -233,14 +260,9 @@ def from_dict(data: dict) -> ExperimentConfig:
     if init not in ("identity", "spread"):
         errors.append(f"init must be 'identity' or 'spread', got {init!r}")
 
-    spread_scale = data.get("spread_scale", 0.1)
-    try:
-        spread_scale = float(spread_scale)
-        if spread_scale < 0:
-            errors.append("spread_scale must be >= 0")
-    except (TypeError, ValueError):
-        errors.append("spread_scale must be a number")
-        spread_scale = 0.1
+    spread_scale = _number(data.get("spread_scale", 0.1), "spread_scale", errors)
+    if spread_scale is not None and spread_scale < 0:
+        errors.append("spread_scale must be >= 0")
 
     rng_family = data.get("rng", RNG_FAMILY)
     if rng_family != RNG_FAMILY:
@@ -249,15 +271,16 @@ def from_dict(data: dict) -> ExperimentConfig:
         )
 
     oracle_raw = data.get("oracle", {})
-    oracle_tol, oracle_max_iter = 1e-12, 100_000
+    oracle_tol, oracle_max_iter = DEFAULT_ORACLE_TOL, DEFAULT_ORACLE_MAX_ITER
     if isinstance(oracle_raw, dict):
-        try:
-            oracle_tol = float(oracle_raw.get("tol", oracle_tol))
-            oracle_max_iter = int(oracle_raw.get("max_iter", oracle_max_iter))
-            if oracle_tol <= 0 or oracle_max_iter < 1:
-                errors.append("oracle tol must be > 0 and max_iter >= 1")
-        except (TypeError, ValueError, OverflowError):
-            errors.append("oracle settings must be numbers")
+        oracle_tol = _number(oracle_raw.get("tol", oracle_tol), "oracle.tol", errors)
+        if oracle_tol is not None and oracle_tol <= 0:
+            errors.append("oracle.tol must be > 0")
+        oracle_max_iter = oracle_raw.get("max_iter", oracle_max_iter)
+        if not _is_int(oracle_max_iter) or oracle_max_iter < 1:
+            errors.append(
+                f"oracle.max_iter must be an integer >= 1, got {oracle_max_iter!r}"
+            )
     else:
         errors.append("oracle must be an object")
 
@@ -273,11 +296,15 @@ def from_dict(data: dict) -> ExperimentConfig:
                     errors.append(
                         f"validation.{key} must be an integer >= {low}, got {value!r}"
                     )
-            try:
-                x0 = np.asarray(val_raw.get("x0", [1.0] * system.n), dtype=float)
-                x0 = x0.reshape(system.n)
-            except (TypeError, ValueError):
-                errors.append(f"validation.x0 must be a length-{system.n} vector")
+            x0 = val_raw.get("x0", [1.0] * system.n)
+            if isinstance(x0, list) and len(x0) == system.n:
+                x0 = np.array([
+                    _number(v, f"validation.x0[{i}]", errors) for i, v in enumerate(x0)
+                ])
+            else:
+                errors.append(
+                    f"validation.x0 must be a list of {system.n} numbers, got {x0!r}"
+                )
             if len(errors) == n_errors:
                 validation = ValidationSettings(x0=x0, **counts)
         else:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedError, SeedMismatchError
-from .lqcore import QFactor, NoiseModel, SystemModel, symmetrize
-from .network import ConsensusOperator, GainAllocation, Graph, consensus_operator
+from .lqcore import NoiseModel, SystemModel, symmetrize
+from .network import ConsensusOperator, Graph, consensus_operator
 from .qlearning import DIVERGENCE_CAP, Schedule, y_operator
 from .sampling import RngStream, draw_noise, realize
 from .trace import RunTrace
@@ -47,7 +47,7 @@ def distributed_round(
     bank: SensorBank,
     sys: SystemModel,
     cons: ConsensusOperator,
-    alloc: GainAllocation,
+    gains: np.ndarray,
     Uk: np.ndarray,
     sched: Schedule,
 ) -> SensorBank:
@@ -57,12 +57,13 @@ def distributed_round(
     an (N, n, n+m) stack with one plant per sensor (see sampling.realize).
     All sensors read the same pre-round neighbor values; updates commit
     together (simultaneous Jacobi sweep). Mixing, innovation (L_i Y_i as the
-    row scaling by alloc.scale[i]), symmetrization and the divergence guard
-    each run once on the whole stack.
+    row scaling by gains[i], the diagonal of L_i; see
+    network.allocate_gains), symmetrization and the divergence guard each
+    run once on the whole stack.
     """
     N = bank.n_sensors
     Uk = np.broadcast_to(Uk, (N, sys.n, sys.n + sys.m))
-    if alloc.n_sensors != N or cons.graph.n_sensors != N:
+    if gains.shape[0] != N or cons.graph.n_sensors != N:
         raise ValueError("bank, consensus operator and gains must agree on "
                          "the sensor count")
 
@@ -72,7 +73,7 @@ def distributed_round(
     # L.G taken over the pairwise differences G_j - G_i (rows of L sum to
     # zero), so estimates that agree stay bit-exact on any graph.
     G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
-    G = G + alpha * (alloc.scale[:, :, None] * Y)
+    G = G + alpha * (gains[:, :, None] * Y)
     G = symmetrize(G)
 
     # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
@@ -100,11 +101,10 @@ def initial_bank(
     rng: RngStream,
     init: str = "identity",
     spread_scale: float = 0.1,
-    G0: QFactor | None = None,
 ) -> SensorBank:
     """All sensors at diag(Q, R); "spread" adds per-sensor PSD jitter so the
     consensus dynamics are visible from round one."""
-    base = G0.mat if G0 is not None else sys.cost_block()
+    base = sys.cost_block()
     d = sys.n + sys.m
     if init == "identity":
         G = np.repeat(base[None], n_sensors, axis=0)
@@ -123,7 +123,7 @@ def run_distributed(
     sys: SystemModel,
     noise: NoiseModel,
     graph: Graph,
-    alloc: GainAllocation,
+    gains: np.ndarray,
     sched: Schedule,
     rounds: int,
     rng: RngStream,
@@ -132,22 +132,22 @@ def run_distributed(
     shared_noise: bool = True,
     init: str = "identity",
     spread_scale: float = 0.1,
-    G0: QFactor | None = None,
 ) -> RunTrace:
     """Execute synchronous rounds and record the full trace.
 
-    The whole (rounds, N) noise tape is drawn before the first round.
-    shared_noise=True evaluates every sensor's residual on the same sampled
-    plant (one draw per round from rng); otherwise each sensor owns a
-    private noise substream. When an oracle is supplied the trace also
-    records the error of the averaged iterate to G*.
+    gains is the (N, d) array of innovation-gain diagonals that
+    network.allocate_gains builds. The whole (rounds, N) noise tape is drawn
+    before the first round. shared_noise=True evaluates every sensor's
+    residual on the same sampled plant (one draw per round from rng);
+    otherwise each sensor owns a private noise substream. When an oracle is
+    supplied the trace also records the error of the averaged iterate to G*.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     cons = consensus_operator(graph, w)
     N = graph.n_sensors
 
-    bank = initial_bank(sys, N, rng, init=init, spread_scale=spread_scale, G0=G0)
+    bank = initial_bank(sys, N, rng, init=init, spread_scale=spread_scale)
     streams = [rng] if shared_noise else [
         rng.substream(_NS_SENSOR_NOISE, i) for i in range(N)
     ]
@@ -157,7 +157,7 @@ def run_distributed(
     trace = RunTrace(N, G_star=None if oracle is None else oracle.G_star.mat)
     for omegas in tape:
         alpha = sched.alpha(bank.k)
-        bank = distributed_round(bank, sys, cons, alloc, realize(sys, omegas), sched)
+        bank = distributed_round(bank, sys, cons, gains, realize(sys, omegas), sched)
         trace.record_round(alpha, omegas, bank.G)
     return trace
 

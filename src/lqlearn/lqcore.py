@@ -121,8 +121,10 @@ class NoiseModel:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
 
     @property
     def second_moment(self) -> float:
@@ -131,7 +133,11 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class QFactor:
-    """Symmetric (n+m)x(n+m) matrix G with the state/input block partition."""
+    """Symmetric (n+m)x(n+m) matrix G with the state/input block partition.
+
+    The maps below take the raw array; this wrapper checks shape and symmetry
+    where a Q-factor crosses a boundary (the oracle's G*, a file read back).
+    """
 
     mat: np.ndarray
     n: int
@@ -142,6 +148,8 @@ class QFactor:
         d = self.n + self.m
         if mat.shape != (d, d):
             raise ValueError(f"G has shape {mat.shape}, expected ({d}, {d})")
+        if not np.isfinite(mat).all():
+            raise ValueError("G must be finite")
         if not np.allclose(mat, mat.T, atol=SYM_TOL, rtol=0.0):
             raise ValueError("G must be symmetric within 1e-9")
         object.__setattr__(self, "mat", mat)
@@ -149,27 +157,6 @@ class QFactor:
     @classmethod
     def symmetrized(cls, mat: np.ndarray, n: int, m: int) -> "QFactor":
         return cls(symmetrize(np.asarray(mat, dtype=float)), n, m)
-
-    @classmethod
-    def cost_diag(cls, sys: SystemModel) -> "QFactor":
-        """G = diag(Q, R), the standard initial iterate."""
-        return cls(sys.cost_block(), sys.n, sys.m)
-
-    @property
-    def xx(self) -> np.ndarray:
-        return self.mat[: self.n, : self.n]
-
-    @property
-    def xu(self) -> np.ndarray:
-        return self.mat[: self.n, self.n :]
-
-    @property
-    def ux(self) -> np.ndarray:
-        return self.mat[self.n :, : self.n]
-
-    @property
-    def uu(self) -> np.ndarray:
-        return self.mat[self.n :, self.n :]
 
 
 @dataclass(frozen=True)
@@ -199,40 +186,32 @@ class OracleSolution:
     residual: float
 
 
-def _pinv_uu(uu: np.ndarray, pinv_tol: float) -> np.ndarray:
+def _pinv_uu(uu: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of G_uu, warning when it is rank-deficient at the cutoff."""
     svals = np.linalg.svd(uu, compute_uv=False)
-    if svals.size and svals[-1] <= pinv_tol * svals[0]:
+    if svals.size and svals[-1] <= PINV_TOL * svals[0]:
         warnings.warn(
-            f"G_uu rank-deficient at cutoff {pinv_tol:g}; "
+            f"G_uu rank-deficient at cutoff {PINV_TOL:g}; "
             "pseudo-inverse drops the null directions",
             RankDeficientWarning,
             stacklevel=3,
         )
-    return np.linalg.pinv(uu, rcond=pinv_tol)
+    return np.linalg.pinv(uu, rcond=PINV_TOL)
 
 
-def _schur(mat: np.ndarray, n: int, pinv_tol: float) -> np.ndarray:
-    """G_xx - G_xu G_uu^+ G_ux of a raw (n+m)x(n+m) array, symmetrized."""
-    return symmetrize(
-        mat[:n, :n] - mat[:n, n:] @ _pinv_uu(mat[n:, n:], pinv_tol) @ mat[n:, :n]
-    )
+def pi_map(G: np.ndarray, n: int) -> np.ndarray:
+    """Schur complement G_xx - G_xu G_uu^+ G_ux of the raw (n+m)x(n+m)
+    Q-factor G with n states, recovering P from G; symmetrized."""
+    return symmetrize(G[:n, :n] - G[:n, n:] @ _pinv_uu(G[n:, n:]) @ G[n:, :n])
 
 
-def pi_map(G: QFactor, pinv_tol: float = PINV_TOL) -> np.ndarray:
-    """Schur complement G_xx - G_xu G_uu^+ G_ux, recovering P from G."""
-    return _schur(G.mat, G.n, pinv_tol)
+def gamma_map(G: np.ndarray, n: int) -> Gain:
+    """Feedback gain -G_uu^+ G_ux recovered from the blocks of the raw G."""
+    return Gain(-_pinv_uu(G[n:, n:]) @ G[n:, :n])
 
 
-def gamma_map(G: QFactor, pinv_tol: float = PINV_TOL) -> Gain:
-    """Feedback gain -G_uu^+ G_ux recovered from the Q-factor blocks."""
-    return Gain(-_pinv_uu(G.uu, pinv_tol) @ G.ux)
-
-
-def expectation_map(
-    G: QFactor, sys: SystemModel, noise: NoiseModel, pinv_tol: float = PINV_TOL
-) -> QFactor:
-    """Closed form of E[ diag(Q,R) + Ups(k)' Pi(G) Ups(k) ].
+def expectation_map(G: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:
+    """Closed form of E[ diag(Q,R) + Ups(k)' Pi(G) Ups(k) ], symmetrized.
 
     With Ups(k) = [A(k) B(k)] = U + V*w(k), U = [A B], V = [Abar Bbar], the
     expectation expands exactly through the first two noise moments:
@@ -241,13 +220,13 @@ def expectation_map(
 
     Oracle-side only: requires the noise statistics the learners never see.
     """
-    P = pi_map(G, pinv_tol)
+    P = pi_map(G, sys.n)
     U, V = sys.stacked()
     upu = U.T @ P @ U
     upv = U.T @ P @ V
     vpv = V.T @ P @ V
     mean = sys.cost_block() + upu + noise.mu * (upv + upv.T) + noise.second_moment * vpv
-    return QFactor.symmetrized(mean, sys.n, sys.m)
+    return symmetrize(mean)
 
 
 def solve_oracle(
@@ -255,40 +234,44 @@ def solve_oracle(
     noise: NoiseModel,
     oracle_tol: float = DEFAULT_ORACLE_TOL,
     max_iter: int = DEFAULT_ORACLE_MAX_ITER,
-    pinv_tol: float = PINV_TOL,
 ) -> OracleSolution:
-    """Picard iteration G <- expectation_map(G) from G0 = diag(Q, R).
+    """Picard iteration G <- expectation_map(G) from diag(Q, R).
 
     Returns G* with ||G* - expectation_map(G*)||_F <= oracle_tol, together
-    with P = pi_map(G*) and K* = gamma_map(G*).
+    with P = pi_map(G*) and K* = gamma_map(G*). The iterates are plain
+    arrays; G* is checked once, as a QFactor.
 
-    Raises NoConvergenceError when the residual stays above oracle_tol (the
-    LQ problem is then likely ill-posed) and NotStabilizingError when the
-    resulting K* fails the mean-square stability check.
+    Raises NoConvergenceError when the residual stays above oracle_tol or
+    overflows (the LQ problem is then likely ill-posed) and
+    NotStabilizingError when the resulting K* fails the mean-square
+    stability check.
     """
     if oracle_tol <= 0.0:
         raise ValueError("oracle_tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    G = QFactor.cost_diag(sys)
+    G = sys.cost_block()
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        G_next = expectation_map(G, sys, noise, pinv_tol)
-        residual = float(np.linalg.norm(G_next.mat - G.mat))
+        G_next = expectation_map(G, sys, noise)
+        residual = float(np.linalg.norm(G_next - G))
         if residual <= oracle_tol:
             break
+        if not np.isfinite(residual):
+            raise NoConvergenceError(residual, iteration)
         G = G_next
     else:
         raise NoConvergenceError(residual, max_iter)
 
-    P = pi_map(G, pinv_tol)
-    K = gamma_map(G, pinv_tol)
+    P = pi_map(G, sys.n)
+    K = gamma_map(G, sys.n)
     report = ms_stability_check(K, sys, noise)
     if not report.stable:
         raise NotStabilizingError(report.spectral_radius)
     return OracleSolution(
-        G_star=G, P=P, K_star=K, iterations=iteration, residual=residual
+        G_star=QFactor(G, sys.n, sys.m), P=P, K_star=K, iterations=iteration,
+        residual=residual,
     )
 
 

@@ -69,15 +69,11 @@ class Graph:
             deg[j] += 1
         return deg
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n_sensors, self.n_sensors))
-        for i, j in self.edges:
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
-        return adj
-
     def laplacian(self) -> np.ndarray:
-        return np.diag(self.degrees().astype(float)) - self.adjacency()
+        L = np.diag(self.degrees().astype(float))
+        for i, j in self.edges:
+            L[i, j] = L[j, i] = -1.0
+        return L
 
 
 def build_graph(descriptor: str) -> Graph:
@@ -133,15 +129,15 @@ def build_graph(descriptor: str) -> Graph:
 class ConsensusOperator:
     """Mixing step x <- (I - w L) x on per-sensor estimates.
 
-    rho is the largest magnitude among the non-Perron eigenvalues of A_mix,
-    i.e. the contraction factor on the disagreement subspace; it must be < 1,
-    which holds iff the graph is connected and w * lambda_max(L) < 2.
+    rho is the largest magnitude among the non-Perron eigenvalues of I - w L,
+    max |1 - w*lambda| over the nonzero Laplacian eigenvalues lambda: the
+    contraction factor on the disagreement subspace. It must be < 1, which
+    holds iff the graph is connected and w * lambda_max(L) < 2.
     """
 
     graph: Graph
     L: np.ndarray
     w: float
-    A_mix: np.ndarray
     rho: float
 
 
@@ -150,44 +146,30 @@ def consensus_operator(g: Graph, w: float | None = None) -> ConsensusOperator:
     L = g.laplacian()
     if w is None:
         w = 1.0 / (int(g.degrees().max(initial=0)) + 1)
-    if w <= 0.0:
+    if not w > 0.0:  # NaN fails too
         raise ValueError(f"consensus weight must be > 0, got {w}")
-    lam_max = float(np.linalg.eigvalsh(L).max()) if g.n_sensors > 1 else 0.0
+    # Ascending; the graph is connected, so only lam[0] is zero.
+    lam = np.linalg.eigvalsh(L)
+    lam_max = float(lam[-1])
     if w * lam_max >= 2.0:
         raise NotContractiveError(w, lam_max)
-    A_mix = np.eye(g.n_sensors) - w * L
-    M = np.full((g.n_sensors, g.n_sensors), 1.0 / g.n_sensors)
-    rho = float(np.abs(np.linalg.eigvalsh(A_mix - M)).max())
-    return ConsensusOperator(graph=g, L=L, w=float(w), A_mix=A_mix, rho=rho)
+    rho = float(np.abs(1.0 - w * lam[1:]).max(initial=0.0))
+    return ConsensusOperator(graph=g, L=L, w=float(w), rho=rho)
 
 
-@dataclass(frozen=True)
-class GainAllocation:
-    """Per-sensor diagonal innovation gains L_1..L_N with sum(L_i) = N*I.
+def allocate_gains(g: Graph, dims: tuple[int, int], mode: str) -> np.ndarray:
+    """Diagonal innovation gains L_1..L_N with sum(L_i) = N*I, for the given
+    graph and (n, m) dimensions, as the (N, d) array of their diagonals.
 
-    scale is the (N, d) array of their diagonals: L_i = diag(scale[i]), so
-    L_i Y is the row scaling scale[i][:, None] * Y.
+    L_i = diag(gains[i]), so L_i Y is the row scaling gains[i][:, None] * Y.
     uniform: every sensor applies the full residual (L_i = I).
     masked: sensor i owns the coordinates c with c mod N == i and applies
     L_i = N * E_i, making "partial information per sensor" concrete.
     """
-
-    mode: str
-    scale: np.ndarray
-
-    @property
-    def n_sensors(self) -> int:
-        return self.scale.shape[0]
-
-
-def allocate_gains(g: Graph, dims: tuple[int, int], mode: str) -> GainAllocation:
-    """Build the gain diagonals for the given graph and (n, m) dimensions."""
     d = sum(dims)
     N = g.n_sensors
     if mode == "uniform":
-        scale = np.ones((N, d))
-    elif mode == "masked":
-        scale = float(N) * (np.arange(d) % N == np.arange(N)[:, None])
-    else:
-        raise ValueError(f"unknown gain mode {mode!r}")
-    return GainAllocation(mode=mode, scale=scale)
+        return np.ones((N, d))
+    if mode == "masked":
+        return float(N) * (np.arange(d) % N == np.arange(N)[:, None])
+    raise ValueError(f"unknown gain mode {mode!r}")

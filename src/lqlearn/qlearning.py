@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lqcore import PINV_TOL, QFactor, SystemModel, NoiseModel, _schur, symmetrize
+from .lqcore import NoiseModel, SystemModel, pi_map, symmetrize
 from .network import allocate_gains, build_graph, consensus_operator
 from .sampling import RngStream
 from .trace import RunTrace
@@ -52,7 +52,7 @@ class Schedule:
             raise ValueError(f"exponent must be in (0.5, 1], got {self.exponent}")
         if self.offset < 1 or int(self.offset) != self.offset:
             raise ValueError(f"offset must be an integer >= 1, got {self.offset}")
-        if self.scale < 0.0:
+        if not self.scale >= 0.0:  # NaN fails too
             raise ValueError(f"scale must be >= 0, got {self.scale}")
         if self.scale > 0.0 and self.alpha(0) >= 1.0:
             raise ValueError(
@@ -68,7 +68,6 @@ def y_operator(
     Uk: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
-    pinv_tol: float = PINV_TOL,
 ) -> np.ndarray:
     """Sampled Bellman residual at the raw (n+m)x(n+m) estimate G for one
     sampled plant Uk = [A_k B_k] (see sampling.realize), or for each plant of
@@ -79,7 +78,7 @@ def y_operator(
     vanishes exactly at G*.
     """
     n = Q.shape[0]
-    P = _schur(G, n, pinv_tol)
+    P = pi_map(G, n)
     M = Uk.swapaxes(-1, -2) @ P @ Uk
     M[..., :n, :n] += Q
     M[..., n:, n:] += R
@@ -113,7 +112,6 @@ def run_centralized(
     iters: int,
     rng: RngStream,
     oracle=None,
-    G0: QFactor | None = None,
 ) -> RunTrace:
     """Run the stochastic approximation for a fixed iteration budget.
 
@@ -124,6 +122,4 @@ def run_centralized(
     from .distributed import run_distributed
 
     graph, gains = single_sensor(sys)
-    return run_distributed(
-        sys, noise, graph, gains, sched, iters, rng, oracle=oracle, G0=G0
-    )
+    return run_distributed(sys, noise, graph, gains, sched, iters, rng, oracle=oracle)

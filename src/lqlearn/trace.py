@@ -80,7 +80,8 @@ class RunTrace:
             diameter = None
         self.diameters.append(diameter)
 
-        mean = G[0] if self.n_sensors == 1 else np.mean(G, axis=0)
+        # np.mean's bits, without its Python-level overhead on a small stack.
+        mean = G.sum(axis=0) / self.n_sensors
         self.mean_history.append(mean)
 
         if self.G_star is not None:

@@ -14,7 +14,6 @@ import scipy.linalg
 from lqlearn import (
     Gain,
     NoiseModel,
-    QFactor,
     RngStream,
     Schedule,
     SystemModel,
@@ -36,6 +35,7 @@ from lqlearn import (
     run_centralized,
     run_distributed,
     solve_oracle,
+    symmetrize,
     y_operator,
 )
 
@@ -80,7 +80,7 @@ def test_criterion_01_oracle_correctness(preset_cfg):
                                 preset_cfg.noise) <= 1e-8
         closed = optimal_gain_closed_form(oracle.P, preset_cfg.system,
                                           preset_cfg.noise)
-        assert np.linalg.norm(gamma_map(oracle.G_star).K - closed.K) <= 1e-8
+        assert np.linalg.norm(gamma_map(oracle.G_star.mat, 2).K - closed.K) <= 1e-8
         report = ms_stability_check(oracle.K_star, preset_cfg.system,
                                     preset_cfg.noise)
         assert report.spectral_radius < 1.0
@@ -107,9 +107,9 @@ def test_criterion_02_deterministic_collapse(preset_cfg):
 def test_criterion_03_unbiased_fixed_point(preset_cfg, preset_oracle):
     with criterion(3, "the sampled residual is unbiased at G*", budget_s=10.0):
         oracle = preset_oracle
-        drift = expectation_map(oracle.G_star, preset_cfg.system,
+        drift = expectation_map(oracle.G_star.mat, preset_cfg.system,
                                 preset_cfg.noise)
-        assert np.linalg.norm(drift.mat - oracle.G_star.mat) <= 1e-10
+        assert np.linalg.norm(drift - oracle.G_star.mat) <= 1e-10
 
         n_draws = 100_000
         omegas = draw_noise(RngStream(12345), preset_cfg.noise, n_draws)
@@ -242,31 +242,32 @@ def test_criterion_10_invariant_suite(preset_cfg):
         n, m = 3, 2
         for _ in range(50):
             M = rng.standard_normal((n + m, n + m))
-            G = QFactor.symmetrized(M.T @ M + 0.1 * np.eye(n + m), n, m)
+            G = symmetrize(M.T @ M + 0.1 * np.eye(n + m))
             T1 = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
             T2 = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
             T = np.block([[T1, np.zeros((n, m))], [np.zeros((m, n)), T2]])
-            lhs = pi_map(QFactor.symmetrized(T.T @ G.mat @ T, n, m))
-            rhs = T1.T @ pi_map(G) @ T1
+            lhs = pi_map(symmetrize(T.T @ G @ T), n)
+            rhs = T1.T @ pi_map(G, n) @ T1
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(
                 1.0, np.linalg.norm(rhs))
 
             W = rng.standard_normal((n + m, n + m))
-            G_hi = QFactor.symmetrized(G.mat + W.T @ W, n, m)
-            assert np.linalg.eigvalsh(pi_map(G_hi) - pi_map(G)).min() >= -1e-10
+            G_hi = symmetrize(G + W.T @ W)
+            assert np.linalg.eigvalsh(pi_map(G_hi, n) - pi_map(G, n)).min() >= -1e-10
 
         for desc in ("ring:4", "star:5", "complete:3", "path:2"):
             graph = build_graph(desc)
             for mode in ("uniform", "masked"):
                 alloc = allocate_gains(graph, (2, 1), mode)
                 assert np.array_equal(
-                    np.diag(alloc.scale.sum(axis=0)), graph.n_sensors * np.eye(3)
+                    np.diag(alloc.sum(axis=0)), graph.n_sensors * np.eye(3)
                 )
             cons = consensus_operator(graph)
             ones = np.ones(graph.n_sensors)
-            assert cons.A_mix @ ones == pytest.approx(ones)
-            assert cons.A_mix.T @ ones == pytest.approx(ones)
-            assert np.array_equal(cons.A_mix, cons.A_mix.T)
+            A_mix = np.eye(graph.n_sensors) - cons.w * cons.L
+            assert A_mix @ ones == pytest.approx(ones)
+            assert A_mix.T @ ones == pytest.approx(ones)
+            assert np.array_equal(A_mix, A_mix.T)
             assert cons.rho < 1.0
 
         sched = preset_cfg.schedule

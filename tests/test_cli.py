@@ -184,6 +184,23 @@ class TestCmdRun:
         assert f"seed {bad} is outside [0, 2**64)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, violation",
+        [
+            ("oracle", {"noise": {"mu": "nan", "sigma2": 0.1}},
+             "noise.mu must be a number, got 'nan'"),
+            ("run", {"init": "spread", "spread_scale": "nan"},
+             "spread_scale must be a number, got 'nan'"),
+        ],
+        ids=["oracle-noise.mu", "run-spread_scale"],
+    )
+    def test_string_number_exit_code(self, tmp_path, capsys, command, overrides,
+                                     violation):
+        data = json.loads(single_sensor_config(tmp_path).read_text())
+        config = write_config(tmp_path, {**data, **overrides})
+        assert run_cli(command, "--config", config, "--out", tmp_path) == 2
+        assert violation in capsys.readouterr().err
+
     def test_all_diverged_exit_code(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise DivergedError("boom", step=3)
@@ -296,6 +313,20 @@ class TestCmdValidateController:
         assert run_cli("validate-controller", "--preset", "paper_sec4",
                        "--out", tmp_path) == 2
         assert f"cannot read {tmp_path / 'summary.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "controller_report.json").exists()
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_final_estimate_exit_code(self, tmp_path, capsys, entry):
+        # The summary is where a learned Q-factor re-enters the program, and
+        # the only check between it and gamma_map.
+        G = f"[[0.4, 0.0, -0.6], [0.0, 0.7, 0.5], [-0.6, 0.5, {entry}]]"
+        (tmp_path / "summary.json").write_text(
+            '{"seeds": [0], "runs": [{"seed": 0, "status": "ok", '
+            f'"distributed": {{"final_G_mean": {G}}}}}]}}'
+        )
+        assert run_cli("validate-controller", "--preset", "paper_sec4",
+                       "--out", tmp_path) == 2
+        assert "G must be finite" in capsys.readouterr().err
         assert not (tmp_path / "controller_report.json").exists()
 
 

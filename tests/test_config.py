@@ -7,6 +7,12 @@ from lqlearn import from_dict, load_config, load_preset
 from lqlearn.errors import ConfigParseError, ConfigValidationError
 
 
+def set_field(data, keys, value):
+    for k in keys[:-1]:
+        data = data[k]
+    data[keys[-1]] = value
+
+
 def base_config(**overrides):
     data = {
         "system": {
@@ -159,6 +165,52 @@ class TestValidation:
         violations = info.value.violations
         assert f"{path} must be a finite number" in violations
         assert any("rounds" in v for v in violations)  # reported alongside
+
+    @pytest.mark.parametrize(
+        "keys, path",
+        [
+            (("noise", "mu"), "noise.mu"),
+            (("noise", "sigma2"), "noise.sigma2"),
+            (("schedule", "exponent"), "schedule.exponent"),
+            (("schedule", "scale"), "schedule.scale"),
+            (("spread_scale",), "spread_scale"),
+            (("consensus_weight",), "consensus_weight"),
+            (("oracle", "tol"), "oracle.tol"),
+            (("validation", "x0", 1), "validation.x0[1]"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["nan", "0.5", True])
+    def test_non_number_named_in_its_violation(self, keys, path, bad):
+        # Only JSON numbers count: a string is not parsed, a bool not coerced.
+        data = base_config(rounds=0, oracle={}, validation={"x0": [1.0, 1.0]})
+        set_field(data, keys, bad)
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(data)
+        violations = info.value.violations
+        assert f"{path} must be a number, got {bad!r}" in violations
+        assert any("rounds" in v for v in violations)  # reported alongside
+
+    @pytest.mark.parametrize(
+        "keys, path",
+        [(("schedule", "offset"), "schedule.offset"),
+         (("oracle", "max_iter"), "oracle.max_iter")],
+    )
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_non_integer_count_named_in_its_violation(self, keys, path, bad):
+        data = base_config(rounds=0, oracle={})
+        set_field(data, keys, bad)
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(data)
+        violations = info.value.violations
+        assert any(v.startswith(f"{path} must be an integer") for v in violations)
+        assert any("rounds" in v for v in violations)  # reported alongside
+
+    @pytest.mark.parametrize("bad", ["0.2", True])
+    def test_non_number_matrix_entry_rejected(self, bad):
+        data = base_config()
+        data["system"]["A"][0][0] = bad
+        with pytest.raises(ConfigValidationError, match="system.A must be"):
+            from_dict(data)
 
 
 class TestLoadConfig:

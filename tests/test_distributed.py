@@ -3,7 +3,6 @@ import pytest
 
 from lqlearn import (
     NoiseModel,
-    QFactor,
     RngStream,
     Schedule,
     SensorBank,
@@ -136,11 +135,11 @@ class TestDistributedRound:
         g = build_graph("ring:4")
         cons = consensus_operator(g)
         alloc = allocate_gains(g, (2, 1), "uniform")
-        G0 = QFactor.cost_diag(bench_sys)
+        G0 = bench_sys.cost_block()
         real = realize(bench_sys, 0.85)
-        bank = bank_of(bench_sys, [G0.mat] * 4)
+        bank = bank_of(bench_sys, [G0] * 4)
         nxt = distributed_round(bank, bench_sys, cons, alloc, real, Schedule())
-        cent = centralized_step(SensorBank(G0.mat[None], 0), bench_sys, real,
+        cent = centralized_step(SensorBank(G0[None], 0), bench_sys, real,
                                 Schedule())
         for g_new in nxt.G:
             assert np.linalg.norm(g_new - cent.G[0]) <= 1e-12
@@ -205,7 +204,7 @@ class TestDistributedRound:
             for j in g.neighbors(i):
                 ref += cons.w * (bank.G[j] - Gi)
             Y = y_operator(Gi, reals[i], bench_sys.Q, bench_sys.R)
-            ref += alpha * np.diag(alloc.scale[i]) @ Y
+            ref += alpha * np.diag(alloc[i]) @ Y
             # masked L_i scales rows only; the round symmetrizes its output
             ref = (ref + ref.T) / 2.0
             assert np.abs(nxt.G[i] - ref).max() <= 1e-13
@@ -249,7 +248,7 @@ class TestRunDistributed:
     def test_spread_init_is_seeded_and_psd(self, bench_sys, bench_noise):
         b1 = initial_bank(bench_sys, 4, RngStream(1), init="spread")
         b2 = initial_bank(bench_sys, 4, RngStream(1), init="spread")
-        base = QFactor.cost_diag(bench_sys).mat
+        base = bench_sys.cost_block()
         mats = b1.G
         assert all(np.array_equal(a, b) for a, b in zip(mats, b2.G))
         assert len({m.tobytes() for m in mats}) == 4

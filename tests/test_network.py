@@ -10,6 +10,11 @@ from lqlearn import (
 from lqlearn.errors import BadSpecError, DisconnectedError, NotContractiveError
 
 
+def mixing_matrix(cons):
+    """A_mix = I - w L, the mixing step as a matrix."""
+    return np.eye(cons.L.shape[0]) - cons.w * cons.L
+
+
 class TestBuildGraph:
     def test_ring4(self):
         g = build_graph("ring:4")
@@ -60,7 +65,8 @@ class TestBuildGraph:
 class TestConsensusOperator:
     def test_complete2_half_weight(self):
         cons = consensus_operator(build_graph("complete:2"), 0.5)
-        assert cons.A_mix == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert mixing_matrix(cons) == pytest.approx(
+            np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert cons.rho == pytest.approx(0.0, abs=1e-12)
 
     def test_path4_unit_weight_not_contractive(self):
@@ -90,46 +96,52 @@ class TestConsensusOperator:
     def test_mixing_doubly_stochastic(self):
         for desc in ("ring:4", "path:5", "star:6", "complete:4"):
             cons = consensus_operator(build_graph(desc))
-            assert cons.A_mix.sum(axis=0) == pytest.approx(np.ones(cons.A_mix.shape[0]))
-            assert cons.A_mix.sum(axis=1) == pytest.approx(np.ones(cons.A_mix.shape[0]))
-            assert np.array_equal(cons.A_mix, cons.A_mix.T)
+            A_mix = mixing_matrix(cons)
+            assert A_mix.sum(axis=0) == pytest.approx(np.ones(A_mix.shape[0]))
+            assert A_mix.sum(axis=1) == pytest.approx(np.ones(A_mix.shape[0]))
+            assert np.array_equal(A_mix, A_mix.T)
 
     def test_unit_eigenvalue_simple_when_connected(self):
         cons = consensus_operator(build_graph("ring:5"))
-        eig = np.sort(np.linalg.eigvalsh(cons.A_mix))
+        eig = np.sort(np.linalg.eigvalsh(mixing_matrix(cons)))
         assert eig[-1] == pytest.approx(1.0)
         assert eig[-2] < 1.0 - 1e-9
 
     def test_rho_matches_bruteforce(self):
-        for desc in ("ring:4", "path:7", "star:4", "edges:1-2,1-3,3-4,2-4"):
+        for desc in ("ring:4", "path:7", "star:4", "edges:1-2,1-3,3-4,2-4",
+                     "edges:1-2,2-3,3-4,1-4,1-3", "ring:32"):
             cons = consensus_operator(build_graph(desc))
-            N = cons.A_mix.shape[0]
+            N = cons.L.shape[0]
             M = np.full((N, N), 1.0 / N)
-            brute = np.abs(np.linalg.eigvals(cons.A_mix - M)).max()
+            brute = np.abs(np.linalg.eigvals(mixing_matrix(cons) - M)).max()
             assert cons.rho == pytest.approx(brute, abs=1e-10)
 
     def test_single_sensor(self):
         cons = consensus_operator(build_graph("single"))
-        assert cons.A_mix == pytest.approx(np.array([[1.0]]))
+        assert mixing_matrix(cons) == pytest.approx(np.array([[1.0]]))
         assert cons.rho == pytest.approx(0.0)
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             consensus_operator(build_graph("ring:4"), 0.0)
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError):
+            consensus_operator(build_graph("ring:4"), float("nan"))
+
 
 class TestAllocateGains:
     def test_uniform_sums_to_NI(self):
         g = build_graph("ring:4")
         alloc = allocate_gains(g, (2, 1), "uniform")
-        assert all(np.array_equal(np.diag(s), np.eye(3)) for s in alloc.scale)
-        total = np.diag(alloc.scale.sum(axis=0))
+        assert all(np.array_equal(np.diag(s), np.eye(3)) for s in alloc)
+        total = np.diag(alloc.sum(axis=0))
         assert np.array_equal(total, 4.0 * np.eye(3))
 
     def test_masked_square_case(self):
         g = build_graph("ring:3")
         alloc = allocate_gains(g, (2, 1), "masked")
-        for i, s in enumerate(alloc.scale):
+        for i, s in enumerate(alloc):
             L = np.diag(s)
             e = np.zeros(3)
             e[i] = 1.0
@@ -138,9 +150,9 @@ class TestAllocateGains:
     def test_masked_round_robin(self):
         g = build_graph("path:2")
         alloc = allocate_gains(g, (2, 1), "masked")
-        assert np.array_equal(np.diag(alloc.scale[0]),
+        assert np.array_equal(np.diag(alloc[0]),
                               2.0 * np.diag([1.0, 0.0, 1.0]))
-        assert np.array_equal(np.diag(alloc.scale[1]),
+        assert np.array_equal(np.diag(alloc[1]),
                               2.0 * np.diag([0.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("desc,dims", [("ring:4", (2, 1)), ("star:5", (3, 2)),
@@ -149,7 +161,7 @@ class TestAllocateGains:
         g = build_graph(desc)
         for mode in ("uniform", "masked"):
             alloc = allocate_gains(g, dims, mode)
-            total = np.diag(alloc.scale.sum(axis=0))
+            total = np.diag(alloc.sum(axis=0))
             assert np.array_equal(total, g.n_sensors * np.eye(sum(dims)))
 
     def test_rejects_unknown_mode(self):

@@ -32,6 +32,7 @@ class TestSchedule:
             {"offset": 1},          # alpha(0) = 1 violates alpha < 1
             {"scale": -0.1},
             {"scale": 2.0},         # alpha(0) >= 1
+            {"scale": float("nan")},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -72,8 +73,8 @@ class TestYOperator:
     def test_vanishes_at_fixed_point_in_expectation(self, bench_sys, bench_noise,
                                                     bench_oracle):
 
-        drift = expectation_map(bench_oracle.G_star, bench_sys, bench_noise)
-        assert np.linalg.norm(drift.mat - bench_oracle.G_star.mat) <= 1e-10
+        drift = expectation_map(bench_oracle.G_star.mat, bench_sys, bench_noise)
+        assert np.linalg.norm(drift - bench_oracle.G_star.mat) <= 1e-10
 
     def test_zero_for_every_draw_when_deterministic(self, det_sys, det_oracle):
         for omega in (-2.0, 0.0, 0.7, 3.0):
@@ -82,8 +83,8 @@ class TestYOperator:
             assert np.linalg.norm(Y) <= 1e-10
 
     def test_benchmark_fixture_at_unit_omega(self, bench_sys):
-        G = QFactor.cost_diag(bench_sys)
-        Y = y_operator(G.mat, realize(bench_sys, 1.0), bench_sys.Q, bench_sys.R)
+        G = bench_sys.cost_block()
+        Y = y_operator(G, realize(bench_sys, 1.0), bench_sys.Q, bench_sys.R)
         expected = np.array(
             [[0.324, 0.0, 0.288], [0.0, 1.372, 0.98], [0.288, 0.98, 0.956]]
         )
@@ -97,7 +98,7 @@ class TestYOperator:
 
 class TestCentralizedStep:
     def test_zero_alpha_keeps_iterate(self, bench_sys):
-        state = SensorBank(QFactor.cost_diag(bench_sys).mat[None], 0)
+        state = SensorBank(bench_sys.cost_block()[None], 0)
         nxt = centralized_step(state, bench_sys, realize(bench_sys, 1.3),
                                Schedule(scale=0.0))
         assert np.array_equal(nxt.G, state.G)
@@ -115,7 +116,7 @@ class TestCentralizedStep:
         rng = RngStream(0)
         omega = draw_noise(rng, bench_noise)
         assert omega == pytest.approx(1.1854360793774206, abs=1e-15)
-        state = SensorBank(QFactor.cost_diag(bench_sys).mat[None], 0)
+        state = SensorBank(bench_sys.cost_block()[None], 0)
         nxt = centralized_step(state, bench_sys, realize(bench_sys, omega),
                                Schedule())
         expected = np.array(
@@ -129,7 +130,7 @@ class TestCentralizedStep:
 
     def test_preserves_symmetry(self, bench_sys, bench_noise):
         rng = RngStream(4)
-        state = SensorBank(QFactor.cost_diag(bench_sys).mat[None], 0)
+        state = SensorBank(bench_sys.cost_block()[None], 0)
         from lqlearn import draw_noise
 
         for _ in range(50):
