@@ -24,10 +24,10 @@ import numpy as np
 from .config import (
     RNG_FAMILY,
     ExperimentConfig,
-    load_config,
-    load_preset,
+    from_dict,
+    preset_file,
     preset_names,
-    seed_violations,
+    read_json,
 )
 from .distributed import run_distributed
 from .errors import (
@@ -338,6 +338,16 @@ def cmd_validate_controller(
     return EXIT_OK
 
 
+def _seeds_arg(raw: str):
+    """--seeds as its config value: a count ("3") or a list ("1,2")."""
+    try:
+        return [int(tok) for tok in raw.split(",")] if "," in raw else int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a count or comma-separated list, got {raw!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqlearn",
@@ -363,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=("centralized", "distributed", "both"),
                 default="distributed",
             )
-            p.add_argument("--seeds", default=None,
+            p.add_argument("--seeds", type=_seeds_arg, default=None,
                            help="count or comma-separated list, overrides config")
             p.add_argument("--rounds", type=int, default=None,
                            help="override iteration budget")
@@ -373,35 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
-    errors = []
-    if getattr(args, "rounds", None) is not None:
-        if args.rounds < 1:
-            errors.append("rounds must be >= 1")
-        config = replace(config, rounds=args.rounds)
-    if getattr(args, "seeds", None) is not None:
-        raw = str(args.seeds)
-        try:
-            if "," in raw:
-                seeds = tuple(int(tok) for tok in raw.split(","))
-            else:
-                seeds = tuple(range(int(raw)))
-        except ValueError:
-            errors.append(
-                f"--seeds must be a count or comma-separated list, got {raw!r}"
-            )
-        else:
-            if not seeds:
-                errors.append("--seeds produced an empty list")
-            errors.extend(seed_violations(seeds))
-            config = replace(config, seeds=seeds)
-    if errors:
-        raise ConfigValidationError(errors)
-    return config
-
-
 def main(argv=None) -> int:
     level = os.environ.get("QLEARN_LOG", "WARNING").upper()
     if level not in ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG"):
@@ -409,11 +390,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            config = load_config(args.config)
-        else:
-            config = load_preset(args.preset)
-        config = _apply_overrides(config, args)
+        data = read_json(args.config or preset_file(args.preset))
+        # --rounds and --seeds replace the config's fields before validation.
+        overrides = {key: getattr(args, key, None) for key in ("rounds", "seeds")}
+        if isinstance(data, dict):
+            data.update((k, v) for k, v in overrides.items() if v is not None)
+        config = from_dict(data)
     except (ConfigParseError, ConfigValidationError) as exc:
         print(str(exc), file=_sys.stderr)
         return EXIT_VALIDATION

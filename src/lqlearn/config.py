@@ -3,13 +3,15 @@
 A config is a single JSON file; matrices are row-major nested lists (a bare
 number is accepted as a 1x1 matrix). Validation runs every module-level
 precondition up front and reports all violations at once rather than failing
-on the first.
+on the first, each named by its field path; a key at any depth that no field
+reads is one of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,23 +31,8 @@ from .qlearning import Schedule
 
 RNG_FAMILY = "philox4x64-invcdf"
 
-_KNOWN_KEYS = {
-    "system",
-    "noise",
-    "schedule",
-    "graph",
-    "gain_mode",
-    "consensus_weight",
-    "rounds",
-    "seeds",
-    "shared_noise",
-    "init",
-    "spread_scale",
-    "rng",
-    "oracle",
-    "validation",
-    "output_dir",
-}
+# Default of a field that must be present.
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -86,234 +73,214 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value, path: str, errors: list[str]) -> float | None:
-    """value as a float when it is a finite JSON number; otherwise None, with
-    the violation added to errors. NaN and infinity come back as None
-    unreported, since _non_finite already names them."""
-    if not _is_number(value):
-        errors.append(f"{path} must be a number, got {value!r}")
+def _build(errors: list[str], path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), or None with its rejection added to errors
+    under path. None as an argument is a value already rejected, so nothing
+    is built."""
+    if None in args or None in kwargs.values():
         return None
     try:
-        value = float(value)
-    except OverflowError:
-        errors.append(f"{path} must be a finite number")
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError, BadSpecError, DisconnectedError,
+            NotContractiveError) as exc:
+        errors.append(f"{path}: {exc}")
         return None
-    return value if math.isfinite(value) else None
 
 
-def _matrix(raw, name: str, errors: list[str]):
-    if _is_number(raw):
-        return [[float(raw)]]
-    if (isinstance(raw, list) and raw
-            and all(isinstance(r, list) and all(map(_is_number, r)) for r in raw)):
-        return raw
-    errors.append(
-        f"{name} must be a row-major nested list of numbers (or a bare number)"
+class _Fields:
+    """Reads the fields of one JSON object at a field path.
+
+    Each read marks its key as known and adds any violation to the shared
+    error list, named by the field's path; a read returns None for a value it
+    rejects. close() reports every key that no read asked for, so the
+    accepted keys are exactly the keys read.
+    """
+
+    def __init__(self, data: dict, path: str, errors: list[str]):
+        self.data, self.path, self.errors = data, path, errors
+        self.unread = dict.fromkeys(data)
+
+    def _path(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def value(self, key: str, default=_REQUIRED):
+        """(field path, raw value); a missing required field is reported and
+        comes back as _REQUIRED."""
+        self.unread.pop(key, None)
+        if key not in self.data and default is _REQUIRED:
+            self.errors.append(f"missing field {self._path(key)!r}")
+        return self._path(key), self.data.get(key, default)
+
+    def check(self, path: str, value, ok: bool, rule: str):
+        """value when ok; otherwise None, with "<path> must be <rule>" unless
+        the field is missing, which is already reported."""
+        if ok:
+            return value
+        if value is not _REQUIRED:
+            self.errors.append(f"{path} must be {rule}, got {value!r}")
+        return None
+
+    def finite(self, value, path: str) -> float | None:
+        """value as a float when it is a finite JSON number. json.loads
+        accepts NaN and Infinity; an integer beyond float range counts as
+        infinite."""
+        if self.check(path, value, _is_number(value), "a number") is None:
+            return None
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        self.errors.append(f"{path} must be a finite number")
+        return None
+
+    def number(self, key: str, default=_REQUIRED) -> float | None:
+        """A finite number; null is accepted where the default is null."""
+        path, value = self.value(key, default)
+        if value is _REQUIRED or (value is None and default is None):
+            return None
+        return self.finite(value, path)
+
+    def integer(self, key: str, low: int, default=_REQUIRED) -> int | None:
+        path, value = self.value(key, default)
+        return self.check(path, value, _is_int(value) and value >= low,
+                          f"an integer >= {low}")
+
+    def typed(self, key: str, kind: type, noun: str, default=_REQUIRED):
+        """A value of Python type kind, described as noun in the violation."""
+        path, value = self.value(key, default)
+        return self.check(path, value, isinstance(value, kind), noun)
+
+    def choice(self, key: str, options: tuple, label: str | None = None):
+        """One of options, the first being the default; label names the
+        field in the violation instead of its path."""
+        path, value = self.value(key, options[0])
+        if value in options:
+            return value
+        self.errors.append(
+            f"unsupported {label or path} {value!r} ({' or '.join(options)} only)"
+        )
+        return None
+
+    def matrix(self, key: str) -> list | None:
+        """A row-major nested list of finite numbers; a bare number is 1x1."""
+        path, raw = self.value(key)
+        if _is_number(raw):
+            value = self.finite(raw, path)
+            return None if value is None else [[value]]
+        rows_ok = isinstance(raw, list) and raw and all(
+            isinstance(row, list) and all(map(_is_number, row)) for row in raw)
+        rule = "a row-major nested list of numbers (or a bare number)"
+        if self.check(path, raw, rows_ok, rule) is None:
+            return None
+        rows = [[self.finite(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
+                for i, row in enumerate(raw)]
+        return None if any(None in row for row in rows) else rows
+
+    def object(self, key: str, read, default=_REQUIRED):
+        """read(the nested object's _Fields), then its unknown keys reported;
+        None when the field is missing or not an object."""
+        path, value = self.value(key, default)
+        if self.check(path, value, isinstance(value, dict), "an object") is None:
+            return None
+        fields = _Fields(value, path, self.errors)
+        result = read(fields)
+        fields.close()
+        return result
+
+    def close(self) -> None:
+        self.errors.extend(f"unknown field {self._path(key)!r}" for key in self.unread)
+
+
+def _system(f: _Fields) -> SystemModel | None:
+    mats = {name: f.matrix(name) for name in ("A", "A_bar", "B", "B_bar", "Q", "R")}
+    return _build(f.errors, f.path, SystemModel, **mats)
+
+
+def _noise(f: _Fields) -> NoiseModel | None:
+    f.choice("family", ("gaussian",), "noise family")
+    return _build(f.errors, f.path, NoiseModel,
+                  mu=f.number("mu", 0.0), sigma2=f.number("sigma2", 0.0))
+
+
+def _schedule(f: _Fields) -> Schedule | None:
+    """Schedule's own defaults fill the keys that are absent."""
+    params = {
+        key: f.integer(key, 1) if key == "offset" else f.number(key)
+        for key in ("exponent", "offset", "scale") if key in f.data
+    }
+    return _build(f.errors, f.path, Schedule, **params)
+
+
+def _oracle(f: _Fields) -> tuple:
+    tol = f.number("tol", DEFAULT_ORACLE_TOL)
+    if tol is not None and tol <= 0:
+        f.errors.append("oracle.tol must be > 0")
+    return tol, f.integer("max_iter", 1, DEFAULT_ORACLE_MAX_ITER)
+
+
+def _validation(f: _Fields, n: int | None) -> ValidationSettings | None:
+    """n is the state dimension, None when the system was rejected."""
+    horizon, n_runs = f.integer("horizon", 1, 400), f.integer("n_runs", 2, 2000)
+    path, x0 = f.value("x0", [1.0] * (n or 0))
+    if n is None or f.check(path, x0, isinstance(x0, list) and len(x0) == n,
+                            f"a list of {n} numbers") is None:
+        return None
+    x0 = [f.finite(v, f"{path}[{i}]") for i, v in enumerate(x0)]
+    return ValidationSettings(x0=np.array(x0), horizon=horizon, n_runs=n_runs)
+
+
+def _seeds(top: _Fields) -> tuple:
+    """A count n (seeds 0..n-1) or a list of distinct seeds in [0, 2**64),
+    the seeds RngStream takes."""
+    path, seeds = top.value("seeds", 1)
+    if _is_int(seeds) and seeds >= 1:
+        return tuple(range(seeds))
+    listed = isinstance(seeds, list) and seeds and all(map(_is_int, seeds))
+    rule = "a count >= 1 or a non-empty list of integers"
+    if top.check(path, seeds, listed, rule) is None:
+        return ()
+    top.errors.extend(
+        f"seed {s} is outside [0, 2**64)" for s in seeds if not 0 <= s < 2**64
     )
-    return None
-
-
-def _non_finite(value, path: str) -> list[str]:
-    """Field paths of every NaN or infinite number in a parsed JSON value;
-    json.loads accepts NaN, Infinity and -Infinity."""
-    if isinstance(value, float):
-        return [] if np.isfinite(value) else [path]
-    if isinstance(value, list):
-        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
-    elif isinstance(value, dict):
-        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
-    else:
-        return []
-    return [p for sub, v in items for p in _non_finite(v, sub)]
-
-
-def seed_violations(seeds) -> list[str]:
-    """One message per seed outside [0, 2**64), the seeds RngStream takes."""
-    return [f"seed {s} is outside [0, 2**64)" for s in seeds if not 0 <= s < 2**64]
-
-
-def _get(data: dict, key: str, errors: list[str]):
-    if key not in data:
-        errors.append(f"missing field {key!r}")
-        return None
-    return data[key]
+    top.errors.extend(
+        f"seed {s} is listed {n} times" for s, n in Counter(seeds).items() if n > 1
+    )
+    return tuple(seeds)
 
 
 def from_dict(data: dict) -> ExperimentConfig:
     """Build and fully validate a config; raises ConfigValidationError with
     every violation found."""
-    errors: list[str] = []
     if not isinstance(data, dict):
         raise ConfigValidationError(["top level must be a JSON object"])
+    errors: list[str] = []
+    top = _Fields(data, "", errors)
 
-    for key in data:
-        if key not in _KNOWN_KEYS:
-            errors.append(f"unknown field {key!r}")
-    non_finite = _non_finite(data, "")
-    errors.extend(f"{path} must be a finite number" for path in non_finite)
-
-    system = None
-    sys_raw = _get(data, "system", errors)
-    if isinstance(sys_raw, dict):
-        mats = {}
-        for name in ("A", "A_bar", "B", "B_bar", "Q", "R"):
-            if name not in sys_raw:
-                errors.append(f"system.{name} is missing")
-                continue
-            mat = _matrix(sys_raw[name], f"system.{name}", errors)
-            if mat is not None:
-                mats[name] = mat
-        if len(mats) == 6 and not _non_finite(sys_raw, "system"):
-            try:
-                system = SystemModel(**mats)
-            except ValueError as exc:
-                errors.append(str(exc))
-    elif sys_raw is not None:
-        errors.append("system must be an object of matrices")
-
-    noise = None
-    noise_raw = _get(data, "noise", errors)
-    if isinstance(noise_raw, dict):
-        family = noise_raw.get("family", "gaussian")
-        if family != "gaussian":
-            errors.append(f"unsupported noise family {family!r} (gaussian only)")
-        mu = _number(noise_raw.get("mu", 0.0), "noise.mu", errors)
-        sigma2 = _number(noise_raw.get("sigma2", 0.0), "noise.sigma2", errors)
-        if mu is not None and sigma2 is not None:
-            try:
-                noise = NoiseModel(mu=mu, sigma2=sigma2)
-            except ValueError as exc:
-                errors.append(f"noise: {exc}")
-    elif noise_raw is not None:
-        errors.append("noise must be an object with mu and sigma2")
-
-    schedule = None
-    sched_raw = data.get("schedule", {})
-    if isinstance(sched_raw, dict):
-        params = {
-            "exponent": _number(
-                sched_raw.get("exponent", 0.6), "schedule.exponent", errors
-            ),
-            "offset": sched_raw.get("offset", 2),
-            "scale": _number(sched_raw.get("scale", 1.0), "schedule.scale", errors),
-        }
-        if not _is_int(params["offset"]):
-            errors.append(
-                f"schedule.offset must be an integer, got {params['offset']!r}"
-            )
-        elif None not in params.values():
-            try:
-                schedule = Schedule(**params)
-            except (ValueError, OverflowError) as exc:
-                errors.append(f"schedule: {exc}")
-    else:
-        errors.append("schedule must be an object")
-
-    graph = None
-    graph_raw = _get(data, "graph", errors)
-    if isinstance(graph_raw, str):
-        try:
-            graph = build_graph(graph_raw)
-        except (BadSpecError, DisconnectedError) as exc:
-            errors.append(f"graph: {exc}")
-    elif graph_raw is not None:
-        errors.append("graph must be a topology descriptor string")
-
-    gain_mode = data.get("gain_mode", "uniform")
-    if gain_mode not in ("uniform", "masked"):
-        errors.append(f"gain_mode must be 'uniform' or 'masked', got {gain_mode!r}")
-
-    consensus_weight = data.get("consensus_weight")
-    if consensus_weight is not None:
-        consensus_weight = _number(consensus_weight, "consensus_weight", errors)
-    if graph is not None:
-        try:
-            consensus_operator(graph, consensus_weight)
-        except (NotContractiveError, ValueError) as exc:
-            errors.append(str(exc))
-
-    rounds = data.get("rounds", 200)
-    if not _is_int(rounds) or rounds < 1:
-        errors.append(f"rounds must be a positive integer, got {rounds!r}")
-
-    seeds_raw = data.get("seeds", 1)
-    seeds: tuple = ()
-    if _is_int(seeds_raw):
-        if seeds_raw < 1:
-            errors.append("seeds count must be >= 1")
-        else:
-            seeds = tuple(range(seeds_raw))
-    elif isinstance(seeds_raw, list) and all(_is_int(s) for s in seeds_raw):
-        if not seeds_raw:
-            errors.append("seeds list must not be empty")
-        seeds = tuple(seeds_raw)
-    else:
-        errors.append("seeds must be a count or a list of integers")
-    errors.extend(seed_violations(seeds))
-
-    shared_noise = data.get("shared_noise", True)
-    if not isinstance(shared_noise, bool):
-        errors.append("shared_noise must be a boolean")
-        shared_noise = True
-
-    init = data.get("init", "identity")
-    if init not in ("identity", "spread"):
-        errors.append(f"init must be 'identity' or 'spread', got {init!r}")
-
-    spread_scale = _number(data.get("spread_scale", 0.1), "spread_scale", errors)
+    system = top.object("system", _system)
+    noise = top.object("noise", _noise)
+    schedule = top.object("schedule", _schedule, {})
+    graph = _build(errors, "graph", build_graph,
+                   top.typed("graph", str, "a topology descriptor string"))
+    gain_mode = top.choice("gain_mode", ("uniform", "masked"))
+    # null selects a weight that always contracts, so only a set one is checked.
+    consensus_weight = top.number("consensus_weight", None)
+    _build(errors, "consensus_weight", consensus_operator, graph, consensus_weight)
+    rounds = top.integer("rounds", 1, 200)
+    seeds = _seeds(top)
+    shared_noise = top.typed("shared_noise", bool, "a boolean", True)
+    init = top.choice("init", ("identity", "spread"))
+    spread_scale = top.number("spread_scale", 0.1)
     if spread_scale is not None and spread_scale < 0:
         errors.append("spread_scale must be >= 0")
-
-    rng_family = data.get("rng", RNG_FAMILY)
-    if rng_family != RNG_FAMILY:
-        errors.append(
-            f"unsupported rng family {rng_family!r} (only {RNG_FAMILY!r})"
-        )
-
-    oracle_raw = data.get("oracle", {})
-    oracle_tol, oracle_max_iter = DEFAULT_ORACLE_TOL, DEFAULT_ORACLE_MAX_ITER
-    if isinstance(oracle_raw, dict):
-        oracle_tol = _number(oracle_raw.get("tol", oracle_tol), "oracle.tol", errors)
-        if oracle_tol is not None and oracle_tol <= 0:
-            errors.append("oracle.tol must be > 0")
-        oracle_max_iter = oracle_raw.get("max_iter", oracle_max_iter)
-        if not _is_int(oracle_max_iter) or oracle_max_iter < 1:
-            errors.append(
-                f"oracle.max_iter must be an integer >= 1, got {oracle_max_iter!r}"
-            )
-    else:
-        errors.append("oracle must be an object")
-
-    validation = None
-    if system is not None and not _non_finite(data.get("validation"), "validation"):
-        val_raw = data.get("validation", {})
-        if isinstance(val_raw, dict):
-            n_errors = len(errors)
-            counts = {}
-            for key, default, low in (("horizon", 400, 1), ("n_runs", 2000, 2)):
-                value = counts[key] = val_raw.get(key, default)
-                if not _is_int(value) or value < low:
-                    errors.append(
-                        f"validation.{key} must be an integer >= {low}, got {value!r}"
-                    )
-            x0 = val_raw.get("x0", [1.0] * system.n)
-            if isinstance(x0, list) and len(x0) == system.n:
-                x0 = np.array([
-                    _number(v, f"validation.x0[{i}]", errors) for i, v in enumerate(x0)
-                ])
-            else:
-                errors.append(
-                    f"validation.x0 must be a list of {system.n} numbers, got {x0!r}"
-                )
-            if len(errors) == n_errors:
-                validation = ValidationSettings(x0=x0, **counts)
-        else:
-            errors.append("validation must be an object")
-
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        errors.append("output_dir must be a string")
-        output_dir = "out"
+    top.choice("rng", (RNG_FAMILY,), "rng family")
+    oracle_tol, oracle_max_iter = top.object("oracle", _oracle, {}) or (None, None)
+    validation = top.object(
+        "validation", lambda f: _validation(f, system and system.n), {}
+    )
+    output_dir = top.typed("output_dir", str, "a string", "out")
+    top.close()
 
     if errors:
         raise ConfigValidationError(errors)
@@ -336,20 +303,24 @@ def from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate a JSON config file."""
-    path = Path(path)
+def read_json(source) -> object:
+    """The parsed JSON text of source, a path or a packaged resource;
+    raises ConfigParseError when it cannot be read or parsed."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        return json.loads(source.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read {source}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return from_dict(data)
+    except ValueError as exc:  # an integer literal too long for int()
+        raise ConfigParseError(f"{source}: {exc}") from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load and validate a JSON config file."""
+    return from_dict(read_json(Path(path)))
 
 
 def preset_names() -> list[str]:
@@ -358,16 +329,16 @@ def preset_names() -> list[str]:
                   if p.name.endswith(".json"))
 
 
-def load_preset(name: str) -> ExperimentConfig:
-    """Load one of the shipped presets (e.g. "paper_sec4")."""
-    try:
-        text = (
-            resources.files("lqlearn")
-            .joinpath(f"presets/{name}.json")
-            .read_text(encoding="utf-8")
-        )
-    except FileNotFoundError:
+def preset_file(name: str):
+    """The packaged JSON file of a shipped preset."""
+    path = resources.files("lqlearn").joinpath(f"presets/{name}.json")
+    if not path.is_file():
         raise ConfigParseError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-    return from_dict(json.loads(text))
+        )
+    return path
+
+
+def load_preset(name: str) -> ExperimentConfig:
+    """Load one of the shipped presets (e.g. "paper_sec4")."""
+    return from_dict(read_json(preset_file(name)))

@@ -104,6 +104,8 @@ def initial_bank(
 ) -> SensorBank:
     """All sensors at diag(Q, R); "spread" adds per-sensor PSD jitter so the
     consensus dynamics are visible from round one."""
+    if not spread_scale >= 0.0:  # NaN fails too
+        raise ValueError(f"spread_scale must be >= 0, got {spread_scale}")
     base = sys.cost_block()
     d = sys.n + sys.m
     if init == "identity":

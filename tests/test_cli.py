@@ -72,6 +72,30 @@ class TestCmdOracle:
         assert "system.A[0][0] must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "oracle.json").exists()
 
+    def test_overflowing_matrix_entry_exit_code(self, tmp_path, capsys):
+        # An integer literal beyond float range is not a finite number.
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"system": {"A": [[1' + "0" * 400 + ']], "A_bar": 0.0, "B": 1.0,'
+            ' "B_bar": 0.0, "Q": 1.0, "R": 1.0}, "noise": {"mu": 0.0,'
+            ' "sigma2": 0.0}, "graph": "single", "seeds": 1}'
+        )
+        assert run_cli("oracle", "--config", config, "--out", tmp_path) == 2
+        assert "system.A[0][0] must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.json").exists()
+
+    def test_overlong_integer_literal_exit_code(self, tmp_path):
+        # Pythons that cap int() at 4300 digits fail in json.loads; others
+        # reach from_dict, which rejects the entry as not finite.
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"system": {"A": [[1' + "0" * 5000 + ']], "A_bar": 0.0, "B": 1.0,'
+            ' "B_bar": 0.0, "Q": 1.0, "R": 1.0}, "noise": {"mu": 0.0,'
+            ' "sigma2": 0.0}, "graph": "single", "seeds": 1}'
+        )
+        assert run_cli("oracle", "--config", config, "--out", tmp_path) == 2
+        assert not (tmp_path / "oracle.json").exists()
+
     def test_oracle_failure_exit_code(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -183,6 +207,30 @@ class TestCmdRun:
         assert run_cli("run", *source, "--out", tmp_path / "out") == 2
         assert f"seed {bad} is outside [0, 2**64)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("source", [("--seeds", "1,1"), {"seeds": [1, 1]}])
+    def test_repeated_seed_exit_code(self, tmp_path, capsys, source):
+        if isinstance(source, dict):
+            config = json.loads(single_sensor_config(tmp_path).read_text())
+            source = ("--config", write_config(tmp_path, {**config, **source}))
+        else:
+            source = ("--preset", "paper_sec4", *source)
+        assert run_cli("run", *source, "--out", tmp_path / "out") == 2
+        assert "seed 1 is listed 2 times" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_zero_rounds_override_exit_code(self, tmp_path, capsys):
+        assert run_cli("run", "--preset", "paper_sec4", "--rounds", "0",
+                       "--out", tmp_path) == 2
+        assert "rounds must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_malformed_seeds_override_exit_code(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", "--preset", "paper_sec4", "--seeds", "1,x",
+                    "--out", tmp_path)
+        assert info.value.code == 2
+        assert "argument --seeds: must be a count" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, overrides, violation",

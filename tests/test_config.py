@@ -213,6 +213,33 @@ class TestValidation:
             from_dict(data)
 
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("system", "A_bbar"), ("noise", "sigma"), ("schedule", "exponant"),
+         ("oracle", "maxiter"), ("validation", "runs")],
+    )
+    def test_unknown_nested_field_named_by_its_path(self, section, key):
+        data = base_config(rounds=0, oracle={}, validation={})
+        data[section][key] = 1.0
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(data)
+        violations = info.value.violations
+        assert f"unknown field '{section}.{key}'" in violations
+        assert any("rounds" in v for v in violations)  # reported alongside
+
+    def test_repeated_seed_named_in_its_violation(self):
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(base_config(rounds=0, seeds=[1, 3, 1]))
+        violations = info.value.violations
+        assert "seed 1 is listed 2 times" in violations
+        assert any("rounds" in v for v in violations)  # reported alongside
+
+    def test_nan_rounds_is_one_violation(self):
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(base_config(rounds=float("nan")))
+        assert info.value.violations == ["rounds must be an integer >= 1, got nan"]
+
+
 class TestLoadConfig:
     def test_parse_error_carries_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -230,3 +257,9 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.graph.n_sensors == 4
         assert cfg.system.m == 1
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"output_dir": "\xff"}')
+        with pytest.raises(ConfigParseError, match="cannot read"):
+            load_config(path)

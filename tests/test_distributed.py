@@ -257,6 +257,14 @@ class TestRunDistributed:
             assert np.linalg.norm(jitter) == pytest.approx(0.1, abs=1e-12)
             assert np.linalg.eigvalsh(jitter).min() >= -1e-12
 
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0])
+    def test_bad_spread_scale_rejected(self, bench_sys, bench_noise, scale):
+        g = build_graph("ring:4")
+        with pytest.raises(ValueError, match="spread_scale must be >= 0"):
+            run_distributed(bench_sys, bench_noise, g,
+                            allocate_gains(g, (2, 1), "uniform"), Schedule(), 5,
+                            RngStream(0), init="spread", spread_scale=scale)
+
     def test_deterministic_plant_all_sensors_converge(self, det_sys, det_noise,
                                                       det_oracle):
         g = build_graph("ring:4")
