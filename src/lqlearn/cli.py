@@ -126,29 +126,16 @@ def _trace_stats(trace) -> dict:
 
 def _plot_trace(trace, plot_dir: Path, kind: str) -> None:
     plot_dir.mkdir(parents=True, exist_ok=True)
-    norm_series = [
-        (f"sensor {s}", [trace.norm1[r][s] for r in range(trace.n_rounds)])
-        for s in range(trace.n_sensors)
-    ]
-    line_plot(
-        plot_dir / f"norm1_G_{kind}.svg",
-        norm_series,
-        f"Entrywise 1-norm of estimates ({kind})",
-        "iteration k",
-        "||G_i(k)||_1",
-    )
+    plots = [("norm1_G", trace.norm1, "Entrywise 1-norm of estimates",
+              "||G_i(k)||_1")]
     if trace.fro_err is not None:
-        err_series = [
-            (f"sensor {s}", [trace.fro_err[r][s] for r in range(trace.n_rounds)])
-            for s in range(trace.n_sensors)
-        ]
-        line_plot(
-            plot_dir / f"fro_err_{kind}.svg",
-            err_series,
-            f"Error to oracle G* ({kind})",
-            "iteration k",
-            "||G_i(k) - G*||_F",
-        )
+        plots.append(("fro_err", trace.fro_err, "Error to oracle G*",
+                      "||G_i(k) - G*||_F"))
+    for name, column, title, ylabel in plots:
+        # One row per round -> one series per sensor.
+        series = [(f"sensor {s}", ys) for s, ys in enumerate(zip(*column))]
+        line_plot(plot_dir / f"{name}_{kind}.svg", series, f"{title} ({kind})",
+                  "iteration k", ylabel)
 
 
 def _run_one_seed(

@@ -31,6 +31,10 @@ from .qlearning import Schedule
 
 RNG_FAMILY = "philox4x64-invcdf"
 
+# The largest seed count "seeds" may give: the count is expanded into the
+# tuple of seeds 0..n-1, one learning run each.
+MAX_SEED_COUNT = 100_000
+
 # Default of a field that must be present.
 _REQUIRED = object()
 
@@ -232,13 +236,13 @@ def _validation(f: _Fields, n: int | None) -> ValidationSettings | None:
 
 
 def _seeds(top: _Fields) -> tuple:
-    """A count n (seeds 0..n-1) or a list of distinct seeds in [0, 2**64),
-    the seeds RngStream takes."""
+    """A count n in [1, MAX_SEED_COUNT] (seeds 0..n-1) or a list of distinct
+    seeds in [0, 2**64), the seeds RngStream takes."""
     path, seeds = top.value("seeds", 1)
-    if _is_int(seeds) and seeds >= 1:
+    if _is_int(seeds) and 1 <= seeds <= MAX_SEED_COUNT:
         return tuple(range(seeds))
     listed = isinstance(seeds, list) and seeds and all(map(_is_int, seeds))
-    rule = "a count >= 1 or a non-empty list of integers"
+    rule = f"a count in [1, {MAX_SEED_COUNT}] or a non-empty list of integers"
     if top.check(path, seeds, listed, rule) is None:
         return ()
     top.errors.extend(

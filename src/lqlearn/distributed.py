@@ -23,7 +23,7 @@ from .lqcore import NoiseModel, SystemModel, symmetrize
 from .network import ConsensusOperator, Graph, consensus_operator
 from .qlearning import DIVERGENCE_CAP, Schedule, y_operator
 from .sampling import RngStream, draw_noise, realize
-from .trace import RunTrace
+from .trace import RunTrace, block_rounds
 
 # Substream namespaces under the experiment stream: spread-init jitter and
 # per-sensor noise for the independent-noise mode.
@@ -139,10 +139,12 @@ def run_distributed(
 
     gains is the (N, d) array of innovation-gain diagonals that
     network.allocate_gains builds. The whole (rounds, N) noise tape is drawn
-    before the first round. shared_noise=True evaluates every sensor's
-    residual on the same sampled plant (one draw per round from rng);
-    otherwise each sensor owns a private noise substream. When an oracle is
-    supplied the trace also records the error of the averaged iterate to G*.
+    before the first round, and its sampled plants are built once per block
+    of rounds (trace.block_rounds). shared_noise=True evaluates every
+    sensor's residual on the same sampled plant (one draw per round from
+    rng); otherwise each sensor owns a private noise substream. When an
+    oracle is supplied the trace also records the error of the averaged
+    iterate to G*.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -153,14 +155,18 @@ def run_distributed(
     streams = [rng] if shared_noise else [
         rng.substream(_NS_SENSOR_NOISE, i) for i in range(N)
     ]
+    # (rounds, 1) with shared noise, else (rounds, N).
     tape = np.stack([draw_noise(r, noise, rounds) for r in streams], axis=1)
-    tape = np.broadcast_to(tape, (rounds, N))
 
     trace = RunTrace(N, G_star=None if oracle is None else oracle.G_star.mat)
-    for omegas in tape:
-        alpha = sched.alpha(bank.k)
-        bank = distributed_round(bank, sys, cons, gains, realize(sys, omegas), sched)
-        trace.record_round(alpha, omegas, bank.G)
+    B = block_rounds(N, sys.n + sys.m)
+    for start in range(0, rounds, B):
+        block = tape[start:start + B]
+        for omegas, Uk in zip(np.broadcast_to(block, (len(block), N)),
+                              realize(sys, block)):
+            alpha = sched.alpha(bank.k)
+            bank = distributed_round(bank, sys, cons, gains, Uk, sched)
+            trace.record_round(alpha, omegas, bank.G)
     return trace
 
 

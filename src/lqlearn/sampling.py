@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DivergedError, NotStabilizingError
 from .lqcore import Gain, NoiseModel, SystemModel, _closed_loop, ms_stability_check
@@ -67,6 +66,10 @@ def draw_noise(rng: RngStream, noise: NoiseModel, size: int | None = None):
 
     A batch of size draws equals size successive scalar draws, bit for bit.
     """
+    # Imported here: scipy.special is most of the package's import time, and
+    # commands that draw no noise (oracle, --help, config errors) skip it.
+    from scipy.special import ndtri
+
     z = ndtri(rng.uniform_open(size))
     w = noise.mu + np.sqrt(noise.sigma2) * z
     return float(w) if size is None else w

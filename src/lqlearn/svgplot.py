@@ -7,6 +7,8 @@ richer plotting belongs to external tools reading that CSV.
 
 from __future__ import annotations
 
+import numpy as np
+
 _PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -40,6 +42,7 @@ def line_plot(path, series, title, xlabel, ylabel) -> None:
         xhi = xlo + 1
     ylo, yhi = _span([v for _, ys in series for v in ys])
 
+    # Scalars and arrays alike: the points of a series map in one expression.
     def sx(x):
         return _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)
 
@@ -78,8 +81,9 @@ def line_plot(path, series, title, xlabel, ylabel) -> None:
     )
     for idx, (label, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
+        xs = sx(np.arange(1, len(ys) + 1)).tolist()
         points = " ".join(
-            f"{sx(i + 1):.2f},{sy(v):.2f}" for i, v in enumerate(ys)
+            [f"{x:.2f},{y:.2f}" for x, y in zip(xs, sy(np.array(ys)).tolist())]
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

@@ -225,6 +225,18 @@ class TestCmdRun:
         assert "rounds must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("source", [("--seeds", str(2**64)),
+                                        {"seeds": 2**64}])
+    def test_oversized_seed_count_exit_code(self, tmp_path, capsys, source):
+        if isinstance(source, dict):
+            config = json.loads(single_sensor_config(tmp_path).read_text())
+            source = ("--config", write_config(tmp_path, {**config, **source}))
+        else:
+            source = ("--preset", "paper_sec4", *source)
+        assert run_cli("run", *source, "--out", tmp_path / "out") == 2
+        assert "seeds must be a count in [1, " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_malformed_seeds_override_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli("run", "--preset", "paper_sec4", "--seeds", "1,x",

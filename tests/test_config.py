@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lqlearn import from_dict, load_config, load_preset
+from lqlearn.config import MAX_SEED_COUNT
 from lqlearn.errors import ConfigParseError, ConfigValidationError
 
 
@@ -107,6 +108,20 @@ class TestValidation:
     def test_seed_list_accepted(self):
         cfg = from_dict(base_config(seeds=[3, 1, 4]))
         assert cfg.seeds == (3, 1, 4)
+
+    def test_largest_seed_count_accepted(self):
+        cfg = from_dict(base_config(seeds=MAX_SEED_COUNT))
+        assert cfg.seeds == tuple(range(MAX_SEED_COUNT))
+
+    @pytest.mark.parametrize("count", [MAX_SEED_COUNT + 1, 10**9, 2**64])
+    def test_oversized_seed_count_named_in_its_violation(self, count):
+        # Rejected before any tuple of that length is built.
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(base_config(rounds=0, seeds=count))
+        violations = info.value.violations
+        assert any(v.startswith("seeds must be a count in [1, ")
+                   and v.endswith(f"got {count}") for v in violations)
+        assert any("rounds" in v for v in violations)  # reported alongside
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(ConfigValidationError, match="connect"):

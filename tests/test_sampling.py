@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import lqlearn
 
 from lqlearn import (
     Gain,
@@ -299,3 +306,16 @@ class TestMonteCarloCost:
         b = monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star,
                              [1.0, 1.0], 50, 20, RngStream(77))
         assert a == b
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special (for ndtri) is imported by the first noise draw only.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lqlearn.__file__).resolve().parent.parent)}
+    loaded = "'scipy.special' in sys.modules"
+    draw = "lq.draw_noise(lq.RngStream(0), lq.NoiseModel(0.0, 1.0))"
+    code = f"import sys, lqlearn as lq; print({loaded}); {draw}; print({loaded})"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
