@@ -184,8 +184,15 @@ def _run_one_seed(
             entry[kind] = _trace_stats(trace)
     except DivergedError as exc:
         entry["status"] = "diverged"
+        entry["kind"] = kind
         entry["round"] = exc.step
-        log.warning("seed %d diverged: %s", seed, exc)
+        if exc.sensor is not None:
+            entry["sensor"] = exc.sensor
+        if exc.norm is not None:
+            # JSON has no NaN or infinity: a non-finite norm is written as
+            # its Python spelling, "nan" or "inf".
+            entry["norm"] = exc.norm if np.isfinite(exc.norm) else repr(exc.norm)
+        log.warning("seed %d %s learner diverged: %s", seed, kind, exc)
     return entry
 
 

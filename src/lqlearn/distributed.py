@@ -69,12 +69,19 @@ def distributed_round(
 
     alpha = sched.alpha(bank.k)
     G = bank.G
-    Y = np.stack([y_operator(g, u, sys.Q, sys.R) for g, u in zip(G, Uk)])
-    # L.G taken over the pairwise differences G_j - G_i (rows of L sum to
-    # zero), so estimates that agree stay bit-exact on any graph.
-    G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
-    G = G + alpha * (gains[:, :, None] * Y)
-    G = symmetrize(G)
+    Y = np.empty_like(G)
+    for i in range(N):
+        Y[i] = y_operator(G[i], Uk[i], sys.Q, sys.R)
+    # alpha * (gains * Y), scaled in place in that order.
+    Y *= gains[:, :, None]
+    Y *= alpha
+    if cons.graph.edges:
+        # L.G taken over the pairwise differences G_j - G_i (rows of L sum
+        # to zero), so estimates that agree stay bit-exact on any graph.
+        G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
+    # Without edges L = 0 and the mixing term is exact zeros: G stays G.
+    Y += G
+    G = symmetrize(Y)
 
     # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
     norms = np.linalg.norm(G, axis=(1, 2))
@@ -84,6 +91,8 @@ def distributed_round(
             f"sensor {i} left ||G||_F <= {DIVERGENCE_CAP:g} (norm {norms[i]:g}) "
             f"at round {bank.k + 1}",
             step=bank.k + 1,
+            sensor=i,
+            norm=float(norms[i]),
         )
     return SensorBank(G=G, k=bank.k + 1)
 

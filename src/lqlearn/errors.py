@@ -40,10 +40,22 @@ class SingularInnerMatrixError(LqLearnError):
 
 
 class DivergedError(LqLearnError):
-    """An iterate or simulation exceeded the divergence guard."""
+    """An iterate or simulation exceeded the divergence guard.
 
-    def __init__(self, message: str, step: int | None = None):
+    step is the round or step that tripped it; a learner also names the
+    first offending sensor and that sensor's ||G||_F (None when unknown).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        step: int | None = None,
+        sensor: int | None = None,
+        norm: float | None = None,
+    ):
         self.step = step
+        self.sensor = sensor
+        self.norm = norm
         super().__init__(message)
 
 

@@ -82,7 +82,8 @@ def y_operator(
     M = Uk.swapaxes(-1, -2) @ P @ Uk
     M[..., :n, :n] += Q
     M[..., n:, n:] += R
-    return symmetrize(M - G)
+    M -= G
+    return symmetrize(M)
 
 
 def single_sensor(sys: SystemModel):

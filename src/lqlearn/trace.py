@@ -9,7 +9,8 @@ Recording a round only stores its step size and copies its noise draws and
 estimates into a block buffer. The metrics are computed once per block of
 rounds, in one vectorized pass, when the buffer fills or a column is read.
 The block holds as many rounds as fit a fixed float budget, so the memory a
-pass takes is bounded by the block and not by the run length.
+pass takes is bounded by the block and not by the run length, nor (through
+chunks of sensor rows) by the square of the sensor count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ CSV_COLUMNS = (
 # Floats one metrics pass may hold: its largest temporary is the
 # (B, N, N, d, d) stack of pairwise differences behind the consensus
 # diameter. At d = 3 a block is 3 rounds on ring:32 and 227 on ring:4.
+# Above 60 sensors a single round exceeds the budget, so the differences
+# are taken over chunks of sensor rows, (B, rows, N, d, d) at a time.
 _BLOCK_FLOATS = 2**15
 
 
@@ -116,9 +119,16 @@ class RunTrace:
         sq_norms = np.square(G).sum(axis=(2, 3))
         self._max_fro_norm = max(self._max_fro_norm, float(np.sqrt(sq_norms.max())))
         if N >= 2:
-            diff = G[:, :, None] - G[:, None]
-            np.square(diff, out=diff)
-            diameters = np.sqrt(diff.sum(axis=(3, 4)).max(axis=(1, 2))).tolist()
+            # max is exact, so the max over chunks of the squared pair
+            # distances gives the bits of one pass over all pairs.
+            rows = max(1, _BLOCK_FLOATS // (B * N * G.shape[-1] ** 2))
+            sq_max = np.full(B, -np.inf)
+            for i0 in range(0, N, rows):
+                diff = G[:, i0:i0 + rows, None] - G[:, None]
+                np.square(diff, out=diff)
+                np.maximum(sq_max, diff.sum(axis=(3, 4)).max(axis=(1, 2)), out=sq_max)
+                del diff  # freed before the next chunk is allocated
+            diameters = np.sqrt(sq_max).tolist()
         else:
             diameters = [None] * B
         self._diameters.extend(diameters)

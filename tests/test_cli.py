@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lqlearn import cli
+from lqlearn.config import preset_file, read_json
 from lqlearn.errors import DivergedError
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -270,7 +271,26 @@ class TestCmdRun:
                        "--out", tmp_path / "all")
         assert code == 3
         summary = json.loads((tmp_path / "all" / "summary.json").read_text())
-        assert summary["runs"][0] == {"seed": 0, "status": "diverged", "round": 3}
+        assert summary["runs"][0] == {
+            "seed": 0, "status": "diverged", "kind": "distributed", "round": 3,
+        }
+
+    def test_diverged_seed_names_learner_sensor_and_norm(self, tmp_path):
+        # Masked gains on the preset's ring:4 diverge within a few rounds,
+        # while the centralized learner on the same seed does not.
+        data = read_json(preset_file("paper_sec4"))
+        data.update(gain_mode="masked", rounds=20, seeds=[0])
+        out = tmp_path / "masked"
+        code = run_cli("run", "--config", write_config(tmp_path, data),
+                       "--mode", "both", "--out", out)
+        assert code == 3
+        entry = json.loads((out / "summary.json").read_text())["runs"][0]
+        assert entry["status"] == "diverged"
+        assert entry["kind"] == "distributed"
+        assert "centralized" in entry and "distributed" not in entry
+        assert 1 <= entry["round"] <= 20
+        assert entry["sensor"] in range(4)
+        assert entry["norm"] > 1e9
 
     def test_partial_divergence_exit_code(self, tmp_path, monkeypatch):
         real = cli.run_distributed

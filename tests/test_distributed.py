@@ -166,6 +166,23 @@ class TestDistributedRound:
             distributed_round(bank, sys, cons, alloc, realize(sys, 0.0),
                               Schedule())
 
+    def test_divergence_names_sensor_and_norm(self):
+        # Weak mixing on a path keeps the middle sensor below the cap; only
+        # the far end stays above it.
+        sys = SystemModel(A=[[1.0]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
+                          Q=[[1.0]], R=[[1.0]])
+        g = build_graph("path:3")
+        bank = bank_of(sys, [np.eye(2), np.eye(2), np.diag([5e9, 1.0])])
+        with pytest.raises(DivergedError, match="sensor 2 ") as info:
+            distributed_round(bank, sys, consensus_operator(g, 0.01),
+                              allocate_gains(g, (1, 1), "uniform"),
+                              realize(sys, 0.0), Schedule(scale=0.0))
+        err = info.value
+        assert (err.step, err.sensor) == (1, 2)
+        assert err.norm == pytest.approx(0.99 * 5e9, rel=1e-6)
+        assert DivergedError("boom").sensor is None
+        assert DivergedError("boom").norm is None
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_estimate_raises_diverged(self, bad):
         # NaN fails "norm > cap" as well as "norm <= cap"; the guard must
@@ -180,7 +197,8 @@ class TestDistributedRound:
             distributed_round(bank, sys, consensus_operator(g),
                               allocate_gains(g, (1, 1), "uniform"),
                               realize(sys, 0.0), Schedule())
-        assert info.value.step == 5
+        assert (info.value.step, info.value.sensor) == (5, 0)
+        assert not np.isfinite(info.value.norm)
 
     @pytest.mark.parametrize("mode", ["uniform", "masked"])
     def test_matches_written_out_update_on_irregular_graph(self, bench_sys,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,30 @@ def test_block_metrics_equal_one_round_arithmetic_bit_for_bit():
         assert trace.max_fro_norm == max(
             float(np.linalg.norm(G, axis=(1, 2)).max()) for G in stacks
         )
+
+
+def test_diameter_of_many_sensors_is_chunked_and_bit_exact():
+    # Above 60 sensors at d = 3 one round's N**2 pairwise differences exceed
+    # the block's float budget (3.1 MB at N = 200); the pass takes them over
+    # chunks of sensor rows and must still give the one-pass bits.
+    N, rounds = 200, 3
+    assert block_rounds(N, 3) == 1
+    rng = np.random.default_rng(17)
+    stacks = _sym(rng, (rounds, N, 3, 3))
+    trace = RunTrace(n_sensors=N)
+    trace.record_round(0.5, [0.0] * N, stacks[0])  # allocates the buffers
+    tracemalloc.start()
+    try:
+        for G in stacks[1:]:
+            trace.record_round(0.5, [0.0] * N, G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    diff = stacks[:, :, None] - stacks[:, None]
+    np.square(diff, out=diff)
+    one_pass = np.sqrt(diff.sum(axis=(3, 4)).max(axis=(1, 2)))
+    assert trace.diameters == one_pass.tolist()
 
 
 def test_single_sensor_round_has_no_diameter():
