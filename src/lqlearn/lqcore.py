@@ -7,8 +7,10 @@ sum_k x'Qx + u'Ru with Q > 0, R > 0.
 Everything here is expressed through the (n+m)x(n+m) Q-factor G. Its Schur
 complement recovers the Riccati solution (pi_map) and its blocks recover the
 optimal feedback gain (gamma_map). The expectation operator closes the loop:
-G* is the unique fixed point G = E[ N + Ups(k)' Pi(G) Ups(k) ] with
-Ups(k) = [A(k) B(k)], and the oracle finds it by Picard iteration.
+G* is the unique fixed point G = H(Pi(G)) of the second-moment operator
+H(P) = diag(Q,R) + E[ Ups(k)' P Ups(k) ], Ups(k) = [A(k) B(k)], found by
+Picard iteration. _h_map is the one place the noise moments enter the
+Q-factor maps; ms_stability_check lifts the closed loop to its own operator.
 
 All operations are pure functions; safe to call concurrently.
 """
@@ -226,8 +228,8 @@ def gamma_map(G: np.ndarray, n: int) -> Gain:
     return Gain(-_pinv_uu(G[n:, n:]) @ G[n:, :n])
 
 
-def expectation_map(G: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:
-    """Closed form of E[ diag(Q,R) + Ups(k)' Pi(G) Ups(k) ], symmetrized.
+def _h_map(P: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:
+    """H(P) = diag(Q,R) + E[Ups(k)' P Ups(k)], the (n+m)x(n+m) second moment.
 
     With Ups(k) = [A(k) B(k)] = U + V*w(k), U = [A B], V = [Abar Bbar], the
     expectation expands exactly through the first two noise moments:
@@ -236,13 +238,16 @@ def expectation_map(G: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.nd
 
     Oracle-side only: requires the noise statistics the learners never see.
     """
-    P = pi_map(G, sys.n)
     U, V = sys.stacked()
     upu = U.T @ P @ U
     upv = U.T @ P @ V
     vpv = V.T @ P @ V
-    mean = sys.cost_block() + upu + noise.mu * (upv + upv.T) + noise.second_moment * vpv
-    return symmetrize(mean)
+    return sys.cost_block() + upu + noise.mu * (upv + upv.T) + noise.second_moment * vpv
+
+
+def expectation_map(G: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:
+    """H(Pi(G)) = E[ diag(Q,R) + Ups(k)' Pi(G) Ups(k) ], symmetrized."""
+    return symmetrize(_h_map(pi_map(G, sys.n), sys, noise))
 
 
 def solve_oracle(
@@ -294,22 +299,17 @@ def solve_oracle(
 def optimal_gain_closed_form(
     P: np.ndarray, sys: SystemModel, noise: NoiseModel
 ) -> Gain:
-    """Fully expanded optimal gain from a Riccati solution P.
+    """Optimal gain K = -H_uu^-1 H_ux read from the blocks of H(P).
 
-    K = -[B'PB + mu(B'PBb + Bb'PB) + (mu^2+s2)Bb'PBb + R]^-1
-         [B'PA + mu(B'PAb + Bb'PA) + (mu^2+s2)Bb'PAb]
+    H_uu = R + E[B(k)'PB(k)] and H_ux = E[B(k)'PA(k)].
     """
-    P = symmetrize(_as_matrix(P, "P"))
-    A, Ab, B, Bb = sys.A, sys.A_bar, sys.B, sys.B_bar
-    mu, m2 = noise.mu, noise.second_moment
-    inner = B.T @ P @ B + mu * (B.T @ P @ Bb + Bb.T @ P @ B) + m2 * (Bb.T @ P @ Bb)
-    inner = inner + sys.R
-    cross = B.T @ P @ A + mu * (B.T @ P @ Ab + Bb.T @ P @ A) + m2 * (Bb.T @ P @ Ab)
+    H = _h_map(symmetrize(_as_matrix(P, "P")), sys, noise)
+    n = sys.n
     try:
-        K = -np.linalg.solve(inner, cross)
+        K = -np.linalg.solve(H[n:, n:], H[n:, :n])
     except np.linalg.LinAlgError as exc:
         raise SingularInnerMatrixError(
-            "inner matrix B'PB + ... + R is singular; "
+            "inner matrix R + E[B(k)'PB(k)] is singular; "
             "cannot happen for R > 0 and P >= 0"
         ) from exc
     return Gain(K)
@@ -345,21 +345,9 @@ def ms_stability_check(
 
 
 def riccati_residual(P: np.ndarray, sys: SystemModel, noise: NoiseModel) -> float:
-    """Frobenius norm of LHS - RHS of the generalized Riccati equation.
+    """||P - Pi(H(P))||_F, zero iff P solves the generalized Riccati equation
 
-    P = E[Q + A(k)'PA(k)] - E[A(k)'PB(k)] E[B(k)'PB(k) + R]^+ E[B(k)'PA(k)],
-    expectations expanded exactly as in expectation_map. Zero iff P solves it.
+    P = E[Q + A(k)'PA(k)] - E[A(k)'PB(k)] E[B(k)'PB(k) + R]^+ E[B(k)'PA(k)].
     """
     P = symmetrize(_as_matrix(P, "P"))
-    A, Ab, B, Bb = sys.A, sys.A_bar, sys.B, sys.B_bar
-    mu, m2 = noise.mu, noise.second_moment
-
-    def second(X, Xb, Y, Yb):
-        return X.T @ P @ Y + mu * (X.T @ P @ Yb + Xb.T @ P @ Y) + m2 * (Xb.T @ P @ Yb)
-
-    s_aa = second(A, Ab, A, Ab)
-    s_ab = second(A, Ab, B, Bb)
-    s_ba = second(B, Bb, A, Ab)
-    s_bb = second(B, Bb, B, Bb)
-    rhs = sys.Q + s_aa - s_ab @ np.linalg.pinv(s_bb + sys.R, rcond=PINV_TOL) @ s_ba
-    return float(np.linalg.norm(P - rhs))
+    return float(np.linalg.norm(P - pi_map(_h_map(P, sys, noise), sys.n)))

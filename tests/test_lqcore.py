@@ -10,14 +10,18 @@ from lqlearn import (
     SystemModel,
     expectation_map,
     gamma_map,
+    load_preset,
     ms_stability_check,
     optimal_gain_closed_form,
     pi_map,
+    realize,
     riccati_residual,
     solve_oracle,
     symmetrize,
+    y_operator,
 )
-from lqlearn.errors import NoConvergenceError
+from lqlearn.config import preset_names
+from lqlearn.errors import NoConvergenceError, SingularInnerMatrixError
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -103,6 +107,27 @@ class TestExpectationMap:
         se = np.sqrt(var / n_draws)
         assert np.all(np.abs(mean - exact) <= 3.0 * se + 1e-12)
 
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_two_point_average_of_sampled_residual_is_exact(self, preset):
+        # The sampled residual is quadratic in w, so its average over the two
+        # points mu -/+ sd equals the expectation with no sampling error. This
+        # ties the oracle's H to the learners' sampled plant.
+        cfg = load_preset(preset)
+        sys, noise = cfg.system, cfg.noise
+        n, d = sys.n, sys.n + sys.m
+        sd = np.sqrt(noise.sigma2)
+        plants = realize(sys, np.array([noise.mu - sd, noise.mu + sd]))
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            G = symmetrize(rng.standard_normal((d, d)))
+            C = rng.standard_normal((sys.m, sys.m))
+            G[n:, n:] = C @ C.T + np.eye(sys.m)
+            two_point = y_operator(G, plants, sys.Q, sys.R).mean(axis=0)
+            exact = expectation_map(G, sys, noise) - G
+            assert np.abs(two_point - exact).max() <= 1e-12 * max(
+                1.0, np.abs(exact).max()
+            )
+
     def test_dominates_cost_block_on_psd(self, bench_sys, bench_noise):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -184,6 +209,11 @@ class TestOptimalGainClosedForm:
         B, A, R = det_sys.B, det_sys.A, det_sys.R
         expected = -np.linalg.solve(B.T @ P @ B + R, B.T @ P @ A)
         assert K.K == pytest.approx(expected, abs=1e-12)
+
+    def test_singular_inner_matrix_raises(self, scalar_sys):
+        # H_uu = R + B'PB = 1 - 1 = 0.
+        with pytest.raises(SingularInnerMatrixError):
+            optimal_gain_closed_form([[-1.0]], scalar_sys, NoiseModel(0.0, 0.0))
 
     def test_consistent_with_gamma_map(self, bench_sys, bench_noise, bench_oracle):
         K_blocks = gamma_map(bench_oracle.G_star.mat, 2)

@@ -1,0 +1,66 @@
+"""Property tests of the oracle on generated mean-square stable systems."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from lqlearn import (
+    Gain,
+    NoiseModel,
+    SystemModel,
+    expectation_map,
+    gamma_map,
+    ms_stability_check,
+    optimal_gain_closed_form,
+    realize,
+    riccati_residual,
+    solve_oracle,
+    y_operator,
+)
+
+ENTRIES = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def stable_problems(draw):
+    """(system, noise) with n in {1,2,3}, m in {1,2} whose open loop K = 0
+    is mean-square stable with radius below 0.99, so the oracle converges.
+
+    The margin bounds the solve: a weakly actuated system with an open-loop
+    radius near 1 has a large G* that Picard approaches about as slowly as
+    the open loop decays, past the iteration cap (NoConvergenceError)."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+
+    def mat(rows, cols):
+        return draw(hnp.arrays(np.float64, (rows, cols), elements=ENTRIES))
+
+    Lq, Lr = mat(n, n), mat(m, m)
+    system = SystemModel(
+        A=mat(n, n), A_bar=mat(n, n), B=mat(n, m), B_bar=mat(n, m),
+        Q=Lq @ Lq.T + 0.1 * np.eye(n), R=Lr @ Lr.T + 0.1 * np.eye(m),
+    )
+    noise = NoiseModel(draw(ENTRIES), draw(st.floats(0.0, 1.0)))
+    open_loop = ms_stability_check(Gain(np.zeros((m, n))), system, noise)
+    assume(open_loop.spectral_radius < 0.99)
+    return system, noise
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(stable_problems())
+def test_oracle_identities_on_generated_systems(problem):
+    system, noise = problem
+    oracle = solve_oracle(system, noise)
+    G = oracle.G_star.mat
+
+    assert riccati_residual(oracle.P, system, noise) <= 1e-8
+    closed = optimal_gain_closed_form(oracle.P, system, noise)
+    assert np.abs(closed.K - gamma_map(G, system.n).K).max() <= 1e-8
+
+    # y_operator is quadratic in w: its average over mu -/+ sd is exact.
+    sd = np.sqrt(noise.sigma2)
+    plants = realize(system, np.array([noise.mu - sd, noise.mu + sd]))
+    two_point = y_operator(G, plants, system.Q, system.R).mean(axis=0)
+    exact = expectation_map(G, system, noise) - G
+    assert np.abs(two_point - exact).max() <= 1e-12 * max(1.0, np.abs(G).max())
