@@ -148,12 +148,14 @@ def run_distributed(
 
     gains is the (N, d) array of innovation-gain diagonals that
     network.allocate_gains builds. The whole (rounds, N) noise tape is drawn
-    before the first round, and its sampled plants are built once per block
-    of rounds (trace.block_rounds). shared_noise=True evaluates every
-    sensor's residual on the same sampled plant (one draw per round from
-    rng); otherwise each sensor owns a private noise substream. When an
-    oracle is supplied the trace also records the error of the averaged
-    iterate to G*.
+    before the first round. The rounds are stepped in blocks of
+    trace.block_rounds: a block's sampled plants are built at its start,
+    its post-update estimates fill one (B, N, d, d) array, and the trace
+    measures that block when it is done, so the metrics' memory is bounded
+    by the block. shared_noise=True evaluates every sensor's residual on the
+    same sampled plant (one draw per round from rng); otherwise each sensor
+    owns a private noise substream. When an oracle is supplied the trace
+    also records the error of the averaged iterate to G*.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -169,13 +171,16 @@ def run_distributed(
 
     trace = RunTrace(N, G_star=None if oracle is None else oracle.G_star.mat)
     B = block_rounds(N, sys.n + sys.m)
+    G = np.empty((min(B, rounds), *bank.G.shape))
+    alphas = np.empty(len(G))
     for start in range(0, rounds, B):
         block = tape[start:start + B]
-        for omegas, Uk in zip(np.broadcast_to(block, (len(block), N)),
-                              realize(sys, block)):
-            alpha = sched.alpha(bank.k)
+        b = len(block)
+        for j, Uk in enumerate(realize(sys, block)):
+            alphas[j] = sched.alpha(bank.k)
             bank = distributed_round(bank, sys, cons, gains, Uk, sched)
-            trace.record_round(alpha, omegas, bank.G)
+            G[j] = bank.G
+        trace.record_round(alphas[:b], np.broadcast_to(block, (b, N)), G[:b])
     return trace
 
 

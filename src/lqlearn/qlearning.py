@@ -50,7 +50,8 @@ class Schedule:
     def __post_init__(self):
         if not 0.5 < self.exponent <= 1.0:
             raise ValueError(f"exponent must be in (0.5, 1], got {self.exponent}")
-        if self.offset < 1 or int(self.offset) != self.offset:
+        # "not 1 <= offset < inf" is true for NaN and infinities as well.
+        if not 1 <= self.offset < np.inf or int(self.offset) != self.offset:
             raise ValueError(f"offset must be an integer >= 1, got {self.offset}")
         if not self.scale >= 0.0:  # NaN fails too
             raise ValueError(f"scale must be >= 0, got {self.scale}")

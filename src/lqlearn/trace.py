@@ -5,11 +5,10 @@ exactly when it has one sensor: the centralized learner is the 1-sensor
 distributed run, recorded as sensor id 0 with an empty consensus diameter
 (a max over an empty set of sensor pairs).
 
-Recording a round only stores its step size and copies its noise draws and
-estimates into a block buffer. The metrics are computed once per block of
-rounds, in one vectorized pass, when the buffer fills or a column is read.
-The block holds as many rounds as fit a fixed float budget, so the memory a
-pass takes is bounded by the block and not by the run length, nor (through
+The learner records its rounds a block at a time, and each block is
+measured when it is recorded, in one vectorized pass. A block holds as many
+rounds as fit a fixed float budget (block_rounds), so the memory a pass
+takes is bounded by the block and not by the run length, nor (through
 chunks of sensor rows) by the square of the sensor count.
 """
 
@@ -42,16 +41,6 @@ def block_rounds(n_sensors: int, d: int) -> int:
     return max(1, _BLOCK_FLOATS // (n_sensors * n_sensors * d * d))
 
 
-def _measured(name: str, doc: str) -> property:
-    """A read-only attribute that first measures the buffered rounds."""
-
-    def read(self):
-        self._flush()
-        return getattr(self, name)
-
-    return property(read, doc=doc)
-
-
 class RunTrace:
     """Round-by-round metrics of one learning run.
 
@@ -60,64 +49,46 @@ class RunTrace:
     diameter is max_{i<j} ||G_i - G_j||_F (None when fewer than 2 sensors).
     mean_history keeps the averaged iterate per round so runs can be compared
     and the final controller extracted. Every column is a list, one entry per
-    round; the per-sensor columns hold one list of floats per round.
+    round; the per-sensor columns hold one list of floats per round. A block
+    of rounds is measured as soon as it is recorded.
     """
 
     def __init__(self, n_sensors: int, G_star: np.ndarray | None = None):
         self.n_sensors = n_sensors
         self.G_star = G_star
         self.alphas: list[float] = []
-        self._omegas: list[list[float]] = []
-        self._norm1: list[list[float]] = []
-        self._diameters: list[float | None] = []
-        self._mean_history: list[np.ndarray] = []
-        self._fro_err = None if G_star is None else []
-        self._mean_err = None if G_star is None else []
-        self._max_fro_norm = 0.0
-        # Rounds recorded but not yet measured; buffers made on the first round.
-        self._pending = 0
-        self._omega_buf = self._G_buf = None
-
-    omegas = _measured("_omegas", "Noise draw of each sensor, per round.")
-    norm1 = _measured("_norm1", "Entrywise 1-norm of each estimate, per round.")
-    fro_err = _measured("_fro_err", "||G_i - G*||_F per round (None without G*).")
-    diameters = _measured("_diameters", "Consensus diameter of each round.")
-    mean_history = _measured("_mean_history", "Averaged iterate of each round.")
-    mean_err = _measured("_mean_err", "||Gbar - G*||_F per round (None without G*).")
-    max_fro_norm = _measured("_max_fro_norm", "Largest ||G_i||_F over the run.")
+        self.omegas: list[list[float]] = []
+        self.norm1: list[list[float]] = []
+        self.diameters: list[float | None] = []
+        self.mean_history: list[np.ndarray] = []
+        self.fro_err = None if G_star is None else []
+        self.mean_err = None if G_star is None else []
+        self.max_fro_norm = 0.0
 
     @property
     def n_rounds(self) -> int:
         return len(self.alphas)
 
-    def record_round(self, alpha: float, omegas: list[float], G: np.ndarray) -> None:
-        """Buffer one round's post-update (N, d, d) stack for measurement."""
-        if len(omegas) != self.n_sensors or G.shape[0] != self.n_sensors:
-            raise ValueError("one omega and one estimate per sensor expected")
-        if self._G_buf is None:
-            B = block_rounds(self.n_sensors, G.shape[-1])
-            self._omega_buf = np.empty((B, self.n_sensors))
-            self._G_buf = np.empty((B, *G.shape))
-        self.alphas.append(float(alpha))
-        i = self._pending
-        self._omega_buf[i] = omegas
-        self._G_buf[i] = G
-        self._pending = i + 1
-        if self._pending == len(self._G_buf):
-            self._flush()
+    def record_round(self, alphas: np.ndarray, omegas: np.ndarray,
+                     G: np.ndarray) -> None:
+        """Measure a block of B rounds in one vectorized pass.
 
-    def _flush(self) -> None:
-        """Measure the buffered rounds in one pass and extend the columns."""
-        B, N = self._pending, self.n_sensors
-        if not B:
-            return
-        G = self._G_buf[:B]
-        self._omegas.extend(self._omega_buf[:B].tolist())
-        self._norm1.extend(np.abs(G).sum(axis=(2, 3)).tolist())
+        alphas (B,), omegas (B, N) and G (B, N, d, d) hold each round's step
+        size, noise draws and post-update estimates; a single round is a
+        block of one (pass G[None]). The pass keeps its temporaries within
+        the float budget for blocks of at most block_rounds(N, d) rounds.
+        """
+        B, N = len(alphas), self.n_sensors
+        if np.shape(omegas) != (B, N) or G.shape[:2] != (B, N):
+            raise ValueError("one alpha per round and one omega and one "
+                             "estimate per sensor and round expected")
+        self.alphas.extend(map(float, alphas))
+        self.omegas.extend(np.asarray(omegas, dtype=float).tolist())
+        self.norm1.extend(np.abs(G).sum(axis=(2, 3)).tolist())
         # sqrt is monotone, so the max of the squared norms gives the same
         # bits as the max of the norms.
         sq_norms = np.square(G).sum(axis=(2, 3))
-        self._max_fro_norm = max(self._max_fro_norm, float(np.sqrt(sq_norms.max())))
+        self.max_fro_norm = max(self.max_fro_norm, float(np.sqrt(sq_norms.max())))
         if N >= 2:
             # max is exact, so the max over chunks of the squared pair
             # distances gives the bits of one pass over all pairs.
@@ -128,22 +99,20 @@ class RunTrace:
                 np.square(diff, out=diff)
                 np.maximum(sq_max, diff.sum(axis=(3, 4)).max(axis=(1, 2)), out=sq_max)
                 del diff  # freed before the next chunk is allocated
-            diameters = np.sqrt(sq_max).tolist()
+            self.diameters.extend(np.sqrt(sq_max).tolist())
         else:
-            diameters = [None] * B
-        self._diameters.extend(diameters)
+            self.diameters.extend([None] * B)
 
         # np.mean's bits, without its Python-level overhead on a small stack.
         means = G.sum(axis=1) / N
-        self._mean_history.extend(means)
+        self.mean_history.extend(means)
 
         if self.G_star is not None:
-            self._fro_err.extend(np.linalg.norm(G - self.G_star, axis=(2, 3)).tolist())
+            self.fro_err.extend(np.linalg.norm(G - self.G_star, axis=(2, 3)).tolist())
             # A vector @ vector matmul is a dot product, as np.linalg.norm of
             # one matrix takes it, so each round's error keeps those bits.
             e = (means - self.G_star).reshape(B, -1)
-            self._mean_err.extend(np.sqrt(e[:, None] @ e[:, :, None]).ravel().tolist())
-        self._pending = 0
+            self.mean_err.extend(np.sqrt(e[:, None] @ e[:, :, None]).ravel().tolist())
 
     def final_mean(self) -> np.ndarray:
         if not self.mean_history:

@@ -244,6 +244,17 @@ class TestMsStability:
 
     def test_invariant_under_state_coordinates(self, bench_sys, bench_noise,
                                                bench_oracle):
+        # In exact arithmetic x -> T^-1 x leaves the spectrum of the lifted
+        # operator unchanged. In floats, forming the transformed operator
+        # op_t perturbs it by about c * eps * ||op_t||_F, and to first order
+        # (Bauer-Fike) that moves the radius by at most kappa times as much,
+        # kappa being the condition number of the dominant eigenvalue, from
+        # its left and right eigenvectors. c = 8 covers the roughly dozen
+        # roundings of at most eps / 2 on the longest chain that forms an
+        # entry of op_t (the inverse, two products per transformed matrix,
+        # the closed loop's product and sum, the Kronecker product and the
+        # weighted three-term sum), plus both eigensolvers' backward errors.
+        c, eps, mu = 8.0, np.finfo(float).eps, bench_noise.mu
         rng = np.random.default_rng(7)
         base = ms_stability_check(bench_oracle.K_star, bench_sys, bench_noise)
         for _ in range(10):
@@ -257,11 +268,18 @@ class TestMsStability:
                 Q=symmetrize(T.T @ bench_sys.Q @ T),
                 R=bench_sys.R,
             )
-            K_t = Gain(bench_oracle.K_star.K @ T)
-            report = ms_stability_check(K_t, sys_t, bench_noise)
-            assert report.spectral_radius == pytest.approx(
-                base.spectral_radius, abs=1e-8
-            )
+            K_t = bench_oracle.K_star.K @ T
+            report = ms_stability_check(Gain(K_t), sys_t, bench_noise)
+            Acl = sys_t.A + sys_t.B @ K_t
+            Abcl = sys_t.A_bar + sys_t.B_bar @ K_t
+            op_t = (np.kron(Acl, Acl) + mu * (np.kron(Acl, Abcl) + np.kron(Abcl, Acl))
+                    + bench_noise.second_moment * np.kron(Abcl, Abcl))
+            w, vl, vr = scipy.linalg.eig(op_t, left=True, right=True)
+            i = np.abs(w).argmax()
+            x, y = vr[:, i], vl[:, i]
+            kappa = np.linalg.norm(x) * np.linalg.norm(y) / abs(np.vdot(y, x))
+            bound = c * eps * kappa * np.linalg.norm(op_t)
+            assert abs(report.spectral_radius - base.spectral_radius) <= bound
 
 
 class TestRiccatiResidual:

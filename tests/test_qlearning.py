@@ -39,6 +39,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(**kwargs)
 
+    @pytest.mark.parametrize("offset", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_offset(self, offset):
+        with pytest.raises(ValueError, match="offset must be an integer >= 1"):
+            Schedule(offset=offset)
+
     def test_degenerate_zero_scale_allowed(self):
         sched = Schedule(scale=0.0)
         assert sched.alpha(0) == 0.0

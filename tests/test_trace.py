@@ -3,13 +3,36 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lqlearn import RunTrace
+from lqlearn import (
+    RngStream,
+    RunTrace,
+    Schedule,
+    allocate_gains,
+    build_graph,
+    consensus_operator,
+    distributed_round,
+    draw_noise,
+    initial_bank,
+    realize,
+    run_distributed,
+)
+from lqlearn.distributed import _NS_SENSOR_NOISE
 from lqlearn.trace import CSV_COLUMNS, block_rounds
 
 
 def _sym(rng, shape):
     M = rng.standard_normal(shape)
     return (M + np.swapaxes(M, -1, -2)) / 2.0
+
+
+def _record_in_blocks(trace, alphas, omegas, stacks, sizes):
+    """Record the rounds as consecutive blocks of the given sizes."""
+    assert sum(sizes) == len(stacks)
+    start = 0
+    for b in sizes:
+        end = start + b
+        trace.record_round(alphas[start:end], omegas[start:end], stacks[start:end])
+        start = end
 
 
 def test_record_round_metrics_match_brute_force():
@@ -20,22 +43,18 @@ def test_record_round_metrics_match_brute_force():
 def _record_and_check(N):
     d = 3
     B = block_rounds(N, d)
-    # A full block, then a column read after round B + 1 measures a 1-round
-    # block mid-run; B more rounds fill the next block, and the last round
-    # is still buffered when the checks below read the columns.
-    rounds, read_at = 2 * B + 2, B + 1
+    # A full block, a 1-round block, another full block and a last 1-round
+    # block: every metric must land at its own round whatever the split.
+    sizes = [B, 1, B, 1]
+    rounds = sum(sizes)
     rng = np.random.default_rng(41)
     G_star = _sym(rng, (d, d))
     trace = RunTrace(n_sensors=N, G_star=G_star)
     stacks = _sym(rng, (rounds, N, d, d))
     stacks[rounds // 2] *= 4.0  # the largest norm falls in a middle round
     omegas = rng.standard_normal((rounds, N))
-    for r in range(rounds):
-        trace.record_round(0.1 * (r + 1), list(omegas[r]), stacks[r])
-        if r + 1 == read_at:
-            assert trace.n_rounds == len(trace.norm1) == read_at
-            # The stored column itself, so the write survives later rounds.
-            trace.omegas[0] = [7.0] * N
+    alphas = 0.1 * np.arange(1, rounds + 1)
+    _record_in_blocks(trace, alphas, omegas, stacks, sizes)
     assert trace.n_rounds == rounds
 
     tol = 1e-12
@@ -62,12 +81,11 @@ def _record_and_check(N):
         assert trace.mean_err[r] == pytest.approx(
             np.linalg.norm(mean - G_star), abs=tol
         )
-        assert trace.alphas[r] == 0.1 * (r + 1)
-        if r > 0:
-            assert trace.omegas[r] == omegas[r].tolist()
+        assert trace.alphas[r] == alphas[r]
+        assert trace.omegas[r] == omegas[r].tolist()
     assert trace.max_fro_norm == pytest.approx(max_fro, abs=tol)
-    assert trace.omegas[0] == [7.0] * N
     assert all(type(v) is float for v in trace.omegas[-1] + trace.norm1[-1])
+    assert type(trace.alphas[-1]) is float
     assert type(trace.mean_err[-1]) is float
 
 
@@ -77,11 +95,12 @@ def test_block_metrics_equal_one_round_arithmetic_bit_for_bit():
     # would, and must match exactly.
     rng = np.random.default_rng(8)
     for N in (1, 4, 32):
+        B = block_rounds(N, 3)
         G_star = _sym(rng, (3, 3))
-        stacks = _sym(rng, (2 * block_rounds(N, 3) + 2, N, 3, 3))
+        stacks = _sym(rng, (2 * B + 2, N, 3, 3))
         trace = RunTrace(n_sensors=N, G_star=G_star)
-        for G in stacks:
-            trace.record_round(0.5, [0.0] * N, G)
+        _record_in_blocks(trace, np.full(len(stacks), 0.5),
+                          np.zeros((len(stacks), N)), stacks, [B, B, 2])
         for r, G in enumerate(stacks):
             assert trace.norm1[r] == np.abs(G).sum(axis=(1, 2)).tolist()
             assert trace.fro_err[r] == np.linalg.norm(G - G_star, axis=(1, 2)).tolist()
@@ -104,12 +123,12 @@ def test_diameter_of_many_sensors_is_chunked_and_bit_exact():
     assert block_rounds(N, 3) == 1
     rng = np.random.default_rng(17)
     stacks = _sym(rng, (rounds, N, 3, 3))
+    alphas, omegas = np.full(1, 0.5), np.zeros((1, N))
     trace = RunTrace(n_sensors=N)
-    trace.record_round(0.5, [0.0] * N, stacks[0])  # allocates the buffers
     tracemalloc.start()
     try:
-        for G in stacks[1:]:
-            trace.record_round(0.5, [0.0] * N, G)
+        for G in stacks:
+            trace.record_round(alphas, omegas, G[None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -123,15 +142,74 @@ def test_diameter_of_many_sensors_is_chunked_and_bit_exact():
 def test_single_sensor_round_has_no_diameter():
     G = np.eye(3)[None]
     trace = RunTrace(n_sensors=1)
-    trace.record_round(0.5, [1.0], G)
+    trace.record_round(np.array([0.5]), np.array([[1.0]]), G[None])
     assert trace.diameters == [None]
     assert np.array_equal(trace.final_mean(), np.eye(3))
 
 
 def test_record_round_rejects_wrong_sensor_count():
     trace = RunTrace(n_sensors=2)
-    with pytest.raises(ValueError, match="one omega"):
-        trace.record_round(0.5, [1.0, 1.0], np.zeros((3, 3, 3)))
+    alphas = np.full(3, 0.5)
+    for omegas, G in [
+        (np.ones((3, 3)), np.zeros((3, 2, 3, 3))),  # omegas for 3 sensors
+        (np.ones((3, 2)), np.zeros((3, 3, 3, 3))),  # estimates for 3 sensors
+    ]:
+        with pytest.raises(ValueError, match="one omega"):
+            trace.record_round(alphas, omegas, G)
+    assert trace.n_rounds == 0
+
+
+def test_record_round_rejects_wrong_round_count():
+    trace = RunTrace(n_sensors=2)
+    for alphas, omegas, G in [
+        (np.full(4, 0.5), np.ones((3, 2)), np.zeros((3, 2, 3, 3))),  # alphas
+        (np.full(3, 0.5), np.ones((2, 2)), np.zeros((3, 2, 3, 3))),  # omegas
+        (np.full(3, 0.5), np.ones((3, 2)), np.zeros((2, 2, 3, 3))),  # estimates
+    ]:
+        with pytest.raises(ValueError, match="one alpha per round"):
+            trace.record_round(alphas, omegas, G)
+    assert trace.n_rounds == 0
+
+
+@pytest.mark.parametrize(
+    ("graph", "shared_noise", "rounds"),
+    [("ring:4", True, 2 * block_rounds(4, 3) + 3),
+     ("ring:32", False, 2 * block_rounds(32, 3) + 2)],
+)
+def test_run_trace_equals_one_round_records(bench_sys, bench_noise,
+                                            bench_oracle, graph, shared_noise,
+                                            rounds):
+    # run_distributed records whole blocks; a hand loop of distributed_round
+    # on the same noise tape, recording one round at a time, must give the
+    # same trace bit for bit across the block boundaries.
+    g = build_graph(graph)
+    gains = allocate_gains(g, (2, 1), "uniform")
+    sched = Schedule()
+    init = "identity" if shared_noise else "spread"
+    trace = run_distributed(bench_sys, bench_noise, g, gains, sched, rounds,
+                            RngStream(3), oracle=bench_oracle,
+                            shared_noise=shared_noise, init=init)
+
+    N, rng = g.n_sensors, RngStream(3)
+    bank = initial_bank(bench_sys, N, rng, init=init)
+    streams = [rng] if shared_noise else [
+        rng.substream(_NS_SENSOR_NOISE, i) for i in range(N)
+    ]
+    tape = np.stack([draw_noise(r, bench_noise, rounds) for r in streams], axis=1)
+    cons = consensus_operator(g)
+    ref = RunTrace(N, G_star=bench_oracle.G_star.mat)
+    for omegas in tape:
+        alpha = sched.alpha(bank.k)
+        Uk = realize(bench_sys, omegas[0] if shared_noise else omegas)
+        bank = distributed_round(bank, bench_sys, cons, gains, Uk, sched)
+        ref.record_round(np.array([alpha]),
+                         np.broadcast_to(omegas, (1, N)), bank.G[None])
+
+    assert trace.n_rounds == rounds
+    assert list(trace.csv_rows()) == list(ref.csv_rows())
+    assert all(np.array_equal(a, b)
+               for a, b in zip(trace.mean_history, ref.mean_history, strict=True))
+    assert trace.max_fro_norm == ref.max_fro_norm
 
 
 def _reference_csv(trace) -> str:
@@ -163,10 +241,12 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path, n_sensors,
     G_star = _sym(rng, (3, 3)) if with_oracle else None
     trace = RunTrace(n_sensors=n_sensors, G_star=G_star)
     # Past one block on ring:4, with values of very different magnitudes.
-    for r in range(block_rounds(4, 3) + 3):
-        scale = 10.0 ** rng.integers(-8, 8)
-        trace.record_round(1.0 / (r + 2), list(rng.standard_normal(n_sensors)),
-                           scale * _sym(rng, (n_sensors, 3, 3)))
+    B = block_rounds(4, 3)
+    rounds = B + 3
+    scales = 10.0 ** rng.integers(-8, 8, size=rounds)
+    stacks = scales[:, None, None, None] * _sym(rng, (rounds, n_sensors, 3, 3))
+    _record_in_blocks(trace, 1.0 / np.arange(2, rounds + 2),
+                      rng.standard_normal((rounds, n_sensors)), stacks, [B, 3])
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     assert path.read_bytes() == _reference_csv(trace).encode("utf-8")
