@@ -8,8 +8,10 @@ synchronous round, computes from the pre-round estimates (Jacobi-style)
 where w is the consensus weight, L_i the sensor's innovation gain
 (sum_i L_i = N*I) and Y the sampled Bellman residual. The N estimates are
 held as one (N, d, d) array, and each step of a round runs once on the whole
-stack. With a single sensor and L_1 = I the round is exactly the centralized
-iteration, which is how lqlearn.qlearning runs it.
+stack, the residuals included: one y_operator call per round. Only the two
+SVDs of each sensor's G_uu block still run sensor by sensor, inside
+lqcore._pinv_uu. With a single sensor and L_1 = I the round is exactly the
+centralized iteration, which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ def distributed_round(
     Uk is one sampled plant [A_k B_k] (n x (n+m)) shared by every sensor, or
     an (N, n, n+m) stack with one plant per sensor (see sampling.realize).
     All sensors read the same pre-round neighbor values; updates commit
-    together (simultaneous Jacobi sweep). Mixing, innovation (L_i Y_i as the
-    row scaling by gains[i], the diagonal of L_i; see
-    network.allocate_gains), symmetrization and the divergence guard each
-    run once on the whole stack.
+    together (simultaneous Jacobi sweep). The residuals Y_i (one y_operator
+    call on the whole stack), mixing, innovation (L_i Y_i as the row scaling
+    by gains[i], the diagonal of L_i; see network.allocate_gains),
+    symmetrization and the divergence guard each run once on the whole
+    stack. A rank-deficient G_uu warns once per round, naming the first
+    such sensor's index.
     """
     N = bank.n_sensors
     Uk = np.broadcast_to(Uk, (N, sys.n, sys.n + sys.m))
@@ -69,9 +73,7 @@ def distributed_round(
 
     alpha = sched.alpha(bank.k)
     G = bank.G
-    Y = np.empty_like(G)
-    for i in range(N):
-        Y[i] = y_operator(G[i], Uk[i], sys.Q, sys.R)
+    Y = y_operator(G, Uk, sys.Q, sys.R)
     # alpha * (gains * Y), scaled in place in that order.
     Y *= gains[:, :, None]
     Y *= alpha

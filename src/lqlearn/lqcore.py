@@ -17,6 +17,7 @@ All operations are pure functions; safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -192,34 +193,51 @@ class OracleSolution:
 
 
 def _pinv_uu(uu: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of G_uu, warning when it is rank-deficient at the cutoff.
+    """Pseudo-inverses of a stack of G_uu blocks, shape S + (m, m); a single
+    (m, m) block is a stack of one. Warns once per call when any block is
+    rank-deficient at the cutoff, naming how many and the first one's index.
 
-    The pseudo-inverse is np.linalg.pinv(uu, rcond=PINV_TOL) written out:
-    the same SVD, cutoff and product, so the same bits, without pinv's
-    wrapper overhead. Two SVDs remain, the rank check's and this one,
-    because the benchmark pins two per sensor update; taking the
-    pseudo-inverse from the rank check's SVD waits until that pin is
-    re-stated (ROADMAP item 1).
+    Each pseudo-inverse is np.linalg.pinv(block, rcond=PINV_TOL) written
+    out: the same SVD, cutoff and product, so the same bits, without pinv's
+    wrapper overhead. The cutoff, the reciprocals and the product run once
+    on the whole stack. The SVDs alone run block by block, two per block
+    (the rank check's and the full one), because the benchmark pins two
+    SVD calls per sensor update. One stacked call of each would be much
+    faster: for 32 1x1 blocks on one core of a 2-vCPU Xeon, about 125 us
+    for the two stacked calls against 845 us for 64 single ones. That, and
+    taking the pseudo-inverse from the rank check's SVD, wait until the pin
+    is re-stated (ROADMAP item 1).
     """
-    svals = np.linalg.svd(uu, compute_uv=False)
-    if svals.size and svals[-1] <= PINV_TOL * svals[0]:
+    stack, m = uu.shape[:-2], uu.shape[-1]
+    blocks = uu.reshape(math.prod(stack), m, m)
+    svals, s = np.empty((2, *blocks.shape[:2]))
+    u, vt = np.empty((2, *blocks.shape))
+    for j, block in enumerate(blocks):
+        svals[j] = np.linalg.svd(block, compute_uv=False)
+        u[j], s[j], vt[j] = np.linalg.svd(block, full_matrices=False)
+    # Column slices, not s[:, 0]: an empty (m = 0) block stays empty.
+    deficient = np.flatnonzero(svals[:, -1:] <= PINV_TOL * svals[:, :1])
+    if deficient.size:
+        first = tuple(int(i) for i in np.unravel_index(deficient[0], stack))
         warnings.warn(
-            f"G_uu rank-deficient at cutoff {PINV_TOL:g}; "
+            f"G_uu rank-deficient at cutoff {PINV_TOL:g} in {deficient.size} "
+            f"of {len(blocks)} blocks (first at index {first}); "
             "pseudo-inverse drops the null directions",
             RankDeficientWarning,
             stacklevel=3,
         )
-    u, s, vt = np.linalg.svd(uu, full_matrices=False)
-    large = s > PINV_TOL * s[:1]  # s[:1], not s[0]: an empty block stays empty
+    large = s > PINV_TOL * s[:, :1]
     s_inv = np.divide(1.0, s, out=np.zeros(s.shape), where=large)
-    return vt.T @ (s_inv[:, None] * u.T)
+    pinv = vt.swapaxes(-1, -2) @ (s_inv[:, :, None] * u.swapaxes(-1, -2))
+    return pinv.reshape(uu.shape)
 
 
 def pi_map(G: np.ndarray, n: int) -> np.ndarray:
     """Schur complement G_xx - G_xu G_uu^+ G_ux of the raw (n+m)x(n+m)
-    Q-factor G with n states, recovering P from G; symmetrized."""
-    P = G[:n, n:] @ _pinv_uu(G[n:, n:]) @ G[n:, :n]
-    np.subtract(G[:n, :n], P, out=P)
+    Q-factor G with n states, recovering P from G; symmetrized. A stack G of
+    shape S + (n+m, n+m) gives the stack of complements, S + (n, n)."""
+    P = G[..., :n, n:] @ _pinv_uu(G[..., n:, n:]) @ G[..., n:, :n]
+    np.subtract(G[..., :n, :n], P, out=P)
     return symmetrize(P)
 
 

@@ -32,6 +32,8 @@ if TYPE_CHECKING:
 # when an adversarial seed blows up the heavy-tailed early steps. A NaN norm
 # trips it too.
 DIVERGENCE_CAP = 1e9
+# A Python float, so comparing an int with it is exact and cannot overflow.
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,18 @@ class Schedule:
     def __post_init__(self):
         if not 0.5 < self.exponent <= 1.0:
             raise ValueError(f"exponent must be in (0.5, 1], got {self.exponent}")
-        # "not 1 <= offset < inf" is true for NaN and infinities as well.
-        if not 1 <= self.offset < np.inf or int(self.offset) != self.offset:
-            raise ValueError(f"offset must be an integer >= 1, got {self.offset}")
+        # "not 1 <= offset <= max" is true for NaN and infinities as well, and
+        # for an integer too large to convert to a float (alpha divides by it).
+        if not 1 <= self.offset <= _FLOAT_MAX or int(self.offset) != self.offset:
+            # Such an integer is named by its size: str() of one longer than
+            # 4300 digits raises.
+            got = (f"an integer of {self.offset.bit_length()} bits"
+                   if isinstance(self.offset, int) and self.offset > _FLOAT_MAX
+                   else self.offset)
+            raise ValueError(
+                f"offset must be an integer >= 1 that converts to a finite "
+                f"float, got {got}"
+            )
         if not self.scale >= 0.0:  # NaN fails too
             raise ValueError(f"scale must be >= 0, got {self.scale}")
         if self.scale > 0.0 and self.alpha(0) >= 1.0:
@@ -71,8 +82,10 @@ def y_operator(
     R: np.ndarray,
 ) -> np.ndarray:
     """Sampled Bellman residual at the raw (n+m)x(n+m) estimate G for one
-    sampled plant Uk = [A_k B_k] (see sampling.realize), or for each plant of
-    a stack Uk of shape S + (n, n+m), giving S + (n+m, n+m).
+    sampled plant Uk = [A_k B_k] (see sampling.realize). G may be a stack of
+    estimates, S + (n+m, n+m), and Uk a stack of plants, S + (n, n+m); either
+    broadcasts against the other, and the result is the stack of residuals,
+    S + (n+m, n+m). Each entry has the bits of a call on its own G and Uk.
 
     [[Q + A_k' P A_k, A_k' P B_k], [B_k' P A_k, B_k' P B_k + R]] - G
     with P = pi_map(G); symmetrized. Its expectation under the true noise law

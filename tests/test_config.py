@@ -220,6 +220,17 @@ class TestValidation:
         assert any(v.startswith(f"{path} must be an integer") for v in violations)
         assert any("rounds" in v for v in violations)  # reported alongside
 
+    def test_offset_beyond_float_range_rejected_by_the_schedule(self):
+        data = base_config(rounds=0)
+        data["schedule"]["offset"] = 10**400
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(data)
+        violations = info.value.violations
+        assert any(v.startswith("schedule: offset must be an integer >= 1")
+                   for v in violations)
+        assert not any("convert to float" in v for v in violations)
+        assert any("rounds" in v for v in violations)  # reported alongside
+
     @pytest.mark.parametrize("bad", ["0.2", True])
     def test_non_number_matrix_entry_rejected(self, bad):
         data = base_config()

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lqlearn import (
     NoiseModel,
+    RankDeficientWarning,
     RngStream,
     Schedule,
     SensorBank,
@@ -182,6 +185,23 @@ class TestDistributedRound:
         assert err.norm == pytest.approx(0.99 * 5e9, rel=1e-6)
         assert DivergedError("boom").sensor is None
         assert DivergedError("boom").norm is None
+
+    def test_rank_deficient_sensor_named_in_the_rounds_one_warning(self,
+                                                                    bench_sys):
+        # The round evaluates every sensor's residual in one call, so it
+        # warns once; the warning still points at the deficient sensor.
+        g = build_graph("ring:4")
+        mats = [bench_sys.cost_block() for _ in range(4)]
+        mats[2][2:, 2:] = 0.0  # G_uu = 0 at sensor 2 only
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            distributed_round(bank_of(bench_sys, mats), bench_sys,
+                              consensus_operator(g),
+                              allocate_gains(g, (2, 1), "uniform"),
+                              realize(bench_sys, 1.0), Schedule())
+        assert [w.category for w in caught] == [RankDeficientWarning]
+        message = str(caught[0].message)
+        assert "in 1 of 4 blocks (first at index (2,))" in message
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_estimate_raises_diverged(self, bad):

@@ -44,6 +44,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="offset must be an integer >= 1"):
             Schedule(offset=offset)
 
+    @pytest.mark.parametrize("offset", [2**1024, 10**400, 10**5000],
+                             ids=["2**1024", "10**400", "10**5000"])
+    def test_rejects_offset_beyond_float_range(self, offset):
+        # alpha divides by the offset as a float; an integer that cannot
+        # become one is rejected with the offset's own message, not with
+        # float()'s OverflowError.
+        with pytest.raises(ValueError, match="offset must be an integer >= 1"):
+            Schedule(offset=offset)
+
+    def test_largest_float_offset_accepted(self):
+        offset = 2**1023
+        assert Schedule(offset=offset).alpha(0) == (1.0 / float(offset)) ** 0.6
+
     def test_degenerate_zero_scale_allowed(self):
         sched = Schedule(scale=0.0)
         assert sched.alpha(0) == 0.0

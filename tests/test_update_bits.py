@@ -18,6 +18,7 @@ from lqlearn import (
     consensus_operator,
     distributed_round,
     realize,
+    symmetrize,
     y_operator,
 )
 from lqlearn.lqcore import PINV_TOL, _pinv_uu
@@ -82,6 +83,73 @@ def test_pinv_uu_equals_numpy_pinv_bit_for_bit(m):
         expected = [RankDeficientWarning] if deficient else []
         assert [w.category for w in caught] == expected
         assert _same_bits(got, np.linalg.pinv(uu, rcond=PINV_TOL))
+
+
+def _stacks(m):
+    """(stack, deficient flags) of the _uu_blocks(m) blocks in a fixed
+    shuffled order, with one leading axis and with two. The second has every
+    block in each row: scaled by 2**20 in the first row and backwards in
+    the second, so each block's cutoff must come from its own largest
+    singular value, not from another block's."""
+    blocks, flags = zip(*_uu_blocks(m))
+    order = np.random.default_rng(200 + m).permutation(len(blocks))
+    stack, flags = np.stack(blocks)[order], np.array(flags)[order]
+    yield stack, flags
+    yield np.stack([2.0**20 * stack, stack[::-1]]), np.stack([flags, flags[::-1]])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pinv_uu_on_a_stack_equals_numpy_pinv_per_block(m):
+    for stack, flags in _stacks(m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficientWarning)
+            got = _pinv_uu(stack)
+        assert got.shape == stack.shape
+        for index in np.ndindex(flags.shape):
+            assert _same_bits(got[index],
+                              np.linalg.pinv(stack[index], rcond=PINV_TOL))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pinv_uu_warns_once_per_stack_naming_the_first_deficient_block(m):
+    for stack, flags in _stacks(m):
+        cases = [(stack, flags)]
+        # The well-conditioned blocks alone, as one flat stack.
+        keep = ~flags.reshape(-1)
+        cases.append((stack.reshape(-1, m, m)[keep], flags.reshape(-1)[keep]))
+        for blocks, deficient in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _pinv_uu(blocks)
+            # One RankDeficientWarning for the whole call, or none, and never
+            # a divide-by-zero or invalid-value RuntimeWarning.
+            expected = [RankDeficientWarning] if deficient.any() else []
+            assert [w.category for w in caught] == expected
+            if deficient.any():
+                first = tuple(int(i) for i in np.argwhere(deficient)[0])
+                message = str(caught[0].message)
+                assert f"in {deficient.sum()} of {deficient.size} blocks" in message
+                assert f"(first at index {first})" in message
+
+
+@pytest.mark.parametrize("N", [1, 4, 32])
+@pytest.mark.parametrize("m", [1, 2])
+def test_y_operator_on_a_stack_equals_per_sensor_calls(N, m):
+    n = 2
+    rng = np.random.default_rng(40 + N + m)
+    U, V = rng.standard_normal((2, n, n + m))
+    Q = np.diag(rng.uniform(0.5, 1.5, n))
+    R = np.diag(rng.uniform(0.5, 1.5, m))
+    X = rng.standard_normal((N, n + m, n + m))
+    G = symmetrize(X @ X.swapaxes(1, 2) + 0.5 * np.eye(n + m))
+    omegas = rng.normal(1.0, 0.5, size=N)
+    shared = U + omegas[0] * V
+    private = U + omegas[:, None, None] * V
+    for Uk, plants in ((shared, [shared] * N), (private, private)):
+        assert _same_bits(
+            y_operator(G, Uk, Q, R),
+            np.stack([y_operator(G[i], plants[i], Q, R) for i in range(N)]),
+        )
 
 
 def test_y_operator_equals_reference_bit_for_bit(bench_sys):
