@@ -16,6 +16,7 @@ from .distributed import (
     distributed_round,
     initial_bank,
     run_distributed,
+    run_seeds,
 )
 from .errors import (
     BadSpecError,
@@ -123,6 +124,7 @@ __all__ = [
     "riccati_residual",
     "run_centralized",
     "run_distributed",
+    "run_seeds",
     "simulate_trajectory",
     "solve_oracle",
     "symmetrize",

@@ -5,6 +5,12 @@ Subcommands:
   run                  run the learner(s), write trace.csv / summary.json / plots
   validate-controller  check a learned gain against the oracle, write a report
 
+`run` learns its seeds a group at a time (trace.group_seeds bounds the
+floats a group's traces and one round's mixing hold), each kind of learner
+as one distributed.run_seeds batch: the centralized batch first, then the
+distributed batch on the seeds that did not diverge. Every output file and
+log line is the same as when each seed runs alone, in seed order.
+
 Exit codes: 0 clean, 2 validation error, 3 all runs diverged, 4 oracle
 failure, 5 partial divergence. Log verbosity via the QLEARN_LOG env var.
 """
@@ -29,7 +35,7 @@ from .config import (
     preset_names,
     read_json,
 )
-from .distributed import run_distributed
+from .distributed import run_seeds
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -50,6 +56,7 @@ from .network import allocate_gains
 from .qlearning import single_sensor
 from .sampling import RngStream, monte_carlo_cost
 from .svgplot import line_plot
+from .trace import group_seeds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -138,19 +145,11 @@ def _plot_trace(trace, plot_dir: Path, kind: str) -> None:
                   "iteration k", ylabel)
 
 
-def _run_one_seed(
-    config: ExperimentConfig,
-    mode: str,
-    seed: int,
-    oracle: OracleSolution,
-    seed_dir: Path,
-) -> dict:
-    entry: dict = {"seed": seed, "status": "ok"}
-    seed_dir.mkdir(parents=True, exist_ok=True)
+def _learners(config: ExperimentConfig) -> dict:
+    """kind -> (graph, gains, options); the centralized run is one sensor
+    with L_1 = I on the learning stream itself."""
     dims = (config.system.n, config.system.m)
-    # kind -> (graph, gains, options); the centralized run is one sensor
-    # with L_1 = I on the learning stream itself.
-    learners = {
+    return {
         "centralized": (*single_sensor(config.system), {}),
         "distributed": (
             config.graph,
@@ -163,37 +162,80 @@ def _run_one_seed(
             },
         ),
     }
-    kinds = tuple(learners) if mode == "both" else (mode,)
-    try:
-        for kind in kinds:
-            graph, gains, options = learners[kind]
-            trace = run_distributed(
+
+
+def _diverged_entry(entry: dict, kind: str, exc: DivergedError) -> None:
+    entry["status"] = "diverged"
+    entry["kind"] = kind
+    entry["round"] = exc.step
+    if exc.sensor is not None:
+        entry["sensor"] = exc.sensor
+    if exc.norm is not None:
+        # JSON has no NaN or infinity: a non-finite norm is written as
+        # its Python spelling, "nan" or "inf".
+        entry["norm"] = exc.norm if np.isfinite(exc.norm) else repr(exc.norm)
+
+
+def _write_kind(results, seeds, kind: str, name: str, entries: dict,
+                out_dir: Path) -> dict:
+    """Write each finished seed's trace, plots and stats for one kind of
+    learner; return the error of each seed that diverged."""
+    errors = {}
+    for seed, trace in zip(seeds, results):
+        if isinstance(trace, DivergedError):
+            errors[seed] = trace
+            _diverged_entry(entries[seed], kind, trace)
+            continue
+        seed_dir = out_dir / f"seed_{seed:04d}"
+        trace.write_csv(seed_dir / name)
+        _plot_trace(trace, seed_dir / "plots", kind)
+        entries[seed][kind] = _trace_stats(trace)
+    return errors
+
+
+def _run_group(
+    config: ExperimentConfig,
+    mode: str,
+    seeds,
+    oracle: OracleSolution,
+    out_dir: Path,
+) -> list[dict]:
+    """Learn a group of seeds, each kind as one batch, and write each seed's
+    traces, plots and summary entry; a seed that diverges under one kind
+    skips the next. Logs each seed's outcome in seed order."""
+    entries = {seed: {"seed": seed, "status": "ok"} for seed in seeds}
+    errors = {}
+    for seed in seeds:
+        (out_dir / f"seed_{seed:04d}").mkdir(parents=True, exist_ok=True)
+    learners = _learners(config)
+    for kind in tuple(learners) if mode == "both" else (mode,):
+        graph, gains, options = learners[kind]
+        learning = [seed for seed in seeds if seed not in errors]
+        # One kind's traces are dropped before the next kind learns.
+        errors |= _write_kind(
+            run_seeds(
                 config.system,
                 config.noise,
                 graph,
                 gains,
                 config.schedule,
                 config.rounds,
-                RngStream(seed, _STREAM_LEARN),
+                [RngStream(seed, _STREAM_LEARN) for seed in learning],
                 oracle=oracle,
                 **options,
-            )
-            name = f"trace_{kind}.csv" if mode == "both" else "trace.csv"
-            trace.write_csv(seed_dir / name)
-            _plot_trace(trace, seed_dir / "plots", kind)
-            entry[kind] = _trace_stats(trace)
-    except DivergedError as exc:
-        entry["status"] = "diverged"
-        entry["kind"] = kind
-        entry["round"] = exc.step
-        if exc.sensor is not None:
-            entry["sensor"] = exc.sensor
-        if exc.norm is not None:
-            # JSON has no NaN or infinity: a non-finite norm is written as
-            # its Python spelling, "nan" or "inf".
-            entry["norm"] = exc.norm if np.isfinite(exc.norm) else repr(exc.norm)
-        log.warning("seed %d %s learner diverged: %s", seed, kind, exc)
-    return entry
+            ),
+            learning,
+            kind,
+            f"trace_{kind}.csv" if mode == "both" else "trace.csv",
+            entries,
+            out_dir,
+        )
+    for seed in seeds:
+        if seed in errors:
+            log.warning("seed %d %s learner diverged: %s", seed,
+                        entries[seed]["kind"], errors[seed])
+        log.info("seed %d: %s", seed, entries[seed]["status"])
+    return list(entries.values())
 
 
 def _median_over(runs: list[dict], kind: str, key: str):
@@ -207,12 +249,15 @@ def _median_over(runs: list[dict], kind: str, key: str):
 
 def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
     oracle = _solve(config)
+    # Seeds are learned a group at a time, so only one group's traces are
+    # alive at once and a round's temporaries stay bounded (trace.group_seeds).
+    n_sensors = 1 if mode == "centralized" else config.graph.n_sensors
+    size = group_seeds(n_sensors, config.system.n + config.system.m, config.rounds)
+    seeds = config.seeds
     runs = []
-    for seed in config.seeds:
-        seed_dir = out_dir / f"seed_{seed:04d}"
-        entry = _run_one_seed(config, mode, seed, oracle, seed_dir)
-        runs.append(entry)
-        log.info("seed %d: %s", seed, entry["status"])
+    for start in range(0, len(seeds), size):
+        group = seeds[start:start + size]
+        runs.extend(_run_group(config, mode, group, oracle, out_dir))
 
     medians = {}
     for kind in ("centralized", "distributed"):
@@ -256,25 +301,32 @@ def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
 
 
 def _read_run(config: ExperimentConfig, summary_path: Path, seed: int | None):
-    """(seed, kind, final averaged estimate) of one run in summary.json.
+    """(seed, kind, final averaged estimate, problem) of one run in
+    summary.json.
 
-    seed None picks the summary's first seed; kind and the estimate are None
-    when that seed has no clean run. An unreadable or wrongly shaped summary
-    raises OSError, ValueError, LookupError or TypeError.
+    seed None picks the summary's first seed. When that seed has no clean
+    run, kind and the estimate are None and problem says why: the seed is
+    not in the summary, or its run diverged. An unreadable or wrongly shaped
+    summary raises OSError, ValueError, LookupError or TypeError.
     """
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     if seed is None:
         seed = summary["seeds"][0]
     run = next((r for r in summary["runs"] if r["seed"] == seed), None)
-    if run is None or run["status"] != "ok":
-        return seed, None, None
+    if run is None:
+        listed = ", ".join(map(str, summary["seeds"]))
+        problem = f"seed {seed} is not in {summary_path} (seeds: {listed})"
+        return seed, None, None, problem
+    if run["status"] != "ok":
+        problem = f"no clean run for seed {seed} in {summary_path}"
+        return seed, None, None, problem
     kind = "distributed" if "distributed" in run else "centralized"
     G_final = QFactor.symmetrized(
         np.asarray(run[kind]["final_G_mean"], dtype=float),
         config.system.n,
         config.system.m,
     )
-    return seed, kind, G_final
+    return seed, kind, G_final, None
 
 
 def cmd_validate_controller(
@@ -282,14 +334,14 @@ def cmd_validate_controller(
 ) -> int:
     summary_path = out_dir / "summary.json"
     try:
-        seed, kind, G_final = _read_run(config, summary_path, seed)
+        seed, kind, G_final, problem = _read_run(config, summary_path, seed)
     except (OSError, ValueError, LookupError, TypeError) as exc:
         print(f"cannot read {summary_path}: {type(exc).__name__}: {exc} "
               "(run `lqlearn run` first)", file=_sys.stderr)
         return EXIT_VALIDATION
     oracle = _solve(config)
-    if G_final is None:
-        print(f"no clean run for seed {seed} in {summary_path}", file=_sys.stderr)
+    if problem is not None:
+        print(problem, file=_sys.stderr)
         return EXIT_VALIDATION
 
     learned = gamma_map(G_final.mat, G_final.n)

@@ -8,10 +8,15 @@ synchronous round, computes from the pre-round estimates (Jacobi-style)
 where w is the consensus weight, L_i the sensor's innovation gain
 (sum_i L_i = N*I) and Y the sampled Bellman residual. The N estimates are
 held as one (N, d, d) array, and each step of a round runs once on the whole
-stack, the residuals included: one y_operator call per round. Only the two
-SVDs of each sensor's G_uu block still run sensor by sensor, inside
-lqcore._pinv_uu. With a single sensor and L_1 = I the round is exactly the
-centralized iteration, which is how lqlearn.qlearning runs it.
+stack, the residuals included: one y_operator call per round. run_seeds
+learns S seeds (independent noise streams) at once on one (S, N, d, d)
+stack, so a round is still one y_operator call, one mixing step, one
+symmetrize and one guard; a seed that trips the guard leaves the stack and
+the others go on. Each seed's trace and error equal those of its run alone,
+bit for bit, and run_distributed is the one-seed case. Only the two SVDs of
+each G_uu block still run block by block, inside lqcore._pinv_uu. With a
+single sensor and L_1 = I the round is exactly the centralized iteration,
+which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,54 @@ class SensorBank:
         return self.G.shape[0]
 
 
+def _round(
+    G: np.ndarray,
+    Uk: np.ndarray,
+    sys: SystemModel,
+    cons: ConsensusOperator,
+    gains: np.ndarray,
+    alpha: float,
+    k: int,
+) -> tuple[np.ndarray, dict]:
+    """Round k + 1 on a stack of banks G, shape S + (N, d, d), at step size
+    alpha; Uk broadcasts to S + (N, n, n+m).
+
+    Returns the post-round stack and, for each index in S whose bank left the
+    guard, the DivergedError its bank alone raises. Every bank of the stack
+    gets the bits of a round on its own.
+    """
+    Uk = np.broadcast_to(Uk, (*G.shape[:-2], sys.n, sys.n + sys.m))
+    Y = y_operator(G, Uk, sys.Q, sys.R)
+    # alpha * (gains * Y), scaled in place in that order.
+    Y *= gains[:, :, None]
+    Y *= alpha
+    if cons.graph.edges:
+        # L.G taken over the pairwise differences G_j - G_i (rows of L sum
+        # to zero), so estimates that agree stay bit-exact on any graph.
+        diff = G[..., None, :, :, :] - G[..., :, None, :, :]
+        G = G - cons.w * np.einsum("ij,...ijab->...iab", cons.L, diff)
+    # Without edges L = 0 and the mixing term is exact zeros: G stays G.
+    Y += G
+    G = symmetrize(Y)
+
+    norms = np.linalg.norm(G, axis=(-2, -1))
+    diverged = {}
+    # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
+    if not norms.max() <= DIVERGENCE_CAP:
+        for s in np.ndindex(norms.shape[:-1]):
+            out = ~(norms[s] <= DIVERGENCE_CAP)
+            if out.any():
+                i = int(out.argmax())
+                diverged[s] = DivergedError(
+                    f"sensor {i} left ||G||_F <= {DIVERGENCE_CAP:g} "
+                    f"(norm {norms[s][i]:g}) at round {k + 1}",
+                    step=k + 1,
+                    sensor=i,
+                    norm=float(norms[s][i]),
+                )
+    return G, diverged
+
+
 def distributed_round(
     bank: SensorBank,
     sys: SystemModel,
@@ -66,36 +119,12 @@ def distributed_round(
     such sensor's index.
     """
     N = bank.n_sensors
-    Uk = np.broadcast_to(Uk, (N, sys.n, sys.n + sys.m))
     if gains.shape[0] != N or cons.graph.n_sensors != N:
         raise ValueError("bank, consensus operator and gains must agree on "
                          "the sensor count")
-
-    alpha = sched.alpha(bank.k)
-    G = bank.G
-    Y = y_operator(G, Uk, sys.Q, sys.R)
-    # alpha * (gains * Y), scaled in place in that order.
-    Y *= gains[:, :, None]
-    Y *= alpha
-    if cons.graph.edges:
-        # L.G taken over the pairwise differences G_j - G_i (rows of L sum
-        # to zero), so estimates that agree stay bit-exact on any graph.
-        G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
-    # Without edges L = 0 and the mixing term is exact zeros: G stays G.
-    Y += G
-    G = symmetrize(Y)
-
-    # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
-    norms = np.linalg.norm(G, axis=(1, 2))
-    if not norms.max() <= DIVERGENCE_CAP:
-        i = int(np.argmin(norms <= DIVERGENCE_CAP))
-        raise DivergedError(
-            f"sensor {i} left ||G||_F <= {DIVERGENCE_CAP:g} (norm {norms[i]:g}) "
-            f"at round {bank.k + 1}",
-            step=bank.k + 1,
-            sensor=i,
-            norm=float(norms[i]),
-        )
+    G, diverged = _round(bank.G, Uk, sys, cons, gains, sched.alpha(bank.k), bank.k)
+    if diverged:
+        raise diverged[()]
     return SensorBank(G=G, k=bank.k + 1)
 
 
@@ -132,6 +161,79 @@ def initial_bank(
     return SensorBank(G=G, k=0)
 
 
+def run_seeds(
+    sys: SystemModel,
+    noise: NoiseModel,
+    graph: Graph,
+    gains: np.ndarray,
+    sched: Schedule,
+    rounds: int,
+    rngs: list[RngStream],
+    *,
+    oracle=None,
+    w: float | None = None,
+    shared_noise: bool = True,
+    init: str = "identity",
+    spread_scale: float = 0.1,
+) -> list[RunTrace | DivergedError]:
+    """Learn one seed per stream in rngs at once; see run_distributed for
+    the arguments.
+
+    Returns, per stream and in order, the trace of its run or the
+    DivergedError that stopped it, each equal bit for bit to what
+    run_distributed on that stream alone returns or raises. The S seeds are
+    stepped as one (S, N, d, d) stack. Each draws its own (rounds, 1 or N)
+    noise tape from its own stream, so the tape is (rounds, S, 1 or N). A
+    seed that trips the guard leaves the stack at that round; the rest go
+    on. Blocks of rounds are sized so that the (S, B, N, d, d) estimates and
+    each trace's metric pass keep to trace.block_rounds's budget.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    cons = consensus_operator(graph, w)
+    if not rngs:
+        return []
+    N = graph.n_sensors
+    G = np.stack([
+        initial_bank(sys, N, rng, init=init, spread_scale=spread_scale).G
+        for rng in rngs
+    ])
+
+    # Each seed's own stream with shared noise, else one substream per
+    # sensor: the tape is (rounds, S, 1) or (rounds, S, N).
+    streams = [[rng] if shared_noise else [
+        rng.substream(_NS_SENSOR_NOISE, i) for i in range(N)] for rng in rngs]
+    tape = np.array([[draw_noise(r, noise, rounds) for r in seed_streams]
+                     for seed_streams in streams]).transpose(2, 0, 1)
+
+    G_star = None if oracle is None else oracle.G_star.mat
+    results: list = [RunTrace(N, G_star=G_star) for _ in rngs]
+    live = np.arange(len(rngs))  # results index of each seed on the stack
+    B = block_rounds(N, sys.n + sys.m, len(rngs))
+    Gs = np.empty((len(rngs), min(B, rounds), *G.shape[1:]))
+    alphas = np.empty(Gs.shape[1])
+    for start in range(0, rounds, B):
+        block = tape[start:start + B]
+        b = len(block)
+        plants = realize(sys, block[:, live])
+        for j in range(b):
+            k = start + j
+            alphas[j] = alpha = sched.alpha(k)
+            G, diverged = _round(G, plants[j], sys, cons, gains, alpha, k)
+            if diverged:
+                for (s,), exc in diverged.items():
+                    results[live[s]] = exc
+                keep = [s for s in range(len(live)) if (s,) not in diverged]
+                if not keep:
+                    return results
+                live, G, Gs, plants = live[keep], G[keep], Gs[keep], plants[:, keep]
+            Gs[:, j] = G
+        for i, G_seed in zip(live, Gs):
+            results[i].record_round(alphas[:b], np.broadcast_to(block[:, i], (b, N)),
+                                    G_seed[:b])
+    return results
+
+
 def run_distributed(
     sys: SystemModel,
     noise: NoiseModel,
@@ -157,33 +259,17 @@ def run_distributed(
     by the block. shared_noise=True evaluates every sensor's residual on the
     same sampled plant (one draw per round from rng); otherwise each sensor
     owns a private noise substream. When an oracle is supplied the trace
-    also records the error of the averaged iterate to G*.
+    also records the error of the averaged iterate to G*. This is run_seeds
+    on the one stream rng; a run that trips the guard raises its
+    DivergedError.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    cons = consensus_operator(graph, w)
-    N = graph.n_sensors
-
-    bank = initial_bank(sys, N, rng, init=init, spread_scale=spread_scale)
-    streams = [rng] if shared_noise else [
-        rng.substream(_NS_SENSOR_NOISE, i) for i in range(N)
-    ]
-    # (rounds, 1) with shared noise, else (rounds, N).
-    tape = np.stack([draw_noise(r, noise, rounds) for r in streams], axis=1)
-
-    trace = RunTrace(N, G_star=None if oracle is None else oracle.G_star.mat)
-    B = block_rounds(N, sys.n + sys.m)
-    G = np.empty((min(B, rounds), *bank.G.shape))
-    alphas = np.empty(len(G))
-    for start in range(0, rounds, B):
-        block = tape[start:start + B]
-        b = len(block)
-        for j, Uk in enumerate(realize(sys, block)):
-            alphas[j] = sched.alpha(bank.k)
-            bank = distributed_round(bank, sys, cons, gains, Uk, sched)
-            G[j] = bank.G
-        trace.record_round(alphas[:b], np.broadcast_to(block, (b, N)), G[:b])
-    return trace
+    (result,) = run_seeds(
+        sys, noise, graph, gains, sched, rounds, [rng], oracle=oracle, w=w,
+        shared_noise=shared_noise, init=init, spread_scale=spread_scale,
+    )
+    if isinstance(result, DivergedError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)

@@ -32,13 +32,33 @@ CSV_COLUMNS = (
 # (B, N, N, d, d) stack of pairwise differences behind the consensus
 # diameter. At d = 3 a block is 3 rounds on ring:32 and 227 on ring:4.
 # Above 60 sensors a single round exceeds the budget, so the differences
-# are taken over chunks of sensor rows, (B, rows, N, d, d) at a time.
+# are taken over chunks of sensor rows, (B, rows, N, d, d) at a time. A
+# learner stepping S seeds at once also keeps their (S, B, N, d, d)
+# post-round estimates within it.
 _BLOCK_FLOATS = 2**15
 
+# Floats the traces of one group of seeds may hold (about 8 MB of Python
+# floats): `lqlearn run` learns its seeds a group at a time, so its memory
+# does not grow with the seed count. At d = 3 and 200 rounds a group is 54
+# seeds on ring:4 and 87 on the single sensor; on ring:32 one round's mixing
+# differences bind first (see group_seeds), at 3 seeds.
+_GROUP_FLOATS = 2**18
 
-def block_rounds(n_sensors: int, d: int) -> int:
+
+def block_rounds(n_sensors: int, d: int, n_seeds: int = 1) -> int:
     """Rounds per block: as many as fit the float budget, at least one."""
-    return max(1, _BLOCK_FLOATS // (n_sensors * n_sensors * d * d))
+    return max(1, _BLOCK_FLOATS // (n_sensors * d * d * max(n_sensors, n_seeds)))
+
+
+def group_seeds(n_sensors: int, d: int, rounds: int) -> int:
+    """Seeds per group, at least one: as many as keep their traces within
+    the group budget and one round's (S, N, N, d, d) mixing differences
+    within the block budget. A trace keeps, per round, three floats per
+    sensor (omega, norm1 and the error to G*), the d x d averaged iterate
+    and three scalars."""
+    traces = _GROUP_FLOATS // (rounds * (3 * n_sensors + d * d + 3))
+    mixing = _BLOCK_FLOATS // (n_sensors * n_sensors * d * d)
+    return max(1, min(traces, mixing))
 
 
 class RunTrace:

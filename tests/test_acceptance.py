@@ -34,10 +34,12 @@ from lqlearn import (
     riccati_residual,
     run_centralized,
     run_distributed,
+    run_seeds,
     solve_oracle,
     symmetrize,
     y_operator,
 )
+from lqlearn.qlearning import single_sensor
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -125,14 +127,15 @@ def test_criterion_04_centralized_convergence_trend(preset_cfg,
                                                     preset_oracle):
     with criterion(4, "centralized error at k=5000 under 25% of its k=50 value",
                    budget_s=60.0):
-        errs_50, errs_5000 = [], []
-        for seed in range(20):
-            trace = run_centralized(
-                preset_cfg.system, preset_cfg.noise, preset_cfg.schedule,
-                5000, RngStream(seed), oracle=preset_oracle,
-            )
-            errs_50.append(trace.mean_err[49])
-            errs_5000.append(trace.mean_err[4999])
+        # The 20 seeds learn as one batch, each with the bits of its own
+        # run_centralized (tests/test_distributed.py::TestRunSeeds).
+        traces = run_seeds(
+            preset_cfg.system, preset_cfg.noise,
+            *single_sensor(preset_cfg.system), preset_cfg.schedule, 5000,
+            [RngStream(seed) for seed in range(20)], oracle=preset_oracle,
+        )
+        errs_50 = [trace.mean_err[49] for trace in traces]
+        errs_5000 = [trace.mean_err[4999] for trace in traces]
         assert np.median(errs_5000) < 0.25 * np.median(errs_50)
 
 
@@ -146,14 +149,12 @@ def test_criterion_05_consensus(preset_cfg, preset_oracle):
 
         # identical-start runs keep the sensors identical, so the diameter
         # trend is probed from the spread initialization
-        shrunk = 0
-        for seed in range(20):
-            trace = run_distributed(
-                preset_cfg.system, preset_cfg.noise, graph, alloc,
-                preset_cfg.schedule, 200, RngStream(seed),
-                w=1.0 / 3.0, init="spread",
-            )
-            shrunk += trace.diameters[199] < trace.diameters[9]
+        traces = run_seeds(
+            preset_cfg.system, preset_cfg.noise, graph, alloc,
+            preset_cfg.schedule, 200, [RngStream(seed) for seed in range(20)],
+            w=1.0 / 3.0, init="spread",
+        )
+        shrunk = sum(trace.diameters[199] < trace.diameters[9] for trace in traces)
         assert shrunk >= 19
 
         frozen = Schedule(scale=0.0)

@@ -1,9 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from lqlearn import cli
+from lqlearn import cli, trace
 from lqlearn.config import preset_file, read_json
 from lqlearn.errors import DivergedError
 
@@ -18,6 +19,14 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def masked_config(tmp_path, offset):
+    """The paper_sec4 preset with masked gains and the schedule offset."""
+    data = read_json(preset_file("paper_sec4"))
+    data.update(gain_mode="masked",
+                schedule={**data["schedule"], "offset": offset})
+    return write_config(tmp_path, data, name=f"masked{offset}.json")
 
 
 def single_sensor_config(tmp_path):
@@ -263,10 +272,10 @@ class TestCmdRun:
         assert violation in capsys.readouterr().err
 
     def test_all_diverged_exit_code(self, tmp_path, monkeypatch):
-        def explode(*args, **kwargs):
-            raise DivergedError("boom", step=3)
+        def explode(sys, noise, graph, alloc, sched, rounds, rngs, **kwargs):
+            return [DivergedError("boom", step=3) for _ in rngs]
 
-        monkeypatch.setattr(cli, "run_distributed", explode)
+        monkeypatch.setattr(cli, "run_seeds", explode)
         code = run_cli("run", "--preset", "paper_sec4", "--seeds", "1",
                        "--out", tmp_path / "all")
         assert code == 3
@@ -293,21 +302,94 @@ class TestCmdRun:
         assert entry["norm"] > 1e9
 
     def test_partial_divergence_exit_code(self, tmp_path, monkeypatch):
-        real = cli.run_distributed
+        real = cli.run_seeds
 
         def explode_for_seed_zero(sys, noise, graph, alloc, sched, rounds,
-                                  rng, **kwargs):
-            if rng.seed == 0:
-                raise DivergedError("boom", step=7)
-            return real(sys, noise, graph, alloc, sched, rounds, rng, **kwargs)
+                                  rngs, **kwargs):
+            results = real(sys, noise, graph, alloc, sched, rounds, rngs, **kwargs)
+            return [DivergedError("boom", step=7) if rng.seed == 0 else result
+                    for rng, result in zip(rngs, results)]
 
-        monkeypatch.setattr(cli, "run_distributed", explode_for_seed_zero)
+        monkeypatch.setattr(cli, "run_seeds", explode_for_seed_zero)
         code = run_cli("run", "--preset", "paper_sec4", "--seeds", "2",
                        "--rounds", "10", "--out", tmp_path / "part")
         assert code == 5
         summary = json.loads((tmp_path / "part" / "summary.json").read_text())
         statuses = {r["seed"]: r["status"] for r in summary["runs"]}
         assert statuses == {0: "diverged", 1: "ok"}
+
+    def test_seed_diverged_under_centralized_skips_distributed(self, tmp_path,
+                                                              monkeypatch):
+        real = cli.run_seeds
+        batches = []
+
+        def centralized_seed_zero_explodes(sys, noise, graph, alloc, sched,
+                                           rounds, rngs, **kwargs):
+            batches.append((graph.n_sensors, [rng.seed for rng in rngs]))
+            results = real(sys, noise, graph, alloc, sched, rounds, rngs, **kwargs)
+            return [DivergedError("boom", step=4)
+                    if graph.n_sensors == 1 and rng.seed == 0 else result
+                    for rng, result in zip(rngs, results)]
+
+        monkeypatch.setattr(cli, "run_seeds", centralized_seed_zero_explodes)
+        out = tmp_path / "cent"
+        code = run_cli("run", "--preset", "paper_sec4", "--mode", "both",
+                       "--seeds", "3", "--rounds", "10", "--out", out)
+        assert code == 5
+        assert batches == [(1, [0, 1, 2]), (4, [1, 2])]
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert runs[0] == {"seed": 0, "status": "diverged",
+                           "kind": "centralized", "round": 4}
+        assert not any((out / "seed_0000").iterdir())
+        assert all("distributed" in run for run in runs[1:])
+
+    def test_masked_offset_six_partial_divergence(self, tmp_path):
+        # Unpatched: with masked gains and offset 6 on the preset's ring:4,
+        # seeds 2, 3 and 8 of 0-9 diverge (sensor 1, rounds 12, 12 and 8)
+        # and leave the batch; the other seven finish.
+        out = tmp_path / "masked"
+        code = run_cli("run", "--config", masked_config(tmp_path, 6), "--mode",
+                       "both", "--seeds", "10", "--out", out)
+        assert code == 5
+        summary = json.loads((out / "summary.json").read_text())
+        diverged = {2: 12, 3: 12, 8: 8}
+        for run in summary["runs"]:
+            seed = run["seed"]
+            files = {p.name for p in (out / f"seed_{seed:04d}").iterdir()}
+            if seed in diverged:
+                assert run["status"] == "diverged"
+                assert (run["kind"], run["round"], run["sensor"]) == (
+                    "distributed", diverged[seed], 1)
+                assert files == {"trace_centralized.csv", "plots"}
+            else:
+                assert run["status"] == "ok"
+                assert files == {"trace_centralized.csv",
+                                 "trace_distributed.csv", "plots"}
+        assert [r["seed"] for r in summary["runs"]] == list(range(10))
+
+    def test_seed_groups_give_the_same_output(self, tmp_path, monkeypatch,
+                                              capsys, caplog):
+        # Seeds are learned a group at a time; how they are grouped must not
+        # show in any output file, in stdout or in the log.
+        caplog.set_level(logging.INFO, logger="lqlearn")
+        config = masked_config(tmp_path, 6)
+        outputs = []
+        for budget in (None, 1, 3 * 20 * (3 * 4 + 9 + 3)):
+            if budget is not None:
+                monkeypatch.setattr(trace, "_GROUP_FLOATS", budget)
+            out = tmp_path / f"group_{budget}"
+            assert run_cli("run", "--config", config, "--mode", "both",
+                           "--seeds", "10", "--rounds", "20", "--out", out) == 5
+            files = {str(p.relative_to(out)): p.read_bytes()
+                     for p in out.rglob("*") if p.is_file()}
+            assert len(files) == 1 + 10 * 3 + 7 * 3
+            outputs.append((files, capsys.readouterr().out.replace(str(out), "OUT"),
+                            caplog.messages[:]))
+            caplog.clear()
+        assert len(outputs[0][2]) == 13  # one line per seed, one per divergence
+        assert trace.group_seeds(4, 3, 20) == 3
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestCmdValidateController:
@@ -382,6 +464,31 @@ class TestCmdValidateController:
         assert report["stable"] is False
         assert report["monte_carlo_cost"] is None
         assert report["ms_spectral_radius"] >= 1.0
+
+    def test_seed_not_in_summary_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "paper_sec4", "--seeds", "2",
+                       "--rounds", "5", "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("validate-controller", "--preset", "paper_sec4",
+                       "--seed", "5", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"seed 5 is not in {out / 'summary.json'} (seeds: 0, 1)" in err
+        assert "no clean run" not in err
+        assert not (out / "controller_report.json").exists()
+
+    def test_diverged_seed_has_no_clean_run_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", masked_config(tmp_path, 6),
+                       "--seeds", "1,3", "--rounds", "20", "--out", out) == 5
+        capsys.readouterr()
+        assert run_cli("validate-controller", "--config",
+                       masked_config(tmp_path, 6), "--seed", "3",
+                       "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"no clean run for seed 3 in {out / 'summary.json'}" in err
+        assert "is not in" not in err
+        assert not (out / "controller_report.json").exists()
 
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("validate-controller", "--preset", "paper_sec4",

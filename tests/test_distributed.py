@@ -17,11 +17,15 @@ from lqlearn import (
     consensus_operator,
     distributed_round,
     initial_bank,
+    load_preset,
     realize,
     run_centralized,
     run_distributed,
+    run_seeds,
+    solve_oracle,
     symmetrize,
 )
+from lqlearn.qlearning import single_sensor
 from lqlearn.errors import DivergedError, SeedMismatchError
 
 
@@ -397,3 +401,93 @@ class TestCompareCentralized:
         report = compare_centralized(td, tc)
         assert report.n_rounds == 60
         assert report.max_gap == 0.0
+
+
+def assert_same_trace(batch, solo):
+    """Every column of two traces, and the final estimate, bit for bit."""
+    assert (batch.n_sensors, batch.n_rounds) == (solo.n_sensors, solo.n_rounds)
+    for column in ("alphas", "omegas", "norm1", "diameters", "fro_err",
+                   "mean_err", "max_fro_norm"):
+        assert getattr(batch, column) == getattr(solo, column), column
+    assert len(batch.mean_history) == len(solo.mean_history)
+    for a, b in zip(batch.mean_history, solo.mean_history):
+        assert np.array_equal(a, b)
+    assert np.array_equal(batch.final_mean(), solo.final_mean())
+
+
+class TestRunSeeds:
+    """A seed learned inside a batch gives the bits of its run alone."""
+
+    @pytest.fixture(scope="class")
+    def preset(self):
+        cfg = load_preset("paper_sec4")
+        return cfg, solve_oracle(cfg.system, cfg.noise)
+
+    def check_batch(self, cfg, graph, gains, sched, rounds, seeds, **options):
+        rngs = [RngStream(seed) for seed in seeds]
+        batch = run_seeds(cfg.system, cfg.noise, graph, gains, sched, rounds,
+                          rngs, **options)
+        assert len(batch) == len(seeds)
+        outcomes = {}
+        for seed, result in zip(seeds, batch):
+            try:
+                solo = run_distributed(cfg.system, cfg.noise, graph, gains,
+                                       sched, rounds, RngStream(seed), **options)
+            except DivergedError as exc:
+                assert isinstance(result, DivergedError)
+                assert (result.step, result.sensor, result.norm, str(result)) == (
+                    exc.step, exc.sensor, exc.norm, str(exc))
+                outcomes[seed] = (result.step, result.sensor)
+            else:
+                assert_same_trace(result, solo)
+                outcomes[seed] = "ok"
+        return outcomes
+
+    def test_paper_preset_shared_noise(self, preset):
+        cfg, oracle = preset
+        gains = allocate_gains(cfg.graph, (2, 1), cfg.gain_mode)
+        outcomes = self.check_batch(cfg, cfg.graph, gains, cfg.schedule, 200,
+                                    range(5), oracle=oracle, shared_noise=True)
+        assert set(outcomes.values()) == {"ok"}
+
+    def test_single_sensor(self, preset):
+        cfg, oracle = preset
+        graph, gains = single_sensor(cfg.system)
+        outcomes = self.check_batch(cfg, graph, gains, cfg.schedule, 200,
+                                    [0, 7, 3], oracle=oracle)
+        assert set(outcomes.values()) == {"ok"}
+
+    def test_ring32_private_noise_spread_init(self, preset):
+        # Three ring:32 seeds make blocks of three rounds: 12 rounds step
+        # four blocks.
+        cfg, oracle = preset
+        graph = build_graph("ring:32")
+        gains = allocate_gains(graph, (2, 1), "uniform")
+        outcomes = self.check_batch(cfg, graph, gains, cfg.schedule, 12,
+                                    range(3), oracle=oracle, shared_noise=False,
+                                    init="spread")
+        assert set(outcomes.values()) == {"ok"}
+
+    def test_diverged_seeds_leave_the_batch(self, preset):
+        # Masked gains at offset 6: seeds 2, 3 and 8 trip the guard at
+        # sensor 1 and leave the stack; the other seven learn on, each with
+        # the bits of its run alone.
+        cfg, oracle = preset
+        gains = allocate_gains(cfg.graph, (2, 1), "masked")
+        outcomes = self.check_batch(cfg, cfg.graph, gains, Schedule(offset=6),
+                                    200, range(10), oracle=oracle)
+        assert outcomes == {0: "ok", 1: "ok", 2: (12, 1), 3: (12, 1), 4: "ok",
+                            5: "ok", 6: "ok", 7: "ok", 8: (8, 1), 9: "ok"}
+
+    def test_all_seeds_diverge(self, preset):
+        cfg, _ = preset
+        gains = allocate_gains(cfg.graph, (2, 1), "masked")
+        outcomes = self.check_batch(cfg, cfg.graph, gains, cfg.schedule, 200,
+                                    range(3))
+        assert all(outcome != "ok" for outcome in outcomes.values())
+
+    def test_no_streams(self, preset):
+        cfg, _ = preset
+        gains = allocate_gains(cfg.graph, (2, 1), "uniform")
+        assert run_seeds(cfg.system, cfg.noise, cfg.graph, gains, cfg.schedule,
+                         10, []) == []

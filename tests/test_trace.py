@@ -17,7 +17,13 @@ from lqlearn import (
     run_distributed,
 )
 from lqlearn.distributed import _NS_SENSOR_NOISE
-from lqlearn.trace import CSV_COLUMNS, block_rounds
+from lqlearn.trace import (
+    _BLOCK_FLOATS,
+    _GROUP_FLOATS,
+    CSV_COLUMNS,
+    block_rounds,
+    group_seeds,
+)
 
 
 def _sym(rng, shape):
@@ -250,3 +256,24 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path, n_sensors,
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     assert path.read_bytes() == _reference_csv(trace).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "n_sensors, rounds, expected",
+    [(1, 200, 87), (4, 200, 54), (32, 200, 3), (4, 20, 227), (200, 10, 1),
+     (1, 5000, 3)],
+)
+def test_seed_groups_and_blocks_keep_their_budgets(n_sensors, rounds, expected):
+    # A group's traces and one round's (S, N, N, d, d) mixing differences
+    # stay within their budgets, and a block's (S, B, N, d, d) estimates
+    # within the block budget, unless a single seed or round exceeds it.
+    d = 3
+    S = group_seeds(n_sensors, d, rounds)
+    assert S == expected
+    if S > 1:
+        assert S * rounds * (3 * n_sensors + d * d + 3) <= _GROUP_FLOATS
+        assert S * n_sensors * n_sensors * d * d <= _BLOCK_FLOATS
+    B = block_rounds(n_sensors, d, S)
+    assert B <= block_rounds(n_sensors, d)
+    if B > 1:
+        assert S * B * n_sensors * d * d <= _BLOCK_FLOATS
