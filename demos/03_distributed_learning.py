@@ -55,9 +55,9 @@ for k in (1, 10, 50, 100, 200):
 # centralized learner it should shadow?
 central = run_centralized(system, noise, schedule, rounds, RngStream(0),
                           oracle=oracle)
-report = compare_centralized(trace, central)
-print(f"\ngap to centralized: Delta(10) = {report.gaps[9]:.4f}, "
-      f"Delta(200) = {report.gaps[199]:.4f}")
+gaps = compare_centralized(trace, central)
+print(f"\ngap to centralized: Delta(10) = {gaps[9]:.4f}, "
+      f"Delta(200) = {gaps[199]:.4f}")
 
 # a single sensor with L_1 = I is exactly the centralized iteration
 single = build_graph("single")

@@ -10,8 +10,6 @@ learner over a communication graph, plus a CLI for reproducible experiments.
 
 from .config import ExperimentConfig, from_dict, load_config, load_preset
 from .distributed import (
-    ComparisonReport,
-    SensorBank,
     compare_centralized,
     distributed_round,
     initial_bank,
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadSpecError",
-    "ComparisonReport",
     "ConfigParseError",
     "ConfigValidationError",
     "ConsensusOperator",
@@ -98,7 +95,6 @@ __all__ = [
     "RunTrace",
     "Schedule",
     "SeedMismatchError",
-    "SensorBank",
     "SingularInnerMatrixError",
     "StabilityReport",
     "SystemModel",

@@ -447,7 +447,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     out_dir = args.out if args.out is not None else Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         if args.command == "oracle":

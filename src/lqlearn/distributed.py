@@ -6,9 +6,11 @@ synchronous round, computes from the pre-round estimates (Jacobi-style)
     G_i <- G_i + w * sum_{j in N_i} (G_j - G_i) + alpha(k) * L_i Y(G_i),
 
 where w is the consensus weight, L_i the sensor's innovation gain
-(sum_i L_i = N*I) and Y the sampled Bellman residual. The N estimates are
-held as one (N, d, d) array, and each step of a round runs once on the whole
-stack, the residuals included: one y_operator call per round. run_seeds
+(sum_i L_i = N*I) and Y the sampled Bellman residual. The learner's whole
+state is the N estimates, held as one plain (N, d, d) array: initial_bank
+returns it, and distributed_round takes it with the index k of the round
+just done and returns a new array. Each step of a round runs once on the
+whole stack, the residuals included: one y_operator call per round. run_seeds
 learns S seeds (independent noise streams) at once on one (S, N, d, d)
 stack, so a round is still one y_operator call, one mixing step, one
 symmetrize and one guard; a seed that trips the guard leaves the stack and
@@ -20,8 +22,6 @@ which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +36,6 @@ from .trace import RunTrace, block_rounds
 # per-sensor noise for the independent-noise mode.
 _NS_JITTER = 1
 _NS_SENSOR_NOISE = 2
-
-
-@dataclass(frozen=True)
-class SensorBank:
-    """Per-sensor estimates after round k, stacked as one (N, d, d) array."""
-
-    G: np.ndarray
-    k: int
-
-    @property
-    def n_sensors(self) -> int:
-        return self.G.shape[0]
 
 
 def _round(
@@ -99,14 +87,16 @@ def _round(
 
 
 def distributed_round(
-    bank: SensorBank,
+    G: np.ndarray,
+    k: int,
     sys: SystemModel,
     cons: ConsensusOperator,
     gains: np.ndarray,
     Uk: np.ndarray,
     sched: Schedule,
-) -> SensorBank:
-    """One synchronous round from the pre-round estimates.
+) -> np.ndarray:
+    """Round k + 1 from the (N, d, d) estimates G after round k; returns the
+    estimates after it as a new array, leaving G as it was.
 
     Uk is one sampled plant [A_k B_k] (n x (n+m)) shared by every sensor, or
     an (N, n, n+m) stack with one plant per sensor (see sampling.realize).
@@ -118,14 +108,14 @@ def distributed_round(
     stack. A rank-deficient G_uu warns once per round, naming the first
     such sensor's index.
     """
-    N = bank.n_sensors
+    N = G.shape[0]
     if gains.shape[0] != N or cons.graph.n_sensors != N:
         raise ValueError("bank, consensus operator and gains must agree on "
                          "the sensor count")
-    G, diverged = _round(bank.G, Uk, sys, cons, gains, sched.alpha(bank.k), bank.k)
+    G, diverged = _round(G, Uk, sys, cons, gains, sched.alpha(k), k)
     if diverged:
         raise diverged[()]
-    return SensorBank(G=G, k=bank.k + 1)
+    return G
 
 
 def _psd_jitter(rng: RngStream, d: int, scale: float) -> np.ndarray:
@@ -141,9 +131,10 @@ def initial_bank(
     rng: RngStream,
     init: str = "identity",
     spread_scale: float = 0.1,
-) -> SensorBank:
-    """All sensors at diag(Q, R); "spread" adds per-sensor PSD jitter so the
-    consensus dynamics are visible from round one."""
+) -> np.ndarray:
+    """The (N, d, d) estimates before round one: all sensors at diag(Q, R);
+    "spread" adds per-sensor PSD jitter so the consensus dynamics are
+    visible from round one."""
     if not spread_scale >= 0.0:  # NaN fails too
         raise ValueError(f"spread_scale must be >= 0, got {spread_scale}")
     base = sys.cost_block()
@@ -158,7 +149,7 @@ def initial_bank(
         G = np.stack([symmetrize(base + e) for e in jitters])
     else:
         raise ValueError(f"unknown initialization mode {init!r}")
-    return SensorBank(G=G, k=0)
+    return G
 
 
 def run_seeds(
@@ -195,7 +186,7 @@ def run_seeds(
         return []
     N = graph.n_sensors
     G = np.stack([
-        initial_bank(sys, N, rng, init=init, spread_scale=spread_scale).G
+        initial_bank(sys, N, rng, init=init, spread_scale=spread_scale)
         for rng in rngs
     ])
 
@@ -272,22 +263,10 @@ def run_distributed(
     return result
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Gap Delta(k) = ||Gbar(k) - G(k)||_F between the averaged distributed
-    iterate and the centralized iterate driven by the same noise."""
-
-    gaps: np.ndarray
-    final_gap: float
-    max_gap: float
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.gaps)
-
-
-def compare_centralized(trace_d: RunTrace, trace_c: RunTrace) -> ComparisonReport:
-    """Measure the distributed-to-centralized gap round by round.
+def compare_centralized(trace_d: RunTrace, trace_c: RunTrace) -> np.ndarray:
+    """The (rounds,) gaps Delta(k) = ||Gbar(k) - G(k)||_F between the
+    averaged distributed iterate and the centralized iterate driven by the
+    same noise, round by round.
 
     trace_c must be a 1-sensor trace. Both traces must come from the same
     seed with shared noise; any omega discrepancy raises SeedMismatchError
@@ -306,7 +285,4 @@ def compare_centralized(trace_d: RunTrace, trace_c: RunTrace) -> ComparisonRepor
             "share a seed and use shared noise"
         )
     diff = np.asarray(trace_d.mean_history) - np.asarray(trace_c.mean_history)
-    gaps = np.linalg.norm(diff, axis=(1, 2))
-    return ComparisonReport(
-        gaps=gaps, final_gap=float(gaps[-1]), max_gap=float(gaps.max())
-    )
+    return np.linalg.norm(diff, axis=(1, 2))

@@ -10,13 +10,13 @@ alpha(k) follows a Robbins-Monro power-law schedule. Under well-posedness the
 iterates converge almost surely to the fixed point G* of the expectation map.
 
 This is the 1-sensor case of the distributed learner (no neighbors, L_1 = I):
-both entry points here run lqlearn.distributed on a 1-sensor SensorBank.
+both entry points here run lqlearn.distributed on the single-sensor network,
+so the state of one step is a (1, d, d) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from .lqcore import NoiseModel, SystemModel, pi_map, symmetrize
 from .network import allocate_gains, build_graph, consensus_operator
 from .sampling import RngStream
 from .trace import RunTrace
-
-if TYPE_CHECKING:
-    from .distributed import SensorBank
 
 # Abort threshold on ||G||_F; a capped abort with diagnostics beats silent NaN
 # when an adversarial seed blows up the heavy-tailed early steps. A NaN norm
@@ -107,17 +104,19 @@ def single_sensor(sys: SystemModel):
 
 
 def centralized_step(
-    bank: SensorBank,
+    G: np.ndarray,
+    k: int,
     sys: SystemModel,
     Uk: np.ndarray,
     sched: Schedule,
-) -> SensorBank:
-    """One update G <- G + alpha(k) Y(G) of a 1-sensor bank: a distributed
-    round on the single-sensor network."""
+) -> np.ndarray:
+    """One update G <- G + alpha(k) Y(G) of the (1, d, d) estimate after
+    step k, returned as a new array: a distributed round on the
+    single-sensor network."""
     from .distributed import distributed_round
 
     graph, gains = single_sensor(sys)
-    return distributed_round(bank, sys, consensus_operator(graph), gains, Uk, sched)
+    return distributed_round(G, k, sys, consensus_operator(graph), gains, Uk, sched)
 
 
 def run_centralized(

@@ -9,7 +9,10 @@ The learner records its rounds a block at a time, and each block is
 measured when it is recorded, in one vectorized pass. A block holds as many
 rounds as fit a fixed float budget (block_rounds), so the memory a pass
 takes is bounded by the block and not by the run length, nor (through
-chunks of sensor rows) by the square of the sensor count.
+chunks of sensor rows) by the square of the sensor count. The chunks bound
+this metric pass only, not the learner's round: its mixing step still holds
+the (S, N, N, d, d) pairwise differences, so one round on ring:200 at d = 3
+peaks near 3 MB under tracemalloc, while recording it stays near 0.4 MB.
 """
 
 from __future__ import annotations

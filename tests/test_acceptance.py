@@ -190,8 +190,8 @@ def test_criterion_06_distributed_to_centralized(preset_cfg, preset_oracle):
             tc = run_centralized(preset_cfg.system, preset_cfg.noise,
                                  preset_cfg.schedule, 200, RngStream(seed))
             report = compare_centralized(td, tc)
-            gaps_10.append(report.gaps[9])
-            gaps_200.append(report.gaps[199])
+            gaps_10.append(report[9])
+            gaps_200.append(report[199])
         assert np.median(gaps_200) < np.median(gaps_10)
 
 

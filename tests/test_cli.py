@@ -59,6 +59,11 @@ class TestCmdOracle:
         assert payload["spectral_radius"] < 1.0
         assert payload["riccati_residual"] <= 1e-8
 
+    def test_nested_missing_out_dir_is_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert run_cli("oracle", "--preset", "paper_sec4", "--out", out) == 0
+        assert (out / "oracle.json").is_file()
+
     def test_scalar_preset_golden_ratio(self, tmp_path):
         assert run_cli("oracle", "--preset", "scalar_deterministic",
                        "--out", tmp_path) == 0
@@ -158,6 +163,13 @@ class TestCmdRun:
                 "norm1_G_distributed.svg").exists()
         assert (tmp_path / "seed_0000" / "plots" /
                 "fro_err_distributed.svg").exists()
+
+    def test_nested_missing_out_dir_is_made(self, tmp_path):
+        out = tmp_path / "x" / "y"
+        assert run_cli("run", "--preset", "paper_sec4", "--seeds", "1",
+                       "--rounds", "5", "--out", out) == 0
+        assert (out / "summary.json").is_file()
+        assert (out / "seed_0000" / "trace.csv").is_file()
 
     def test_single_iteration_single_row(self, tmp_path):
         code = run_cli("run", "--preset", "paper_sec4", "--mode", "centralized",
@@ -493,6 +505,7 @@ class TestCmdValidateController:
     def test_missing_run_dir(self, tmp_path):
         assert run_cli("validate-controller", "--preset", "paper_sec4",
                        "--out", tmp_path / "nothing") == 2
+        assert not (tmp_path / "nothing").exists()
 
     @pytest.mark.parametrize("text", ["{", "[]", '{"seeds": [0]}'])
     def test_malformed_summary_exit_code(self, tmp_path, capsys, text):

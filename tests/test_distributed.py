@@ -8,7 +8,6 @@ from lqlearn import (
     RankDeficientWarning,
     RngStream,
     Schedule,
-    SensorBank,
     SystemModel,
     allocate_gains,
     build_graph,
@@ -30,7 +29,7 @@ from lqlearn.errors import DivergedError, SeedMismatchError
 
 
 def bank_of(sys, mats):
-    return SensorBank(G=np.array([symmetrize(m) for m in mats]), k=0)
+    return np.array([symmetrize(m) for m in mats])
 
 
 class TestDistributedRound:
@@ -40,11 +39,26 @@ class TestDistributedRound:
         cons = consensus_operator(g)
         alloc = allocate_gains(g, (2, 1), "uniform")
         bank = bank_of(det_sys, [det_oracle.G_star.mat] * 4)
-        nxt = distributed_round(bank, det_sys, cons, alloc,
+        nxt = distributed_round(bank, 0, det_sys, cons, alloc,
                                 realize(det_sys, 0.0), Schedule())
-        for g_new in nxt.G:
+        for g_new in nxt:
             assert g_new == pytest.approx(det_oracle.G_star.mat, abs=1e-12)
-        assert nxt.k == 1
+
+    @pytest.mark.parametrize("spec", ["ring:4", "single"])
+    def test_input_estimates_left_unchanged(self, bench_sys, spec):
+        # The caller keeps the estimates as a plain array, so the round must
+        # return a new one and leave its input as it was, bit for bit.
+        g = build_graph(spec)
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((g.n_sensors, 3, 3))
+        mats = [m @ m.T + np.eye(3) for m in X]
+        bank = bank_of(bench_sys, mats)
+        before = bank.copy()
+        nxt = distributed_round(bank, 0, bench_sys, consensus_operator(g),
+                                allocate_gains(g, (2, 1), "uniform"),
+                                realize(bench_sys, 1.2), Schedule())
+        assert bank.tobytes() == before.tobytes()
+        assert not np.shares_memory(nxt, bank)
 
     def test_two_sensor_averaging(self, bench_sys):
         g = build_graph("complete:2")
@@ -55,11 +69,11 @@ class TestDistributedRound:
         M2 = rng.standard_normal((3, 3))
         G1, G2 = M1 + M1.T, M2 + M2.T
         bank = bank_of(bench_sys, [G1, G2])
-        nxt = distributed_round(bank, bench_sys, cons, alloc,
+        nxt = distributed_round(bank, 0, bench_sys, cons, alloc,
                                 realize(bench_sys, 0.0), Schedule(scale=0.0))
         avg = (G1 + G2) / 2.0
-        assert nxt.G[0] == pytest.approx(avg, abs=1e-14)
-        assert nxt.G[1] == pytest.approx(avg, abs=1e-14)
+        assert nxt[0] == pytest.approx(avg, abs=1e-14)
+        assert nxt[1] == pytest.approx(avg, abs=1e-14)
 
     def test_single_round_replay_fixture(self, bench_sys, bench_noise):
         # Identical init + shared noise + uniform gains: every sensor matches
@@ -84,11 +98,11 @@ class TestDistributedRound:
         rng = np.random.default_rng(5)
         mats = [m + m.T for m in rng.standard_normal((4, 3, 3))]
         bank = bank_of(bench_sys, mats)
-        mean_before = np.mean(bank.G, axis=0)
-        for _ in range(10):
-            bank = distributed_round(bank, bench_sys, cons, alloc,
+        mean_before = np.mean(bank, axis=0)
+        for k in range(10):
+            bank = distributed_round(bank, k, bench_sys, cons, alloc,
                                      realize(bench_sys, 0.0), Schedule(scale=0.0))
-        mean_after = np.mean(bank.G, axis=0)
+        mean_after = np.mean(bank, axis=0)
         assert np.linalg.norm(mean_after - mean_before) <= 1e-12
 
     def test_diameter_non_increasing_under_mixing(self, bench_sys):
@@ -99,8 +113,7 @@ class TestDistributedRound:
         mats = [m + m.T for m in rng.standard_normal((4, 3, 3))]
         bank = bank_of(bench_sys, mats)
 
-        def diameter(b):
-            ms = b.G
+        def diameter(ms):
             return max(
                 np.linalg.norm(ms[i] - ms[j])
                 for i in range(4)
@@ -108,8 +121,8 @@ class TestDistributedRound:
             )
 
         prev = diameter(bank)
-        for _ in range(20):
-            bank = distributed_round(bank, bench_sys, cons, alloc,
+        for k in range(20):
+            bank = distributed_round(bank, k, bench_sys, cons, alloc,
                                      realize(bench_sys, 0.0), Schedule(scale=0.0))
             cur = diameter(bank)
             assert cur <= prev + 1e-12
@@ -131,11 +144,11 @@ class TestDistributedRound:
 
         ys = [
             y_operator(gi, real, bench_sys.Q, bench_sys.R)
-            for gi in bank.G
+            for gi in bank
         ]
-        expected = np.mean(bank.G, axis=0) + sched.alpha(0) * np.mean(ys, axis=0)
-        nxt = distributed_round(bank, bench_sys, cons, alloc, real, sched)
-        assert np.linalg.norm(np.mean(nxt.G, axis=0) - expected) <= 1e-12
+        expected = np.mean(bank, axis=0) + sched.alpha(0) * np.mean(ys, axis=0)
+        nxt = distributed_round(bank, 0, bench_sys, cons, alloc, real, sched)
+        assert np.linalg.norm(np.mean(nxt, axis=0) - expected) <= 1e-12
 
     def test_matches_centralized_when_equal_estimates(self, bench_sys,
                                                       bench_noise):
@@ -145,11 +158,10 @@ class TestDistributedRound:
         G0 = bench_sys.cost_block()
         real = realize(bench_sys, 0.85)
         bank = bank_of(bench_sys, [G0] * 4)
-        nxt = distributed_round(bank, bench_sys, cons, alloc, real, Schedule())
-        cent = centralized_step(SensorBank(G0[None], 0), bench_sys, real,
-                                Schedule())
-        for g_new in nxt.G:
-            assert np.linalg.norm(g_new - cent.G[0]) <= 1e-12
+        nxt = distributed_round(bank, 0, bench_sys, cons, alloc, real, Schedule())
+        cent = centralized_step(G0[None], 0, bench_sys, real, Schedule())
+        for g_new in nxt:
+            assert np.linalg.norm(g_new - cent[0]) <= 1e-12
 
     def test_symmetry_each_round(self, bench_sys, bench_noise):
         # masked gains scale the owned rows by N, so keep alpha(0)*N < 1
@@ -170,7 +182,7 @@ class TestDistributedRound:
         alloc = allocate_gains(g, (1, 1), "uniform")
         bank = bank_of(sys, [np.diag([2e9, 1.0]), np.diag([2e9, 1.0])])
         with pytest.raises(DivergedError):
-            distributed_round(bank, sys, cons, alloc, realize(sys, 0.0),
+            distributed_round(bank, 0, sys, cons, alloc, realize(sys, 0.0),
                               Schedule())
 
     def test_divergence_names_sensor_and_norm(self):
@@ -181,7 +193,7 @@ class TestDistributedRound:
         g = build_graph("path:3")
         bank = bank_of(sys, [np.eye(2), np.eye(2), np.diag([5e9, 1.0])])
         with pytest.raises(DivergedError, match="sensor 2 ") as info:
-            distributed_round(bank, sys, consensus_operator(g, 0.01),
+            distributed_round(bank, 0, sys, consensus_operator(g, 0.01),
                               allocate_gains(g, (1, 1), "uniform"),
                               realize(sys, 0.0), Schedule(scale=0.0))
         err = info.value
@@ -199,7 +211,7 @@ class TestDistributedRound:
         mats[2][2:, 2:] = 0.0  # G_uu = 0 at sensor 2 only
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            distributed_round(bank_of(bench_sys, mats), bench_sys,
+            distributed_round(bank_of(bench_sys, mats), 0, bench_sys,
                               consensus_operator(g),
                               allocate_gains(g, (2, 1), "uniform"),
                               realize(bench_sys, 1.0), Schedule())
@@ -214,11 +226,11 @@ class TestDistributedRound:
         sys = SystemModel(A=[[1.0]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
                           Q=[[1.0]], R=[[1.0]])
         g = build_graph("single")
-        bank = SensorBank(G=np.array([np.diag([bad, 1.0])]), k=4)
+        bank = np.array([np.diag([bad, 1.0])])
         with np.errstate(invalid="ignore"), pytest.raises(
             DivergedError, match="sensor 0 .* at round 5"
         ) as info:
-            distributed_round(bank, sys, consensus_operator(g),
+            distributed_round(bank, 4, sys, consensus_operator(g),
                               allocate_gains(g, (1, 1), "uniform"),
                               realize(sys, 0.0), Schedule())
         assert (info.value.step, info.value.sensor) == (5, 0)
@@ -235,21 +247,21 @@ class TestDistributedRound:
         bank = bank_of(bench_sys, mats)
         reals = [realize(bench_sys, wv) for wv in (0.3, 1.1, -0.4, 0.9)]
         sched = Schedule(scale=0.2)
-        nxt = distributed_round(bank, bench_sys, cons, alloc, reals, sched)
+        nxt = distributed_round(bank, 0, bench_sys, cons, alloc, reals, sched)
 
         from lqlearn import y_operator
 
         alpha = sched.alpha(0)
         for i in range(4):
-            Gi = bank.G[i]
+            Gi = bank[i]
             ref = Gi.copy()
             for j in g.neighbors(i):
-                ref += cons.w * (bank.G[j] - Gi)
+                ref += cons.w * (bank[j] - Gi)
             Y = y_operator(Gi, reals[i], bench_sys.Q, bench_sys.R)
             ref += alpha * np.diag(alloc[i]) @ Y
             # masked L_i scales rows only; the round symmetrizes its output
             ref = (ref + ref.T) / 2.0
-            assert np.abs(nxt.G[i] - ref).max() <= 1e-13
+            assert np.abs(nxt[i] - ref).max() <= 1e-13
 
 
 class TestRunDistributed:
@@ -291,13 +303,19 @@ class TestRunDistributed:
         b1 = initial_bank(bench_sys, 4, RngStream(1), init="spread")
         b2 = initial_bank(bench_sys, 4, RngStream(1), init="spread")
         base = bench_sys.cost_block()
-        mats = b1.G
-        assert all(np.array_equal(a, b) for a, b in zip(mats, b2.G))
+        mats = b1
+        assert all(np.array_equal(a, b) for a, b in zip(mats, b2))
         assert len({m.tobytes() for m in mats}) == 4
         for m in mats:
             jitter = m - base
             assert np.linalg.norm(jitter) == pytest.approx(0.1, abs=1e-12)
             assert np.linalg.eigvalsh(jitter).min() >= -1e-12
+
+    @pytest.mark.parametrize("init", ["identity", "spread"])
+    def test_initial_bank_is_one_array(self, bench_sys, init):
+        G = initial_bank(bench_sys, 4, RngStream(1), init=init)
+        assert type(G) is np.ndarray
+        assert G.shape == (4, 3, 3)
 
     @pytest.mark.parametrize("scale", [float("nan"), -1.0])
     def test_bad_spread_scale_rejected(self, bench_sys, bench_noise, scale):
@@ -325,7 +343,7 @@ class TestCompareCentralized:
         tc = run_centralized(bench_sys, bench_noise, Schedule(), 60,
                              RngStream(4))
         report = compare_centralized(td, tc)
-        assert report.max_gap == 0.0
+        assert report.max() == 0.0
 
     def test_zero_alpha_identical_init_gap_is_zero(self, bench_sys, bench_noise):
         g = build_graph("ring:4")
@@ -335,7 +353,7 @@ class TestCompareCentralized:
                              RngStream(2))
         tc = run_centralized(bench_sys, bench_noise, sched, 40, RngStream(2))
         report = compare_centralized(td, tc)
-        assert report.max_gap == 0.0
+        assert report.max() == 0.0
 
     def test_gap_shrinks_with_spread_init(self, bench_sys, bench_noise):
         g = build_graph("ring:4")
@@ -345,7 +363,22 @@ class TestCompareCentralized:
         tc = run_centralized(bench_sys, bench_noise, Schedule(), 200,
                              RngStream(6))
         report = compare_centralized(td, tc)
-        assert report.gaps[199] < report.gaps[9]
+        assert report[199] < report[9]
+
+    def test_last_and_largest_gap_pinned(self, bench_sys, bench_noise):
+        # The gaps are one (rounds,) array; its last entry and its maximum
+        # are pinned to the values this run has always given.
+        g = build_graph("ring:4")
+        alloc = allocate_gains(g, (2, 1), "uniform")
+        td = run_distributed(bench_sys, bench_noise, g, alloc, Schedule(), 200,
+                             RngStream(6), init="spread")
+        tc = run_centralized(bench_sys, bench_noise, Schedule(), 200,
+                             RngStream(6))
+        gaps = compare_centralized(td, tc)
+        assert type(gaps) is np.ndarray
+        assert gaps.shape == (200,)
+        assert gaps[-1] == pytest.approx(0.0028455079661594373, rel=1e-12)
+        assert gaps.max() == pytest.approx(0.1508709825228674, rel=1e-12)
 
     def test_seed_mismatch_detected(self, bench_sys, bench_noise):
         g = build_graph("ring:4")
@@ -399,8 +432,8 @@ class TestCompareCentralized:
                              allocate_gains(single, (2, 1), "uniform"),
                              Schedule(), 60, RngStream(4))
         report = compare_centralized(td, tc)
-        assert report.n_rounds == 60
-        assert report.max_gap == 0.0
+        assert len(report) == 60
+        assert report.max() == 0.0
 
 
 def assert_same_trace(batch, solo):

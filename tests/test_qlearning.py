@@ -6,7 +6,6 @@ from lqlearn import (
     QFactor,
     RngStream,
     Schedule,
-    SensorBank,
     SystemModel,
     centralized_step,
     expectation_map,
@@ -116,17 +115,24 @@ class TestYOperator:
 
 class TestCentralizedStep:
     def test_zero_alpha_keeps_iterate(self, bench_sys):
-        state = SensorBank(bench_sys.cost_block()[None], 0)
-        nxt = centralized_step(state, bench_sys, realize(bench_sys, 1.3),
+        state = bench_sys.cost_block()[None]
+        nxt = centralized_step(state, 0, bench_sys, realize(bench_sys, 1.3),
                                Schedule(scale=0.0))
-        assert np.array_equal(nxt.G, state.G)
-        assert nxt.k == 1
+        assert np.array_equal(nxt, state)
+
+    def test_input_estimate_left_unchanged(self, bench_sys):
+        state = bench_sys.cost_block()[None]
+        before = state.copy()
+        nxt = centralized_step(state, 0, bench_sys, realize(bench_sys, 1.3),
+                               Schedule())
+        assert state.tobytes() == before.tobytes()
+        assert not np.array_equal(nxt, state)
 
     def test_fixed_point_of_sampled_map(self, det_sys, det_oracle):
         # Deterministic plant: Y(G*) = 0 for any draw, so G* is invariant.
-        state = SensorBank(det_oracle.G_star.mat[None], 5)
-        nxt = centralized_step(state, det_sys, realize(det_sys, 0.0), Schedule())
-        assert nxt.G[0] == pytest.approx(det_oracle.G_star.mat, abs=1e-12)
+        state = det_oracle.G_star.mat[None]
+        nxt = centralized_step(state, 5, det_sys, realize(det_sys, 0.0), Schedule())
+        assert nxt[0] == pytest.approx(det_oracle.G_star.mat, abs=1e-12)
 
     def test_one_step_replay_fixture(self, bench_sys, bench_noise):
         from lqlearn import draw_noise
@@ -134,8 +140,8 @@ class TestCentralizedStep:
         rng = RngStream(0)
         omega = draw_noise(rng, bench_noise)
         assert omega == pytest.approx(1.1854360793774206, abs=1e-15)
-        state = SensorBank(bench_sys.cost_block()[None], 0)
-        nxt = centralized_step(state, bench_sys, realize(bench_sys, omega),
+        state = bench_sys.cost_block()[None]
+        nxt = centralized_step(state, 0, bench_sys, realize(bench_sys, omega),
                                Schedule())
         expected = np.array(
             [
@@ -144,27 +150,27 @@ class TestCentralizedStep:
                 [0.22245333408302007, 0.8078904100264277, 1.7663222938591916],
             ]
         )
-        assert nxt.G[0] == pytest.approx(expected, abs=1e-14)
+        assert nxt[0] == pytest.approx(expected, abs=1e-14)
 
     def test_preserves_symmetry(self, bench_sys, bench_noise):
         rng = RngStream(4)
-        state = SensorBank(bench_sys.cost_block()[None], 0)
+        state = bench_sys.cost_block()[None]
         from lqlearn import draw_noise
 
-        for _ in range(50):
+        for k in range(50):
             state = centralized_step(
-                state, bench_sys, realize(bench_sys, draw_noise(rng, bench_noise)),
+                state, k, bench_sys, realize(bench_sys, draw_noise(rng, bench_noise)),
                 Schedule(),
             )
-            assert np.array_equal(state.G[0], state.G[0].T)
+            assert np.array_equal(state[0], state[0].T)
 
     def test_divergence_cap(self):
         sys = SystemModel(A=[[1.0]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
                           Q=[[1.0]], R=[[1.0]])
         huge = QFactor(np.diag([2e9, 1.0]), 1, 1)
-        state = SensorBank(huge.mat[None], 0)
+        state = huge.mat[None]
         with pytest.raises(DivergedError):
-            centralized_step(state, sys, realize(sys, 0.0), Schedule())
+            centralized_step(state, 0, sys, realize(sys, 0.0), Schedule())
 
 
 class TestRunCentralized:

@@ -204,12 +204,12 @@ def test_run_trace_equals_one_round_records(bench_sys, bench_noise,
     tape = np.stack([draw_noise(r, bench_noise, rounds) for r in streams], axis=1)
     cons = consensus_operator(g)
     ref = RunTrace(N, G_star=bench_oracle.G_star.mat)
-    for omegas in tape:
-        alpha = sched.alpha(bank.k)
+    for k, omegas in enumerate(tape):
+        alpha = sched.alpha(k)
         Uk = realize(bench_sys, omegas[0] if shared_noise else omegas)
-        bank = distributed_round(bank, bench_sys, cons, gains, Uk, sched)
+        bank = distributed_round(bank, k, bench_sys, cons, gains, Uk, sched)
         ref.record_round(np.array([alpha]),
-                         np.broadcast_to(omegas, (1, N)), bank.G[None])
+                         np.broadcast_to(omegas, (1, N)), bank[None])
 
     assert trace.n_rounds == rounds
     assert list(trace.csv_rows()) == list(ref.csv_rows())
