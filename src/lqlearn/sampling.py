@@ -21,6 +21,7 @@ from .lqcore import Gain, NoiseModel, SystemModel, _closed_loop, ms_stability_ch
 OVERFLOW_LIMIT = 1e12
 
 _U53 = float(2**53)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class RngStream:
@@ -53,9 +54,16 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, (*self._spawn, *indices))
 
     def uniform_open(self, size: int | None = None):
-        """Uniforms strictly inside (0, 1): (k + 0.5) / 2^53."""
+        """Uniforms strictly inside (0, 1): (k + 0.5) / 2^53 for a raw 53-bit
+        integer k, as rounded in float64.
+
+        For k >= 2^52 the + 0.5 rounds to even, so those values are not
+        exactly (k + 0.5) / 2^53, and k = 2^53 - 1 would round to 1.0. That
+        one value is clamped to the largest float below 1; no other k
+        reaches it, so every other draw keeps its bits.
+        """
         raw = self.generator.integers(0, 2**53, size=size)
-        return (raw + 0.5) / _U53
+        return np.minimum((raw + 0.5) / _U53, _BELOW_ONE)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -102,14 +110,28 @@ class Trajectory:
         return float(self.costs.sum())
 
 
-def _prefix_products(M: np.ndarray) -> np.ndarray:
-    """Overwrite a stack of step matrices with its prefix products
-    M[k] ... M[0], in ceil(log2(len(M))) batched matmuls (a doubling scan)."""
+def _scan_states(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """States M(k) ... M(0) x for k = 0 .. T-1, as a (T, n) array.
+
+    M is the time-major (n, n, T) stack of step matrices; it is overwritten
+    with its prefix products by a doubling scan (Blelloch 1990). Each of the
+    ceil(log2(T)) passes forms out[i, l, k] = sum_j a[i, j, k] b[j, l, k]
+    as n broadcast multiply-adds over the whole horizon, so a pass is a few
+    long elementwise loops rather than one small matmul per step.
+    """
+    n, T = M.shape[0], M.shape[2]
     s = 1
-    while s < len(M):
-        M[s:] = M[s:] @ M[:-s]
+    while s < T:
+        a, b = M[:, :, s:], M[:, :, :-s]
+        out = a[:, :1] * b[0]
+        for j in range(1, n):
+            out += a[:, j:j + 1] * b[j]
+        M[:, :, s:] = out
         s *= 2
-    return M
+    xs = M[:, 0] * x[0]
+    for j in range(1, n):
+        xs += M[:, j] * x[j]
+    return xs.T
 
 
 def simulate_trajectory(
@@ -126,9 +148,12 @@ def simulate_trajectory(
     feeds both A(k) and B(k). Stage cost is x'(Q + K'RK)x = x'Qx + u'Ru.
 
     The states are x(k) = M(k-1) ... M(0) x(0) with M(k) = Acl + w(k) Abcl,
-    all computed at once from a prefix-product scan over time. The scan holds
-    horizon x n x n floats (12.8 KB at n = 2 and 400 steps) where a step-by-
-    step rollout holds horizon x n.
+    all computed at once from a prefix-product scan over time. The scan keeps
+    the step matrices time-major, as one (n, n, horizon) array: horizon x
+    n x n floats (12.8 KB at n = 2 and 400 steps), plus at most two
+    temporaries of that size during a pass, where a step-by-step rollout
+    holds horizon x n. Its arithmetic is elementwise, each operation rounded
+    once under IEEE, so the scanned states do not depend on the BLAS build.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -143,7 +168,7 @@ def simulate_trajectory(
     # Products past an overflow may reach inf or NaN; they are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
         while k < horizon:
-            seg = _prefix_products(Acl + w[k:, None, None] * Abcl) @ x
+            seg = _scan_states(Acl[:, :, None] + Abcl[:, :, None] * w[k:], x)
             # "not <=" is true for NaN as well as overflow.
             bad = np.flatnonzero(~(np.linalg.norm(seg, axis=1) <= OVERFLOW_LIMIT))
             if not bad.size:

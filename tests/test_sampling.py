@@ -15,6 +15,7 @@ from lqlearn import (
     SystemModel,
     draw_noise,
     monte_carlo_cost,
+    ms_stability_check,
     realize,
     simulate_trajectory,
 )
@@ -38,6 +39,20 @@ def sequential_rollout(sys, noise, K, x0, horizon, rng):
             return np.array(xs), np.array(costs), k + 1
         xs.append(x)
     return np.array(xs), np.array(costs), None
+
+
+def generated_loop(seed, radius):
+    """A random n = 3, m = 2 plant and gain, all of A, Abar, B, Bbar scaled so
+    that the mean step Acl + Abcl (noise mean 1) has the given spectral
+    radius."""
+    g = np.random.default_rng(seed)
+    A, A_bar = g.normal(size=(2, 3, 3))
+    B, B_bar = g.normal(size=(2, 3, 2))
+    K = g.normal(size=(2, 3))
+    c = radius / np.abs(np.linalg.eigvals(A + B @ K + A_bar + B_bar @ K)).max()
+    sys = SystemModel(A=c * A, A_bar=c * A_bar, B=c * B, B_bar=c * B_bar,
+                      Q=np.eye(3), R=np.eye(2))
+    return sys, Gain(K)
 
 
 def assert_close_to_running_scale(actual, expected, bound=1e-12):
@@ -71,6 +86,21 @@ class TestRngStream:
         other = draw_noise(root.substream(1), noise, 5)
         assert np.array_equal(first, again)
         assert not np.array_equal(first, other)
+
+    @pytest.mark.parametrize("size", [None, 4])
+    def test_top_raw_integer_stays_below_one(self, size):
+        # 2^53 - 1 + 0.5 rounds to 2^53 in float64, which would give u = 1.0
+        # and an infinite Gaussian draw.
+        class TopGenerator:
+            def integers(self, low, high, size=None):
+                top = np.int64(high - 1)
+                return top if size is None else np.full(size, top)
+
+        rng = RngStream(0)
+        rng._gen = TopGenerator()
+        u = rng.uniform_open(size)
+        assert np.all(u < 1.0) and np.all(u == np.nextafter(1.0, 0.0))
+        assert np.all(np.isfinite(draw_noise(rng, NoiseModel(0.0, 1.0), size)))
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -231,6 +261,27 @@ class TestSimulateTrajectory:
                                              [1.0, -0.5], 2000,
                                              RngStream(seed, 4))
         assert step is not None
+        assert traj.overflow_step == step
+        assert traj.xs.shape == xs.shape and traj.costs.shape == costs.shape
+        assert_close_to_running_scale(traj.xs, xs)
+        assert_close_to_running_scale(traj.costs, costs)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 5, 257, 400])
+    @pytest.mark.parametrize("radius", [0.5, 3.0], ids=["stable", "overflowing"])
+    def test_generated_three_state_loop_matches_sequential(self, bench_noise,
+                                                           radius, horizon):
+        # n = 3 takes the scan's multiply-add loops past two terms. The
+        # horizons cover a single step (no pass), a power of two, lengths
+        # just past one (3, 5, 257) and the 400 steps of validation.
+        sys, K = generated_loop(11, radius)
+        assert ms_stability_check(K, sys, bench_noise).stable == (radius < 1.0)
+        x0 = [1.0, -0.5, 0.25]
+        traj = simulate_trajectory(sys, bench_noise, K, x0, horizon,
+                                   RngStream(13, 5))
+        xs, costs, step = sequential_rollout(sys, bench_noise, K, x0, horizon,
+                                             RngStream(13, 5))
+        if horizon >= 257:
+            assert (step is None) == (radius < 1.0)
         assert traj.overflow_step == step
         assert traj.xs.shape == xs.shape and traj.costs.shape == costs.shape
         assert_close_to_running_scale(traj.xs, xs)
