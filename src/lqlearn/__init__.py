@@ -42,6 +42,7 @@ from .lqcore import (
     ms_stability_check,
     optimal_gain_closed_form,
     pi_map,
+    realize,
     riccati_residual,
     solve_oracle,
     symmetrize,
@@ -65,7 +66,6 @@ from .sampling import (
     Trajectory,
     draw_noise,
     monte_carlo_cost,
-    realize,
     simulate_trajectory,
 )
 from .trace import RunTrace

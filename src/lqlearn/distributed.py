@@ -26,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DivergedError, SeedMismatchError
-from .lqcore import NoiseModel, SystemModel, symmetrize
+from .lqcore import NoiseModel, SystemModel, realize, symmetrize
 from .network import ConsensusOperator, Graph, consensus_operator
 from .qlearning import DIVERGENCE_CAP, Schedule, y_operator
-from .sampling import RngStream, draw_noise, realize
+from .sampling import RngStream, draw_noise
 from .trace import RunTrace, block_rounds
 
 # Substream namespaces under the experiment stream: spread-init jitter and
@@ -86,6 +86,12 @@ def _round(
     return G, diverged
 
 
+def _check_gains(gains: np.ndarray, N: int, sys: SystemModel) -> None:
+    shape = (N, sys.n + sys.m)
+    if np.shape(gains) != shape:
+        raise ValueError(f"gains must have shape {shape}, got {np.shape(gains)}")
+
+
 def distributed_round(
     G: np.ndarray,
     k: int,
@@ -99,7 +105,7 @@ def distributed_round(
     estimates after it as a new array, leaving G as it was.
 
     Uk is one sampled plant [A_k B_k] (n x (n+m)) shared by every sensor, or
-    an (N, n, n+m) stack with one plant per sensor (see sampling.realize).
+    an (N, n, n+m) stack with one plant per sensor (see lqcore.realize).
     All sensors read the same pre-round neighbor values; updates commit
     together (simultaneous Jacobi sweep). The residuals Y_i (one y_operator
     call on the whole stack), mixing, innovation (L_i Y_i as the row scaling
@@ -108,10 +114,9 @@ def distributed_round(
     stack. A rank-deficient G_uu warns once per round, naming the first
     such sensor's index.
     """
-    N = G.shape[0]
-    if gains.shape[0] != N or cons.graph.n_sensors != N:
-        raise ValueError("bank, consensus operator and gains must agree on "
-                         "the sensor count")
+    if cons.graph.n_sensors != G.shape[0]:
+        raise ValueError("bank and consensus operator must agree on the sensor count")
+    _check_gains(gains, G.shape[0], sys)
     G, diverged = _round(G, Uk, sys, cons, gains, sched.alpha(k), k)
     if diverged:
         raise diverged[()]
@@ -181,10 +186,11 @@ def run_seeds(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    N = graph.n_sensors
+    _check_gains(gains, N, sys)
     cons = consensus_operator(graph, w)
     if not rngs:
         return []
-    N = graph.n_sensors
     G = np.stack([
         initial_bank(sys, N, rng, init=init, spread_scale=spread_scale)
         for rng in rngs

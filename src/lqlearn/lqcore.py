@@ -9,8 +9,8 @@ complement recovers the Riccati solution (pi_map) and its blocks recover the
 optimal feedback gain (gamma_map). The expectation operator closes the loop:
 G* is the unique fixed point G = H(Pi(G)) of the second-moment operator
 H(P) = diag(Q,R) + E[ Ups(k)' P Ups(k) ], Ups(k) = [A(k) B(k)], found by
-Picard iteration. _h_map is the one place the noise moments enter the
-Q-factor maps; ms_stability_check lifts the closed loop to its own operator.
+Picard iteration. H, like the lifted operator of ms_stability_check, is an
+exact mean over the two noise nodes, the one place the moments enter.
 
 All operations are pure functions; safe to call concurrently.
 """
@@ -103,11 +103,8 @@ class SystemModel:
 
     def cost_block(self) -> np.ndarray:
         """diag(Q, R), the (n+m)x(n+m) stage-cost weight."""
-        n, m = self.n, self.m
-        out = np.zeros((n + m, n + m))
-        out[:n, :n] = self.Q
-        out[n:, n:] = self.R
-        return out
+        return np.block([[self.Q, np.zeros((self.n, self.m))],
+                         [np.zeros((self.m, self.n)), self.R]])
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """([A B], [Abar Bbar]) as n x (n+m) arrays."""
@@ -118,9 +115,9 @@ class SystemModel:
 class NoiseModel:
     """First two moments of the scalar multiplicative noise w(k).
 
-    The oracle only ever uses E[w] = mu and E[w^2] = mu^2 + sigma2, so any
-    noise law with matching first two moments reproduces identical oracles.
-    The simulator draws Gaussian N(mu, sigma2) samples.
+    The oracle sees the noise only through its two nodes, so any noise law
+    with matching first two moments reproduces identical oracles. The
+    simulator draws Gaussian N(mu, sigma2) samples.
     """
 
     mu: float
@@ -133,8 +130,14 @@ class NoiseModel:
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
 
     @property
-    def second_moment(self) -> float:
-        return self.mu * self.mu + self.sigma2
+    def nodes(self) -> np.ndarray:
+        """The (2,) array mu -/+ sqrt(sigma2). Its mean is mu and its mean
+        square mu^2 + sigma2, so the mean of a + b*w + c*w^2 over the nodes
+        is its exact expectation under any law with these moments. H(P) and
+        ms_stability_check's operator are quadratic in w, so the oracle
+        takes both as means over the nodes: no moment is ever formed."""
+        sd = math.sqrt(self.sigma2)
+        return np.array([self.mu - sd, self.mu + sd])
 
 
 @dataclass(frozen=True)
@@ -246,21 +249,30 @@ def gamma_map(G: np.ndarray, n: int) -> Gain:
     return Gain(-_pinv_uu(G[n:, n:]) @ G[n:, :n])
 
 
-def _h_map(P: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:
-    """H(P) = diag(Q,R) + E[Ups(k)' P Ups(k)], the (n+m)x(n+m) second moment.
-
-    With Ups(k) = [A(k) B(k)] = U + V*w(k), U = [A B], V = [Abar Bbar], the
-    expectation expands exactly through the first two noise moments:
-
-        E[Ups' P Ups] = U'PU + mu*(U'PV + V'PU) + (mu^2 + sigma2)*V'PV.
-
-    Oracle-side only: requires the noise statistics the learners never see.
-    """
+def realize(sys: SystemModel, omega) -> np.ndarray:
+    """Sampled plant [A_k B_k] = [A B] + w*[Abar Bbar], n x (n+m) for a
+    scalar omega and S + (n, n+m) for an array of shape S; draws nothing."""
     U, V = sys.stacked()
-    upu = U.T @ P @ U
-    upv = U.T @ P @ V
-    vpv = V.T @ P @ V
-    return sys.cost_block() + upu + noise.mu * (upv + upv.T) + noise.second_moment * vpv
+    return U + np.asarray(omega)[..., None, None] * V
+
+
+def _bellman(P: np.ndarray, plants: np.ndarray, Q: np.ndarray,
+             R: np.ndarray) -> np.ndarray:
+    """plants' P plants with Q and R added on the diagonal blocks:
+    [[Q + A'PA, A'PB], [B'PA, B'PB + R]] for each plant [A B] of the stack
+    plants, S + (n, n+m), with P broadcasting against it. The learner's
+    y_operator and the oracle's H both evaluate this one map."""
+    n = Q.shape[0]
+    M = plants.swapaxes(-1, -2) @ P @ plants
+    M[..., :n, :n] += Q
+    M[..., n:, n:] += R
+    return M
+
+
+def _h_map(P: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:
+    """H(P) = diag(Q,R) + E[Ups(k)' P Ups(k)]: the learner's Bellman map, averaged
+    over the plants at the noise nodes (which the learners never see)."""
+    return _bellman(P, realize(sys, noise.nodes), sys.Q, sys.R).mean(axis=0)
 
 
 def expectation_map(G: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:
@@ -344,20 +356,14 @@ def ms_stability_check(
 ) -> StabilityReport:
     """Mean-square stability of the closed loop under u = Kx.
 
-    The second moment of the state obeys vec(M(k+1)) = T vec(M(k)) with
-
-        T = Acl (x) Acl + mu*(Acl (x) Abcl + Abcl (x) Acl)
-            + (mu^2 + sigma2) * Abcl (x) Abcl,
-
-    Acl = A + BK, Abcl = Abar + Bbar K. Stable iff the spectral radius of
-    the n^2 x n^2 operator T is < 1.
+    The second moment of the state obeys vec(X(k+1)) = T vec(X(k)) with
+    T = E[M(w) (x) M(w)], M(w) = Acl + w Abcl, Acl = A + BK and
+    Abcl = Abar + Bbar K: the mean of the Kronecker square over the noise
+    nodes. Stable iff the spectral radius of the n^2 x n^2 operator T is < 1.
     """
     Acl, Abcl = _closed_loop(K, sys)
-    T = (
-        np.kron(Acl, Acl)
-        + noise.mu * (np.kron(Acl, Abcl) + np.kron(Abcl, Acl))
-        + noise.second_moment * np.kron(Abcl, Abcl)
-    )
+    T = np.mean([np.kron(M, M) for M in Acl + noise.nodes[:, None, None] * Abcl],
+                axis=0)
     rho = float(np.abs(np.linalg.eigvals(T)).max())
     return StabilityReport(stable=rho < 1.0, spectral_radius=rho)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lqcore import NoiseModel, SystemModel, pi_map, symmetrize
+from .lqcore import NoiseModel, SystemModel, _bellman, pi_map, symmetrize
 from .network import allocate_gains, build_graph, consensus_operator
 from .sampling import RngStream
 from .trace import RunTrace
@@ -79,7 +79,7 @@ def y_operator(
     R: np.ndarray,
 ) -> np.ndarray:
     """Sampled Bellman residual at the raw (n+m)x(n+m) estimate G for one
-    sampled plant Uk = [A_k B_k] (see sampling.realize). G may be a stack of
+    sampled plant Uk = [A_k B_k] (see lqcore.realize). G may be a stack of
     estimates, S + (n+m, n+m), and Uk a stack of plants, S + (n, n+m); either
     broadcasts against the other, and the result is the stack of residuals,
     S + (n+m, n+m). Each entry has the bits of a call on its own G and Uk.
@@ -88,11 +88,7 @@ def y_operator(
     with P = pi_map(G); symmetrized. Its expectation under the true noise law
     vanishes exactly at G*.
     """
-    n = Q.shape[0]
-    P = pi_map(G, n)
-    M = Uk.swapaxes(-1, -2) @ P @ Uk
-    M[..., :n, :n] += Q
-    M[..., n:, n:] += R
+    M = _bellman(pi_map(G, Q.shape[0]), Uk, Q, R)
     M -= G
     return symmetrize(M)
 

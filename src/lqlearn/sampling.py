@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DivergedError, NotStabilizingError
 from .lqcore import Gain, NoiseModel, SystemModel, _closed_loop, ms_stability_check
+from .lqcore import realize  # noqa: F401  (re-exported; it draws nothing)
 
 # Trajectories whose state norm exceeds this are flagged as diverging and
 # truncated; far below float overflow, far above anything a stable loop does.
@@ -81,16 +82,6 @@ def draw_noise(rng: RngStream, noise: NoiseModel, size: int | None = None):
     z = ndtri(rng.uniform_open(size))
     w = noise.mu + np.sqrt(noise.sigma2) * z
     return float(w) if size is None else w
-
-
-def realize(sys: SystemModel, omega) -> np.ndarray:
-    """Sampled plant [A_k B_k] = [A B] + w*[Abar Bbar]; consumes no randomness.
-
-    A scalar omega gives one n x (n+m) array, an array of shape S gives
-    S + (n, n+m).
-    """
-    U, V = sys.stacked()
-    return U + np.asarray(omega)[..., None, None] * V
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,11 @@ from lqlearn import (
 )
 from lqlearn.qlearning import single_sensor
 from lqlearn.errors import DivergedError, SeedMismatchError
+
+
+def gains_shape_error(shape):
+    """The message both public entries give for ring:4 gains of this shape."""
+    return re.escape(f"gains must have shape (4, 3), got {shape}")
 
 
 def bank_of(sys, mats):
@@ -263,8 +269,25 @@ class TestDistributedRound:
             ref = (ref + ref.T) / 2.0
             assert np.abs(nxt[i] - ref).max() <= 1e-13
 
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 2), (2, 3)])
+    def test_gains_of_wrong_shape_rejected(self, bench_sys, shape):
+        # (1, 3) would broadcast row 0's gains to every sensor; the others
+        # would fail inside numpy, or (4, 2) pass a sensor-count check.
+        g = build_graph("ring:4")
+        bank = initial_bank(bench_sys, 4, RngStream(0))
+        with pytest.raises(ValueError, match=gains_shape_error(shape)):
+            distributed_round(bank, 0, bench_sys, consensus_operator(g),
+                              np.ones(shape), realize(bench_sys, 1.0), Schedule())
+
 
 class TestRunDistributed:
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 2), (2, 3)])
+    def test_gains_of_wrong_shape_rejected(self, bench_sys, bench_noise, shape):
+        g = build_graph("ring:4")
+        with pytest.raises(ValueError, match=gains_shape_error(shape)):
+            run_distributed(bench_sys, bench_noise, g, np.ones(shape),
+                            Schedule(), 5, RngStream(0))
+
     def test_single_sensor_equals_centralized(self, bench_sys, bench_noise,
                                               bench_oracle):
         g = build_graph("single")

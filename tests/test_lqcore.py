@@ -77,11 +77,15 @@ class TestExpectationMap:
         )
         assert out == pytest.approx(expected, abs=1e-14)
 
-    def test_noise_decoupled_when_bars_zero(self, det_sys):
+    def test_noise_decoupled_when_bars_zero(self, det_sys, det_oracle):
+        # With Abar = Bbar = 0 the noise never touches the plant, so the map
+        # and the oracle are the noise-free ones, even where mu^2 overflows.
         G = det_sys.cost_block()
         base = expectation_map(G, det_sys, NoiseModel(0.0, 0.0))
-        other = expectation_map(G, det_sys, NoiseModel(2.5, 7.0))
-        assert np.array_equal(base, other)
+        for noise in (NoiseModel(2.5, 7.0), NoiseModel(1e200, 0.0)):
+            assert np.array_equal(base, expectation_map(G, det_sys, noise))
+            oracle = solve_oracle(det_sys, noise)
+            assert np.array_equal(oracle.G_star.mat, det_oracle.G_star.mat)
 
     def test_monte_carlo_cross_check(self, bench_sys, bench_noise):
         # Independent oracle: average the sampled matrix over 1e6 Gaussian
@@ -273,7 +277,7 @@ class TestMsStability:
             Acl = sys_t.A + sys_t.B @ K_t
             Abcl = sys_t.A_bar + sys_t.B_bar @ K_t
             op_t = (np.kron(Acl, Acl) + mu * (np.kron(Acl, Abcl) + np.kron(Abcl, Acl))
-                    + bench_noise.second_moment * np.kron(Abcl, Abcl))
+                    + (mu * mu + bench_noise.sigma2) * np.kron(Abcl, Abcl))
             w, vl, vr = scipy.linalg.eig(op_t, left=True, right=True)
             i = np.abs(w).argmax()
             x, y = vr[:, i], vl[:, i]

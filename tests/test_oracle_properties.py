@@ -1,6 +1,7 @@
 """Property tests of the oracle on generated mean-square stable systems."""
 
 import numpy as np
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -13,12 +14,15 @@ from lqlearn import (
     gamma_map,
     ms_stability_check,
     optimal_gain_closed_form,
+    pi_map,
     realize,
     riccati_residual,
     solve_oracle,
+    symmetrize,
     y_operator,
 )
 
+EPS = np.finfo(float).eps
 ENTRIES = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
@@ -64,3 +68,36 @@ def test_oracle_identities_on_generated_systems(problem):
     two_point = y_operator(G, plants, system.Q, system.R).mean(axis=0)
     exact = expectation_map(G, system, noise) - G
     assert np.abs(two_point - exact).max() <= 1e-12 * max(1.0, np.abs(G).max())
+
+    # Independent references: the expectations expanded through the first two
+    # noise moments, term by term, rather than averaged over the two nodes.
+    # Each entry of either side is a short sum of products, so the two agree
+    # to a few dozen roundings of the same sum taken over absolute values.
+    mu, m2 = noise.mu, noise.mu * noise.mu + noise.sigma2
+    w_max = abs(noise.mu) + np.sqrt(noise.sigma2)
+
+    U, V = system.stacked()
+    P = pi_map(G, system.n)
+    upv = U.T @ P @ V
+    H_ref = system.cost_block() + U.T @ P @ U + mu * (upv + upv.T) + m2 * V.T @ P @ V
+    W = np.abs(U) + w_max * np.abs(V)
+    H_mag = np.abs(system.cost_block()) + W.T @ np.abs(P) @ W
+    assert np.all(np.abs(expectation_map(G, system, noise) - symmetrize(H_ref))
+                  <= 64 * EPS * H_mag)
+
+    K = oracle.K_star.K
+    Acl, Abcl = system.A + system.B @ K, system.A_bar + system.B_bar @ K
+    T_ref = (np.kron(Acl, Acl) + mu * (np.kron(Acl, Abcl) + np.kron(Abcl, Acl))
+             + m2 * np.kron(Abcl, Abcl))
+    M_mag = np.abs(Acl) + w_max * np.abs(Abcl)
+    # First-order (Bauer-Fike) bound on the radius: the operators differ by
+    # a few dozen roundings of M_mag (x) M_mag, whose norm is at most its
+    # entry sum M_mag.sum()^2 (a sum of squares could underflow), and the
+    # dominant eigenvalue moves by at most its condition number times that.
+    vals, left, right = scipy.linalg.eig(T_ref, left=True, right=True)
+    i = np.abs(vals).argmax()
+    x, y = right[:, i], left[:, i]
+    kappa = np.linalg.norm(x) * np.linalg.norm(y) / abs(np.vdot(y, x))
+    bound = 64 * EPS * kappa * M_mag.sum() ** 2
+    radius = ms_stability_check(oracle.K_star, system, noise).spectral_radius
+    assert abs(radius - np.abs(np.linalg.eigvals(T_ref)).max()) <= bound
