@@ -65,6 +65,7 @@ from .sampling import (
     RngStream,
     Trajectory,
     draw_noise,
+    draw_noise_rows,
     monte_carlo_cost,
     simulate_trajectory,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "consensus_operator",
     "distributed_round",
     "draw_noise",
+    "draw_noise_rows",
     "expectation_map",
     "from_dict",
     "gamma_map",

@@ -29,7 +29,7 @@ from .errors import DivergedError, SeedMismatchError
 from .lqcore import NoiseModel, SystemModel, realize, symmetrize
 from .network import ConsensusOperator, Graph, consensus_operator
 from .qlearning import DIVERGENCE_CAP, Schedule, y_operator
-from .sampling import RngStream, draw_noise
+from .sampling import RngStream, draw_noise_rows
 from .trace import RunTrace, block_rounds
 
 # Substream namespaces under the experiment stream: spread-init jitter and
@@ -123,9 +123,8 @@ def distributed_round(
     return G
 
 
-def _psd_jitter(rng: RngStream, d: int, scale: float) -> np.ndarray:
-    """Seeded symmetric PSD perturbation with Frobenius norm = scale."""
-    M = draw_noise(rng, NoiseModel(0.0, 1.0), d * d).reshape(d, d)
+def _psd_jitter(M: np.ndarray, scale: float) -> np.ndarray:
+    """Symmetric PSD perturbation M'M, scaled to Frobenius norm = scale."""
     E = symmetrize(M.T @ M)
     return scale * E / np.linalg.norm(E)
 
@@ -139,7 +138,9 @@ def initial_bank(
 ) -> np.ndarray:
     """The (N, d, d) estimates before round one: all sensors at diag(Q, R);
     "spread" adds per-sensor PSD jitter so the consensus dynamics are
-    visible from round one."""
+    visible from round one. Sensor i's jitter comes from d x d standard
+    normals of its own substream of rng; the N draws are one
+    draw_noise_rows call."""
     if not spread_scale >= 0.0:  # NaN fails too
         raise ValueError(f"spread_scale must be >= 0, got {spread_scale}")
     base = sys.cost_block()
@@ -147,11 +148,9 @@ def initial_bank(
     if init == "identity":
         G = np.repeat(base[None], n_sensors, axis=0)
     elif init == "spread":
-        jitters = (
-            _psd_jitter(rng.substream(_NS_JITTER, i), d, spread_scale)
-            for i in range(n_sensors)
-        )
-        G = np.stack([symmetrize(base + e) for e in jitters])
+        streams = [rng.substream(_NS_JITTER, i) for i in range(n_sensors)]
+        Ms = draw_noise_rows(streams, NoiseModel(0.0, 1.0), d * d).reshape(-1, d, d)
+        G = np.stack([symmetrize(base + _psd_jitter(M, spread_scale)) for M in Ms])
     else:
         raise ValueError(f"unknown initialization mode {init!r}")
     return G
@@ -179,10 +178,11 @@ def run_seeds(
     DivergedError that stopped it, each equal bit for bit to what
     run_distributed on that stream alone returns or raises. The S seeds are
     stepped as one (S, N, d, d) stack. Each draws its own (rounds, 1 or N)
-    noise tape from its own stream, so the tape is (rounds, S, 1 or N). A
-    seed that trips the guard leaves the stack at that round; the rest go
-    on. Blocks of rounds are sized so that the (S, B, N, d, d) estimates and
-    each trace's metric pass keep to trace.block_rounds's budget.
+    noise tape from its own stream, so the tape is (rounds, S, 1 or N), all
+    of it drawn by one draw_noise_rows call. A seed that trips the guard
+    leaves the stack at that round; the rest go on. Blocks of rounds are
+    sized so that the (S, B, N, d, d) estimates and each trace's metric pass
+    keep to trace.block_rounds's budget.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -197,11 +197,11 @@ def run_seeds(
     ])
 
     # Each seed's own stream with shared noise, else one substream per
-    # sensor: the tape is (rounds, S, 1) or (rounds, S, N).
-    streams = [[rng] if shared_noise else [
-        rng.substream(_NS_SENSOR_NOISE, i) for i in range(N)] for rng in rngs]
-    tape = np.array([[draw_noise(r, noise, rounds) for r in seed_streams]
-                     for seed_streams in streams]).transpose(2, 0, 1)
+    # sensor: the tape is (rounds, S, 1) or (rounds, S, N), drawn in one call.
+    streams = rngs if shared_noise else [
+        rng.substream(_NS_SENSOR_NOISE, i) for rng in rngs for i in range(N)]
+    tape = draw_noise_rows(streams, noise, rounds).reshape(
+        len(rngs), -1, rounds).transpose(2, 0, 1)
 
     G_star = None if oracle is None else oracle.G_star.mat
     results: list = [RunTrace(N, G_star=G_star) for _ in rngs]

@@ -360,10 +360,16 @@ def ms_stability_check(
     T = E[M(w) (x) M(w)], M(w) = Acl + w Abcl, Acl = A + BK and
     Abcl = Abar + Bbar K: the mean of the Kronecker square over the noise
     nodes. Stable iff the spectral radius of the n^2 x n^2 operator T is < 1.
+    A T that overflows (or holds NaN) is reported as unstable, with spectral
+    radius inf.
     """
     Acl, Abcl = _closed_loop(K, sys)
-    T = np.mean([np.kron(M, M) for M in Acl + noise.nodes[:, None, None] * Abcl],
-                axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = np.mean(
+            [np.kron(M, M) for M in Acl + noise.nodes[:, None, None] * Abcl], axis=0
+        )
+    if not np.isfinite(T).all():
+        return StabilityReport(stable=False, spectral_radius=math.inf)
     rho = float(np.abs(np.linalg.eigvals(T)).max())
     return StabilityReport(stable=rho < 1.0, spectral_radius=rho)
 

@@ -5,10 +5,24 @@ by (seed, stream_id). Gaussian draws use inverse-CDF over 53-bit uniforms, so
 a (seed, stream_id) pair yields bit-identical sequences across runs and
 platforms. Substreams (Monte Carlo runs, per-sensor noise) are derived
 through SeedSequence spawn keys and can never collide with each other.
+
+The inverse normal CDF is a numpy port of Moshier's Cephes ndtri (Methods
+and Programs for Mathematical Functions, 1989): a rational approximation in
+y - 1/2 on the centre, e^-2 < y < 1 - e^-2, and two in 1/sqrt(-2 log y) on
+the tails. The centre uses only + - * /, evaluated in the order C evaluates
+them, so numpy rounds it as C does. The tails need log, which numpy's SIMD
+log does not round as libm does, so they call math.log (libm) element by
+element; about 27% of draws fall there, and that is most of the port's
+cost. Its bits equal scipy.special.ndtri's wherever math.log is the libm
+log that scipy links, which tests/test_sampling.py checks. Because of that
+per-element cost, it runs once per batch: draw_noise_rows transforms many
+streams' uniforms in one call.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +37,96 @@ OVERFLOW_LIMIT = 1e12
 
 _U53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# draw_noise_rows transforms at most about this many draws per call, so the
+# transform's temporaries stay near 1 MB (a few arrays of 512 KB).
+_CHUNK_DRAWS = 2**16
+
+# Cephes ndtri: sqrt(2 pi), e^-2, and the coefficients, highest degree
+# first. The Q polynomials are monic; their leading 1 is left out.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+# Centre, e^-2 < y < 1 - e^-2: sqrt(2 pi) (t + t t^2 P0(t^2) / Q0(t^2)) with
+# t = y - 1/2.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# Tails with 2 <= x = sqrt(-2 log y) < 8, i.e. e^-32 < y <= e^-2.
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# Far tails, x >= 8, i.e. y <= e^-32 (about 1.27e-14).
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _polevl(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """Horner's rule as Cephes polevl (p1evl if monic): one rounded multiply
+    and one rounded add per coefficient, in that order."""
+    if monic:
+        ans, rest = x + coef[0], coef[1:]
+    else:
+        ans, rest = x * coef[0] + coef[1], coef[2:]
+    for c in rest:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ndtri(u) -> np.ndarray:
+    """Inverse standard normal CDF of u, elementwise, for u strictly inside
+    (0, 1); an array of u's shape. The Cephes routine, bit for bit.
+
+    The centre formula runs on the whole array and the tail entries are then
+    overwritten, which is cheaper than gathering the centre. Each quotient is
+    (t * P) / Q, left to right as in C: t * (P / Q) rounds differently.
+    """
+    y = np.asarray(u, dtype=float).reshape(-1)
+    t = y - 0.5
+    t2 = t * t
+    x = t2 * _polevl(t2, _P0)
+    x /= _polevl(t2, _Q0, monic=True)
+    x *= t
+    x += t
+    x *= _S2PI
+    upper = y > 1.0 - _EXP_M2  # 1 - that bound is exactly _EXP_M2
+    tail = np.flatnonzero(upper | (y <= _EXP_M2))
+    if tail.size:
+        up = upper[tail]
+        yt = y[tail]
+        yt[up] = 1.0 - yt[up]
+        r = np.sqrt(-2.0 * _libm_log(yt).astype(float))
+        xt = r - _libm_log(r).astype(float) / r
+        z = 1.0 / r
+        corr = z * _polevl(z, _P1)
+        corr /= _polevl(z, _Q1, monic=True)
+        far = r >= 8.0
+        if far.any():
+            zf = z[far]
+            corr[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2, monic=True)
+        xt -= corr
+        np.negative(xt, out=xt, where=~up)
+        x[tail] = xt
+    return x.reshape(np.shape(u))
 
 
 class RngStream:
@@ -70,18 +174,43 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def _gaussian(u, noise: NoiseModel) -> np.ndarray:
+    """N(mu, sigma2) draws from uniforms u in (0, 1), by the inverse CDF."""
+    return noise.mu + np.sqrt(noise.sigma2) * _ndtri(u)
+
+
 def draw_noise(rng: RngStream, noise: NoiseModel, size: int | None = None):
     """Gaussian draw(s) w ~ N(mu, sigma2) via inverse CDF; advances the stream.
 
     A batch of size draws equals size successive scalar draws, bit for bit.
     """
-    # Imported here: scipy.special is most of the package's import time, and
-    # commands that draw no noise (oracle, --help, config errors) skip it.
-    from scipy.special import ndtri
-
-    z = ndtri(rng.uniform_open(size))
-    w = noise.mu + np.sqrt(noise.sigma2) * z
+    w = _gaussian(rng.uniform_open(size), noise)
     return float(w) if size is None else w
+
+
+def _rows_per_chunk(size: int) -> int:
+    """Rows of size draws that one transform takes, at least one."""
+    return max(1, _CHUNK_DRAWS // max(size, 1))
+
+
+def draw_noise_rows(
+    rngs: Sequence[RngStream], noise: NoiseModel, size: int
+) -> np.ndarray:
+    """The (len(rngs), size) array whose row i is draw_noise(rngs[i], noise,
+    size), bit for bit; advances each stream by size draws.
+
+    The uniforms of whole rows are transformed together, in chunks of at most
+    about _CHUNK_DRAWS draws (one row if a row is longer), so a draw over
+    many streams makes few inverse-CDF calls and its temporaries stay small.
+    """
+    out = np.empty((len(rngs), size))
+    step = _rows_per_chunk(size)
+    for start in range(0, len(rngs), step):
+        block = out[start:start + step]
+        for row, rng in zip(block, rngs[start:start + step]):
+            row[:] = rng.uniform_open(size)
+        block[:] = _gaussian(block, noise)
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,17 +255,13 @@ def _scan_states(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def simulate_trajectory(
-    sys: SystemModel,
-    noise: NoiseModel,
-    K: Gain,
-    x0: np.ndarray,
-    horizon: int,
-    rng: RngStream,
+    sys: SystemModel, K: Gain, x0: np.ndarray, w: np.ndarray
 ) -> Trajectory:
-    """Roll out x(k+1) = (Acl + w(k) Abcl) x(k), the plant under u(k) = K x(k).
+    """Roll out x(k+1) = (Acl + w(k) Abcl) x(k), the plant under u(k) = K x(k),
+    along the noise path w(0 .. horizon-1), a 1-d array (see draw_noise).
 
-    Acl = A + BK and Abcl = Abar + Bbar K, so one fresh noise draw per step
-    feeds both A(k) and B(k). Stage cost is x'(Q + K'RK)x = x'Qx + u'Ru.
+    Acl = A + BK and Abcl = Abar + Bbar K, so one noise value per step feeds
+    both A(k) and B(k). Stage cost is x'(Q + K'RK)x = x'Qx + u'Ru.
 
     The states are x(k) = M(k-1) ... M(0) x(0) with M(k) = Acl + w(k) Abcl,
     all computed at once from a prefix-product scan over time. The scan keeps
@@ -146,12 +271,13 @@ def simulate_trajectory(
     holds horizon x n. Its arithmetic is elementwise, each operation rounded
     once under IEEE, so the scanned states do not depend on the BLAS build.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or not w.size:
+        raise ValueError(f"w must be a nonempty 1-d noise path, got shape {w.shape}")
+    horizon = w.size
     x = np.asarray(x0, dtype=float).reshape(sys.n)
     Acl, Abcl = _closed_loop(K, sys)
     C = sys.Q + K.K.T @ sys.R @ K.K
-    w = draw_noise(rng, noise, horizon)
 
     chunks = [x[None]]
     k = 0  # steps taken
@@ -160,8 +286,10 @@ def simulate_trajectory(
     with np.errstate(over="ignore", invalid="ignore"):
         while k < horizon:
             seg = _scan_states(Acl[:, :, None] + Abcl[:, :, None] * w[k:], x)
-            # "not <=" is true for NaN as well as overflow.
-            bad = np.flatnonzero(~(np.linalg.norm(seg, axis=1) <= OVERFLOW_LIMIT))
+            # The row norms as np.linalg.norm(seg, axis=1) takes them, minus
+            # its dispatch. "not <=" is true for NaN as well as overflow.
+            norms = np.sqrt(np.add.reduce(seg * seg, axis=1))
+            bad = np.flatnonzero(~(norms <= OVERFLOW_LIMIT))
             if not bad.size:
                 chunks.append(seg)
                 break
@@ -207,25 +335,34 @@ def monte_carlo_cost(
     """Empirical mean and standard error of the truncated cumulative cost.
 
     Each run owns the private substream rng.substream(run_index), so results
-    do not depend on execution order; the reduction is by run index.
+    do not depend on execution order; the reduction is by run index. The
+    runs' noise paths are drawn one chunk of runs at a time, by one
+    draw_noise_rows call of at most about _CHUNK_DRAWS draws, and each run
+    of the chunk is then rolled out on its own path.
     Requires a mean-square stabilizing K (the infinite-horizon cost diverges
     otherwise) and raises DivergedError if any rollout overflows anyway.
     """
     if n_runs < 2:
         raise ValueError("n_runs must be >= 2")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     report = ms_stability_check(K, sys, noise)
     if not report.stable:
         raise NotStabilizingError(report.spectral_radius)
 
     totals = np.empty(n_runs)
-    for run in range(n_runs):
-        traj = simulate_trajectory(sys, noise, K, x0, horizon, rng.substream(run))
-        if traj.overflow:
-            raise DivergedError(
-                f"Monte Carlo run {run} overflowed at step {traj.overflow_step}",
-                step=traj.overflow_step,
-            )
-        totals[run] = traj.total_cost()
+    step = _rows_per_chunk(horizon)
+    for start in range(0, n_runs, step):
+        runs = range(start, min(start + step, n_runs))
+        paths = draw_noise_rows([rng.substream(run) for run in runs], noise, horizon)
+        for run, w in zip(runs, paths):
+            traj = simulate_trajectory(sys, K, x0, w)
+            if traj.overflow:
+                raise DivergedError(
+                    f"Monte Carlo run {run} overflowed at step {traj.overflow_step}",
+                    step=traj.overflow_step,
+                )
+            totals[run] = traj.total_cost()
     mean = float(totals.mean())
     if np.ptp(totals) == 0.0:
         # Identical runs (deterministic plant): avoid the O(eps) artifact the

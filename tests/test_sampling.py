@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 import lqlearn
 
@@ -19,8 +21,10 @@ from lqlearn import (
     realize,
     simulate_trajectory,
 )
+from lqlearn import sampling
+from lqlearn.config import preset_file, read_json
 from lqlearn.errors import DivergedError, NotStabilizingError
-from lqlearn.sampling import OVERFLOW_LIMIT
+from lqlearn.sampling import OVERFLOW_LIMIT, _ndtri, draw_noise_rows
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -127,6 +131,100 @@ class TestDrawNoise:
         )
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def neighbours(y, k=50):
+    """The k floats below y, y itself and the k floats above it."""
+    below, above = [y], [y]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    return np.array(below[:0:-1] + above)
+
+
+class TestNdtri:
+    """The Cephes port against scipy.special.ndtri, bit for bit. It needs
+    math.log to be the libm log that scipy links; a platform where it is
+    not shows here first."""
+
+    def test_uniform_draws_of_several_streams(self):
+        for stream in range(4):
+            u = RngStream(2718, stream).uniform_open(2**18)
+            assert same_bits(_ndtri(u), scipy.special.ndtri(u)), stream
+
+    @pytest.mark.parametrize("tail", ["lower", "upper"])
+    def test_tail_sweep_down_to_2_pow_minus_54(self, tail):
+        # y = e^-t from the e^-2 switch to 2^-54, and 1 - y in the upper
+        # tail up to the largest float below 1.
+        y = np.exp(-np.linspace(2.0, 54 * np.log(2.0), 300_001))
+        if tail == "upper":
+            y = 1.0 - y
+            y = y[y < 1.0]
+        assert same_bits(_ndtri(y), scipy.special.ndtri(y))
+
+    @pytest.mark.parametrize("y", [
+        1.0 - np.exp(-2.0), np.exp(-2.0), np.exp(-32.0), 1.0 - np.exp(-32.0),
+    ], ids=["1-e^-2", "e^-2", "e^-32", "1-e^-32"])
+    def test_neighbours_of_the_range_switches(self, y):
+        # e^-2 and 1 - e^-2 bound the centre; y = e^-32 is x = 8, where the
+        # tail changes its rational approximation.
+        u = neighbours(y)
+        assert same_bits(_ndtri(u), scipy.special.ndtri(u))
+
+    def test_edge_values(self):
+        u = np.array([np.nextafter(1.0, 0.0), 0.5, 2.0**-1074, 2.0**-54])
+        assert same_bits(_ndtri(u), scipy.special.ndtri(u))
+        assert _ndtri(0.5) == 0.0
+
+    def test_scalar_and_empty_input(self):
+        for y in (0.3, 0.01, 0.99, np.float64(1e-20)):
+            z = _ndtri(y)
+            assert np.shape(z) == () and same_bits(z, scipy.special.ndtri(y))
+        assert _ndtri(np.empty(0)).shape == (0,)
+        assert _ndtri(np.empty((3, 0))).shape == (3, 0)
+
+    def test_keeps_the_input_shape_and_values(self):
+        u = RngStream(3).uniform_open(24).reshape(2, 3, 4)
+        before = u.copy()
+        assert same_bits(_ndtri(u), scipy.special.ndtri(u))
+        assert same_bits(u, before)
+
+
+class TestDrawNoiseRows:
+    @pytest.mark.parametrize("size", [1, 4, 25])
+    def test_each_row_is_its_streams_own_draw(self, monkeypatch, size):
+        # A 10-draw chunk splits the 7 rows into chunks of 10 // size rows,
+        # or one row per chunk once a row is longer than the chunk.
+        monkeypatch.setattr(sampling, "_CHUNK_DRAWS", 10)
+        noise = NoiseModel(1.0, 0.1)
+        rows = draw_noise_rows([RngStream(9, i) for i in range(7)], noise, size)
+        assert rows.shape == (7, size)
+        for i, row in enumerate(rows):
+            assert same_bits(row, draw_noise(RngStream(9, i), noise, size))
+
+    def test_rows_longer_than_a_chunk(self):
+        noise = NoiseModel(0.0, 1.0)
+        size = sampling._CHUNK_DRAWS + 3
+        rows = draw_noise_rows([RngStream(4, 0), RngStream(4, 1)], noise, size)
+        for i, row in enumerate(rows):
+            assert same_bits(row, draw_noise(RngStream(4, i), noise, size))
+
+    def test_advances_each_stream(self):
+        noise = NoiseModel(0.0, 1.0)
+        rngs = [RngStream(6, 0).substream(i) for i in range(3)]
+        first = draw_noise_rows(rngs, noise, 5)
+        second = draw_noise_rows(rngs, noise, 5)
+        for i in range(3):
+            both = draw_noise(RngStream(6, 0).substream(i), noise, 10)
+            assert same_bits(np.concatenate([first[i], second[i]]), both)
+
+    def test_no_streams(self):
+        assert draw_noise_rows([], NoiseModel(0.0, 1.0), 8).shape == (0, 8)
+
+
 class TestRealize:
     def test_zero_omega(self, bench_sys):
         r = realize(bench_sys, 0.0)
@@ -169,30 +267,27 @@ class TestSimulateTrajectory:
                           B=np.eye(2), B_bar=np.zeros((2, 2)),
                           Q=np.eye(2), R=np.eye(2))
         K = Gain(-sys.A)
-        traj = simulate_trajectory(sys, NoiseModel(0.0, 0.0), K,
-                                   [1.0, -2.0], 10, RngStream(0))
+        traj = simulate_trajectory(sys, K, [1.0, -2.0], np.zeros(10))
         assert np.all(traj.xs[1:] == 0.0)
         assert not traj.overflow
 
     def test_geometric_decay(self):
         sys = SystemModel(A=[[0.5]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
                           Q=[[1.0]], R=[[1.0]])
-        traj = simulate_trajectory(sys, NoiseModel(0.0, 0.0), Gain([[0.0]]),
-                                   [1.0], 20, RngStream(0))
+        traj = simulate_trajectory(sys, Gain([[0.0]]), [1.0], np.zeros(20))
         assert traj.xs[:, 0] == pytest.approx(0.5 ** np.arange(21))
 
     def test_overflow_flag_truncates(self):
         sys = SystemModel(A=[[3.0]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
                           Q=[[1.0]], R=[[1.0]])
-        traj = simulate_trajectory(sys, NoiseModel(0.0, 0.0), Gain([[0.0]]),
-                                   [1.0], 200, RngStream(0))
+        traj = simulate_trajectory(sys, Gain([[0.0]]), [1.0], np.zeros(200))
         assert traj.overflow
         assert traj.overflow_step is not None
         assert len(traj.xs) <= traj.overflow_step + 1
 
     def test_stage_costs_nonnegative(self, bench_sys, bench_noise, bench_oracle):
-        traj = simulate_trajectory(bench_sys, bench_noise, bench_oracle.K_star,
-                                   [1.0, 1.0], 100, RngStream(5))
+        traj = simulate_trajectory(bench_sys, bench_oracle.K_star, [1.0, 1.0],
+                                   draw_noise(RngStream(5), bench_noise, 100))
         assert np.all(traj.costs >= 0.0)
 
     def test_benchmark_gain_state_decays(self, bench_sys, bench_noise, bench_oracle):
@@ -201,8 +296,8 @@ class TestSimulateTrajectory:
         runs = 1000
         for seed in range(runs):
             traj = simulate_trajectory(
-                bench_sys, bench_noise, bench_oracle.K_star,
-                [1.0, 1.0], 200, RngStream(seed, 3),
+                bench_sys, bench_oracle.K_star, [1.0, 1.0],
+                draw_noise(RngStream(seed, 3), bench_noise, 200),
             )
             assert not traj.overflow
             total += float(traj.xs[-1] @ traj.xs[-1])
@@ -214,8 +309,8 @@ class TestSimulateTrajectory:
         # one draw per step shared by A(k) and B(k).
         K = bench_oracle.K_star
         horizon = 300
-        traj = simulate_trajectory(bench_sys, bench_noise, K, [1.0, -0.5],
-                                   horizon, RngStream(8, 2))
+        traj = simulate_trajectory(bench_sys, K, [1.0, -0.5],
+                                   draw_noise(RngStream(8, 2), bench_noise, horizon))
         rng = RngStream(8, 2)
         x = np.array([1.0, -0.5])
         xs, costs = [x], []
@@ -241,8 +336,7 @@ class TestSimulateTrajectory:
     def test_exact_overflow_step(self, a, step):
         sys = SystemModel(A=[[a]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
                           Q=[[1.0]], R=[[1.0]])
-        traj = simulate_trajectory(sys, NoiseModel(0.0, 0.0), Gain([[0.0]]),
-                                   [1.0], 400, RngStream(0))
+        traj = simulate_trajectory(sys, Gain([[0.0]]), [1.0], np.zeros(400))
         assert traj.overflow
         assert traj.overflow_step == step
         assert len(traj.xs) == step
@@ -255,8 +349,8 @@ class TestSimulateTrajectory:
         # above 2, so every run overflows within the horizon; Acl and Abcl
         # do not commute, so the order of the products matters.
         K = Gain([[0.5, 0.5]])
-        traj = simulate_trajectory(bench_sys, bench_noise, K, [1.0, -0.5], 2000,
-                                   RngStream(seed, 4))
+        traj = simulate_trajectory(bench_sys, K, [1.0, -0.5],
+                                   draw_noise(RngStream(seed, 4), bench_noise, 2000))
         xs, costs, step = sequential_rollout(bench_sys, bench_noise, K,
                                              [1.0, -0.5], 2000,
                                              RngStream(seed, 4))
@@ -276,8 +370,8 @@ class TestSimulateTrajectory:
         sys, K = generated_loop(11, radius)
         assert ms_stability_check(K, sys, bench_noise).stable == (radius < 1.0)
         x0 = [1.0, -0.5, 0.25]
-        traj = simulate_trajectory(sys, bench_noise, K, x0, horizon,
-                                   RngStream(13, 5))
+        traj = simulate_trajectory(sys, K, x0,
+                                   draw_noise(RngStream(13, 5), bench_noise, horizon))
         xs, costs, step = sequential_rollout(sys, bench_noise, K, x0, horizon,
                                              RngStream(13, 5))
         if horizon >= 257:
@@ -294,8 +388,7 @@ class TestSimulateTrajectory:
                           B=np.eye(2), B_bar=np.zeros((2, 2)),
                           Q=np.eye(2), R=np.eye(2))
         K = Gain(np.zeros((2, 2)))
-        traj = simulate_trajectory(sys, NoiseModel(0.0, 0.0), K, [0.0, 1.0],
-                                   400, RngStream(0))
+        traj = simulate_trajectory(sys, K, [0.0, 1.0], np.zeros(400))
         xs, costs, step = sequential_rollout(sys, NoiseModel(0.0, 0.0), K,
                                              [0.0, 1.0], 400, RngStream(0))
         assert step is None and not traj.overflow
@@ -303,8 +396,8 @@ class TestSimulateTrajectory:
         assert np.array_equal(traj.costs, costs)
 
     def test_nan_state_counts_as_overflow(self, scalar_sys):
-        traj = simulate_trajectory(scalar_sys, NoiseModel(0.0, 0.0),
-                                   Gain([[-0.5]]), [np.nan], 10, RngStream(0))
+        traj = simulate_trajectory(scalar_sys, Gain([[-0.5]]), [np.nan],
+                                   np.zeros(10))
         assert traj.overflow
         assert traj.overflow_step == 1
         assert len(traj.xs) == 1
@@ -314,8 +407,8 @@ class TestMonteCarloCost:
     def test_deterministic_plant_zero_stderr(self, det_sys, det_noise, det_oracle):
         est = monte_carlo_cost(det_sys, det_noise, det_oracle.K_star,
                                [1.0, 1.0], 100, 10, RngStream(0))
-        traj = simulate_trajectory(det_sys, det_noise, det_oracle.K_star,
-                                   [1.0, 1.0], 100, RngStream(0))
+        traj = simulate_trajectory(det_sys, det_oracle.K_star, [1.0, 1.0],
+                                   draw_noise(RngStream(0), det_noise, 100))
         assert est.std_err == 0.0
         assert est.mean == pytest.approx(traj.total_cost())
 
@@ -351,6 +444,29 @@ class TestMonteCarloCost:
         assert est.std_err == pytest.approx(np.std(totals, ddof=1) / np.sqrt(30),
                                             rel=1e-12, abs=0.0)
 
+    def test_runs_drawn_in_chunks_equal_runs_alone(self, monkeypatch, bench_sys,
+                                                   bench_noise, bench_oracle):
+        # 1000-draw chunks hold two 400-step runs: chunks of 2, 2 and 1.
+        monkeypatch.setattr(sampling, "_CHUNK_DRAWS", 1000)
+        K, x0, rng = bench_oracle.K_star, [1.0, 1.0], RngStream(33)
+        est = monte_carlo_cost(bench_sys, bench_noise, K, x0, 400, 5, rng)
+        totals = np.array([
+            simulate_trajectory(bench_sys, K, x0, draw_noise(
+                rng.substream(run), bench_noise, 400)).total_cost()
+            for run in range(5)
+        ])
+        assert est.mean == float(totals.mean())
+        assert est.std_err == float(totals.std(ddof=1) / np.sqrt(5))
+
+    def test_overflowing_stability_operator_is_not_stabilizing(self, bench_sys):
+        # The lifted operator T overflows (entries ~ 1e320): the check reports
+        # an unstable loop with radius inf instead of failing in eigvals.
+        K, noise = Gain(np.zeros((1, 2))), NoiseModel(1e160, 0.0)
+        report = ms_stability_check(K, bench_sys, noise)
+        assert report.stable is False and report.spectral_radius == np.inf
+        with pytest.raises(NotStabilizingError, match="radius inf"):
+            monte_carlo_cost(bench_sys, noise, K, [1.0, 1.0], 10, 2, RngStream(0))
+
     def test_deterministic_given_seed(self, bench_sys, bench_noise, bench_oracle):
         a = monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star,
                              [1.0, 1.0], 50, 20, RngStream(77))
@@ -359,14 +475,28 @@ class TestMonteCarloCost:
         assert a == b
 
 
-def test_import_does_not_load_scipy_special():
-    # scipy.special (for ndtri) is imported by the first noise draw only.
+def test_import_does_not_load_scipy_special(tmp_path):
+    # numpy is the only runtime dependency: importing the package, a draw,
+    # a learning run and the Monte Carlo validation leave scipy unloaded.
+    data = read_json(preset_file("paper_sec4"))
+    data.update(rounds=20, seeds=[0],
+                validation={**data["validation"], "horizon": 50, "n_runs": 20})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
     env = {**os.environ,
            "PYTHONPATH": str(Path(lqlearn.__file__).resolve().parent.parent)}
-    loaded = "'scipy.special' in sys.modules"
-    draw = "lq.draw_noise(lq.RngStream(0), lq.NoiseModel(0.0, 1.0))"
-    code = f"import sys, lqlearn as lq; print({loaded}); {draw}; print({loaded})"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    code = """if True:
+        import sys
+        import lqlearn as lq
+        from lqlearn import cli
+        lq.draw_noise(lq.RngStream(0), lq.NoiseModel(0.0, 1.0))
+        config, out = sys.argv[1:]
+        assert cli.main(["run", "--config", config, "--out", out]) == 0
+        assert cli.main(["validate-controller", "--config", config, "--out", out]) == 0
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    """
+    proc = subprocess.run([sys.executable, "-c", code, config, tmp_path / "run"],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert (tmp_path / "run" / "controller_report.json").is_file()
+    assert proc.stdout.splitlines()[-1] == "[]"
