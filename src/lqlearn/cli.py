@@ -6,9 +6,9 @@ Subcommands:
   validate-controller  check a learned gain against the oracle, write a report
 
 `run` learns its seeds a group at a time (trace.group_seeds bounds the
-floats a group's traces and one round's mixing hold), each kind of learner
-as one distributed.run_seeds batch: the centralized batch first, then the
-distributed batch on the seeds that did not diverge. Every output file and
+floats a group's traces hold, and so a round's (S, N, d, d) temporaries),
+each kind of learner as one distributed.run_seeds batch: the centralized
+batch first, then the distributed batch on the seeds that did not diverge. Every output file and
 log line is the same as when each seed runs alone, in seed order.
 
 Exit codes: 0 clean, 2 validation error, 3 all runs diverged, 4 oracle

@@ -14,11 +14,12 @@ whole stack, the residuals included: one y_operator call per round. run_seeds
 learns S seeds (independent noise streams) at once on one (S, N, d, d)
 stack, so a round is still one y_operator call, one mixing step, one
 symmetrize and one guard; a seed that trips the guard leaves the stack and
-the others go on. Each seed's trace and error equal those of its run alone,
-bit for bit, and run_distributed is the one-seed case. Only the two SVDs of
-each G_uu block still run block by block, inside lqcore._pinv_uu. With a
-single sensor and L_1 = I the round is exactly the centralized iteration,
-which is how lqlearn.qlearning runs it.
+the others go on. Mixing takes one pass per neighbour column, so a round's
+memory is linear in the sensors. Each seed's trace and error equal those of
+its run alone, bit for bit, and run_distributed is the one-seed case. Only
+the two SVDs of each G_uu block still run block by block, inside
+lqcore._pinv_uu. With a single sensor and L_1 = I the round is exactly the
+centralized iteration, which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ _NS_JITTER = 1
 _NS_SENSOR_NOISE = 2
 
 
+def _mix(G: np.ndarray, cons: ConsensusOperator) -> np.ndarray:
+    """G - w L.G on a stack of banks G, shape S + (N, d, d), with L.G each
+    sensor's sum from +0 of G_i - G_j over its neighbours j in ascending j:
+    a padded column adds an exact +0, so these are the bits of the dense sum
+    over all pairs weighted by L, and estimates that agree stay bit-exact."""
+    acc = np.zeros_like(G)
+    for col in cons.graph.neighbor_columns:
+        acc += G - G.take(col, axis=-3)
+    return G - cons.w * acc
+
+
 def _round(
     G: np.ndarray,
     Uk: np.ndarray,
@@ -52,20 +64,15 @@ def _round(
 
     Returns the post-round stack and, for each index in S whose bank left the
     guard, the DivergedError its bank alone raises. Every bank of the stack
-    gets the bits of a round on its own.
+    gets the bits of a round on its own, and every temporary is a stack of
+    S + (N, ...) blocks: none is N x N.
     """
     Uk = np.broadcast_to(Uk, (*G.shape[:-2], sys.n, sys.n + sys.m))
     Y = y_operator(G, Uk, sys.Q, sys.R)
     # alpha * (gains * Y), scaled in place in that order.
     Y *= gains[:, :, None]
     Y *= alpha
-    if cons.graph.edges:
-        # L.G taken over the pairwise differences G_j - G_i (rows of L sum
-        # to zero), so estimates that agree stay bit-exact on any graph.
-        diff = G[..., None, :, :, :] - G[..., :, None, :, :]
-        G = G - cons.w * np.einsum("ij,...ijab->...iab", cons.L, diff)
-    # Without edges L = 0 and the mixing term is exact zeros: G stays G.
-    Y += G
+    Y += _mix(G, cons)
     G = symmetrize(Y)
 
     norms = np.linalg.norm(G, axis=(-2, -1))
@@ -107,12 +114,10 @@ def distributed_round(
     Uk is one sampled plant [A_k B_k] (n x (n+m)) shared by every sensor, or
     an (N, n, n+m) stack with one plant per sensor (see lqcore.realize).
     All sensors read the same pre-round neighbor values; updates commit
-    together (simultaneous Jacobi sweep). The residuals Y_i (one y_operator
-    call on the whole stack), mixing, innovation (L_i Y_i as the row scaling
-    by gains[i], the diagonal of L_i; see network.allocate_gains),
-    symmetrization and the divergence guard each run once on the whole
-    stack. A rank-deficient G_uu warns once per round, naming the first
-    such sensor's index.
+    together (simultaneous Jacobi sweep). The innovation L_i Y_i is the row
+    scaling by gains[i], the diagonal of L_i (see network.allocate_gains).
+    A rank-deficient G_uu warns once per round, naming the first such
+    sensor's index.
     """
     if cons.graph.n_sensors != G.shape[0]:
         raise ValueError("bank and consensus operator must agree on the sensor count")
@@ -249,16 +254,13 @@ def run_distributed(
 
     gains is the (N, d) array of innovation-gain diagonals that
     network.allocate_gains builds. The whole (rounds, N) noise tape is drawn
-    before the first round. The rounds are stepped in blocks of
-    trace.block_rounds: a block's sampled plants are built at its start,
-    its post-update estimates fill one (B, N, d, d) array, and the trace
-    measures that block when it is done, so the metrics' memory is bounded
-    by the block. shared_noise=True evaluates every sensor's residual on the
-    same sampled plant (one draw per round from rng); otherwise each sensor
-    owns a private noise substream. When an oracle is supplied the trace
-    also records the error of the averaged iterate to G*. This is run_seeds
-    on the one stream rng; a run that trips the guard raises its
-    DivergedError.
+    before the first round; the trace measures the rounds a block of
+    trace.block_rounds at a time. shared_noise=True evaluates every sensor's
+    residual on the same sampled plant (one draw per round from rng);
+    otherwise each sensor owns a private noise substream. When an oracle is
+    supplied the trace also records the error of the averaged iterate to G*.
+    This is run_seeds on the one stream rng; a run that trips the guard
+    raises its DivergedError.
     """
     (result,) = run_seeds(
         sys, noise, graph, gains, sched, rounds, [rng], oracle=oracle, w=w,

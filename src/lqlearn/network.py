@@ -7,7 +7,7 @@ down by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,59 +20,58 @@ class Graph:
 
     n_sensors = 1 with an empty edge set is the permitted degenerate case
     (a single sensor running the centralized iteration).
+
+    All lookups read one adjacency, built once; column i of the read-only
+    (D, N) neighbor_columns lists sensor i's neighbours in ascending order,
+    padded with i itself up to D, the largest degree.
     """
 
     n_sensors: int
     edges: frozenset
+    _adjacency: tuple = field(init=False, repr=False, compare=False)
+    neighbor_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_sensors < 1:
+        N = self.n_sensors
+        if N < 1:
             raise BadSpecError("graph needs at least one vertex")
-        normalized = set()
+        adjacency = [set() for _ in range(N)]
         for edge in self.edges:
             i, j = edge
             if i == j:
                 raise BadSpecError(f"self-loop on vertex {i}")
-            if not (0 <= i < self.n_sensors and 0 <= j < self.n_sensors):
+            if not (0 <= i < N and 0 <= j < N):
                 raise BadSpecError(f"edge {edge} out of range")
-            normalized.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(normalized))
-        if not self._connected():
-            raise DisconnectedError(
-                f"edge set does not connect all {self.n_sensors} vertices"
-            )
-
-    def _connected(self) -> bool:
-        seen = {0}
-        frontier = [0]
-        adj = {i: [] for i in range(self.n_sensors)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        object.__setattr__(self, "edges", frozenset(
+            (i, j) for i, nbrs in enumerate(adjacency) for j in nbrs if i < j))
+        object.__setattr__(self, "_adjacency", adjacency)
+        seen, frontier = {0}, [0]
         while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
+            for u in adjacency[frontier.pop()]:
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
-        return len(seen) == self.n_sensors
+        if len(seen) < N:
+            raise DisconnectedError(f"edge set does not connect all {N} vertices")
+        columns = np.tile(np.arange(N), (max(map(len, adjacency)), 1))
+        for i, nbrs in enumerate(adjacency):
+            columns[:len(nbrs), i] = nbrs
+        columns.flags.writeable = False
+        object.__setattr__(self, "neighbor_columns", columns)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(b if a == i else a for a, b in self.edges if i in (a, b))
-        )
+        return self._adjacency[i]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_sensors, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.array([len(nbrs) for nbrs in self._adjacency], dtype=int)
 
     def laplacian(self) -> np.ndarray:
         L = np.diag(self.degrees().astype(float))
-        for i, j in self.edges:
-            L[i, j] = L[j, i] = -1.0
+        for i, nbrs in enumerate(self._adjacency):
+            L[i, list(nbrs)] = -1.0
         return L
 
 

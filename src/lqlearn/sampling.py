@@ -230,6 +230,15 @@ class Trajectory:
         return float(self.costs.sum())
 
 
+def _sum_of_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[j] * b[j] over the leading axis, added in ascending j from the
+    j = 0 term; elementwise, so its bits do not depend on the BLAS build."""
+    out = a[0] * b[0]
+    for j in range(1, len(a)):
+        out += a[j] * b[j]
+    return out
+
+
 def _scan_states(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """States M(k) ... M(0) x for k = 0 .. T-1, as a (T, n) array.
 
@@ -239,19 +248,13 @@ def _scan_states(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     as n broadcast multiply-adds over the whole horizon, so a pass is a few
     long elementwise loops rather than one small matmul per step.
     """
-    n, T = M.shape[0], M.shape[2]
+    T = M.shape[2]
     s = 1
     while s < T:
         a, b = M[:, :, s:], M[:, :, :-s]
-        out = a[:, :1] * b[0]
-        for j in range(1, n):
-            out += a[:, j:j + 1] * b[j]
-        M[:, :, s:] = out
+        M[:, :, s:] = _sum_of_products(a.swapaxes(0, 1)[:, :, None], b)
         s *= 2
-    xs = M[:, 0] * x[0]
-    for j in range(1, n):
-        xs += M[:, j] * x[j]
-    return xs.T
+    return _sum_of_products(M.swapaxes(0, 1), x).T
 
 
 def simulate_trajectory(
@@ -268,8 +271,9 @@ def simulate_trajectory(
     the step matrices time-major, as one (n, n, horizon) array: horizon x
     n x n floats (12.8 KB at n = 2 and 400 steps), plus at most two
     temporaries of that size during a pass, where a step-by-step rollout
-    holds horizon x n. Its arithmetic is elementwise, each operation rounded
-    once under IEEE, so the scanned states do not depend on the BLAS build.
+    holds horizon x n. The scan, a retaken step and the stage costs are
+    elementwise (_sum_of_products), so their bits do not depend on the BLAS
+    build.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or not w.size:
@@ -299,17 +303,17 @@ def simulate_trajectory(
             # also flagged when a product overflowed but the state did not
             # (x(0) orthogonal to a growing mode), and the scan resumes there.
             last = seg[j - 1] if j else x
-            x = Acl @ last + w[k + j] * (Abcl @ last)
+            x = _sum_of_products((Acl + Abcl * w[k + j]).T, last)
             if not np.linalg.norm(x) <= OVERFLOW_LIMIT:
                 overflow_step = k + j + 1
                 break
             chunks.append(x[None])
             k += j + 1
     xs = np.concatenate(chunks)
-    kept = xs[:horizon]
+    kept = xs[:horizon].T
     return Trajectory(
         xs=xs,
-        costs=((kept @ C) * kept).sum(axis=1),
+        costs=_sum_of_products(_sum_of_products(C[:, :, None], kept[:, None]), kept),
         overflow=overflow_step is not None,
         overflow_step=overflow_step,
     )

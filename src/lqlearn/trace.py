@@ -9,10 +9,7 @@ The learner records its rounds a block at a time, and each block is
 measured when it is recorded, in one vectorized pass. A block holds as many
 rounds as fit a fixed float budget (block_rounds), so the memory a pass
 takes is bounded by the block and not by the run length, nor (through
-chunks of sensor rows) by the square of the sensor count. The chunks bound
-this metric pass only, not the learner's round: its mixing step still holds
-the (S, N, N, d, d) pairwise differences, so one round on ring:200 at d = 3
-peaks near 3 MB under tracemalloc, while recording it stays near 0.4 MB.
+chunks of sensor rows) by the square of the sensor count.
 """
 
 from __future__ import annotations
@@ -42,9 +39,8 @@ _BLOCK_FLOATS = 2**15
 
 # Floats the traces of one group of seeds may hold (about 8 MB of Python
 # floats): `lqlearn run` learns its seeds a group at a time, so its memory
-# does not grow with the seed count. At d = 3 and 200 rounds a group is 54
-# seeds on ring:4 and 87 on the single sensor; on ring:32 one round's mixing
-# differences bind first (see group_seeds), at 3 seeds.
+# does not grow with the seed count. At d = 3 and 200 rounds a group is 87
+# seeds on the single sensor, 54 on ring:4 and 12 on ring:32.
 _GROUP_FLOATS = 2**18
 
 
@@ -55,13 +51,11 @@ def block_rounds(n_sensors: int, d: int, n_seeds: int = 1) -> int:
 
 def group_seeds(n_sensors: int, d: int, rounds: int) -> int:
     """Seeds per group, at least one: as many as keep their traces within
-    the group budget and one round's (S, N, N, d, d) mixing differences
-    within the block budget. A trace keeps, per round, three floats per
-    sensor (omega, norm1 and the error to G*), the d x d averaged iterate
-    and three scalars."""
-    traces = _GROUP_FLOATS // (rounds * (3 * n_sensors + d * d + 3))
-    mixing = _BLOCK_FLOATS // (n_sensors * n_sensors * d * d)
-    return max(1, min(traces, mixing))
+    the group budget. A trace keeps, per round, three floats per sensor
+    (omega, norm1 and the error to G*), the d x d averaged iterate and
+    three scalars. A round's temporaries are a few (S, N, d, d) stacks,
+    with S bounded by this trace budget."""
+    return max(1, _GROUP_FLOATS // (rounds * (3 * n_sensors + d * d + 3)))
 
 
 class RunTrace:

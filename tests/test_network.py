@@ -62,6 +62,55 @@ class TestBuildGraph:
             Graph(2, frozenset({(0, 0)}))
 
 
+class TestAdjacency:
+    """neighbors, degrees, laplacian and the neighbour table all come from one
+    adjacency; each is checked against a reference built from the edge list."""
+
+    SPECS = ["single", "path:2", "ring:5", "path:6", "star:7", "complete:5",
+             "edges:1-2,2-3,3-4,4-1,1-3,4-5", "edges:3-1,1-2,2-3,5-3,4-5"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_neighbors_degrees_and_laplacian(self, spec):
+        g = build_graph(spec)
+        N = g.n_sensors
+        ref_nbrs = [sorted({b if a == i else a for a, b in g.edges if i in (a, b)})
+                    for i in range(N)]
+        L = np.zeros((N, N))
+        for i, j in g.edges:
+            L[i, j] = L[j, i] = -1.0
+            L[i, i] += 1.0
+            L[j, j] += 1.0
+        for i in range(N):
+            assert g.neighbors(i) == tuple(ref_nbrs[i])
+        assert np.array_equal(g.degrees(), [len(nbrs) for nbrs in ref_nbrs])
+        assert g.degrees().dtype.kind == "i"
+        assert np.array_equal(g.laplacian(), L)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_neighbor_columns_padded_with_the_sensor_itself(self, spec):
+        g = build_graph(spec)
+        N, D = g.n_sensors, int(g.degrees().max())
+        cols = g.neighbor_columns
+        assert cols.shape == (D, N)
+        assert not cols.flags.writeable
+        for i in range(N):
+            nbrs = g.neighbors(i)
+            assert tuple(cols[:len(nbrs), i]) == nbrs
+            assert np.all(cols[len(nbrs):, i] == i)
+
+    def test_duplicate_and_reversed_edges_collapse(self):
+        g = Graph(3, frozenset({(0, 1), (1, 0), (2, 1)}))
+        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.neighbors(1) == (0, 2)
+        assert np.array_equal(g.degrees(), [1, 2, 1])
+
+    def test_equality_ignores_the_derived_tables(self):
+        ring = Graph(4, frozenset({(3, 0), (0, 1), (1, 2), (2, 3)}))
+        assert build_graph("ring:4") == ring
+        assert hash(build_graph("ring:4")) == hash(build_graph("ring:4"))
+        assert "neighbor_columns" not in repr(build_graph("ring:4"))
+
+
 class TestConsensusOperator:
     def test_complete2_half_weight(self):
         cons = consensus_operator(build_graph("complete:2"), 0.5)

@@ -1,10 +1,11 @@
-"""Property tests of the oracle on generated mean-square stable systems."""
+"""Property tests of the oracle on generated mean-square stable systems.
+
+The 60 systems come from fixed numpy seeds, so the set checked does not move
+when a literal changes anywhere in the package."""
 
 import numpy as np
+import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from lqlearn import (
     Gain,
@@ -23,38 +24,38 @@ from lqlearn import (
 )
 
 EPS = np.finfo(float).eps
-ENTRIES = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
-@st.composite
-def stable_problems(draw):
-    """(system, noise) with n in {1,2,3}, m in {1,2} whose open loop K = 0
-    is mean-square stable with radius below 0.99, so the oracle converges.
+def stable_problem(seed):
+    """(system, noise) with n in {1,2,3}, m in {1,2} and entries in [-1, 1],
+    whose open loop K = 0 is mean-square stable with radius below 0.99, so
+    the oracle converges. A draw that misses the margin is redrawn from the
+    same stream.
 
     The margin bounds the solve: a weakly actuated system with an open-loop
     radius near 1 has a large G* that Picard approaches about as slowly as
     the open loop decays, past the iteration cap (NoConvergenceError)."""
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(seed)
 
     def mat(rows, cols):
-        return draw(hnp.arrays(np.float64, (rows, cols), elements=ENTRIES))
+        return rng.uniform(-1.0, 1.0, (rows, cols))
 
-    Lq, Lr = mat(n, n), mat(m, m)
-    system = SystemModel(
-        A=mat(n, n), A_bar=mat(n, n), B=mat(n, m), B_bar=mat(n, m),
-        Q=Lq @ Lq.T + 0.1 * np.eye(n), R=Lr @ Lr.T + 0.1 * np.eye(m),
-    )
-    noise = NoiseModel(draw(ENTRIES), draw(st.floats(0.0, 1.0)))
-    open_loop = ms_stability_check(Gain(np.zeros((m, n))), system, noise)
-    assume(open_loop.spectral_radius < 0.99)
-    return system, noise
+    while True:
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        Lq, Lr = mat(n, n), mat(m, m)
+        system = SystemModel(
+            A=mat(n, n), A_bar=mat(n, n), B=mat(n, m), B_bar=mat(n, m),
+            Q=Lq @ Lq.T + 0.1 * np.eye(n), R=Lr @ Lr.T + 0.1 * np.eye(m),
+        )
+        noise = NoiseModel(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0))
+        open_loop = ms_stability_check(Gain(np.zeros((m, n))), system, noise)
+        if open_loop.spectral_radius < 0.99:
+            return system, noise
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(stable_problems())
-def test_oracle_identities_on_generated_systems(problem):
-    system, noise = problem
+@pytest.mark.parametrize("seed", range(60))
+def test_oracle_identities_on_generated_systems(seed):
+    system, noise = stable_problem(seed)
     oracle = solve_oracle(system, noise)
     G = oracle.G_star.mat
 

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -260,6 +262,30 @@ class TestRealize:
         assert np.array_equal(batch, scalar)
 
 
+def _fold(terms):
+    """Left-to-right sum from the first term, each addition rounded once
+    (Python floats are IEEE doubles), so a zero sum keeps its sign."""
+    return functools.reduce(operator.add, terms)
+
+
+def elementwise_costs(sys, K, xs):
+    """Stage costs x'Cx, C = Q + K'RK, as (Cx)_i = sum_j x_j C_ji and then
+    sum_i (Cx)_i x_i, each an n-term sum taken left to right."""
+    C = (sys.Q + K.K.T @ sys.R @ K.K).tolist()
+    n = len(C)
+    return np.array([
+        _fold(_fold(x[j] * C[j][i] for j in range(n)) * x[i] for i in range(n))
+        for x in np.asarray(xs).tolist()
+    ])
+
+
+def elementwise_step(sys, K, x, w):
+    """x(k+1) = sum_j M_ij x_j with M = Acl + Abcl * w, left to right."""
+    Acl, Abcl = sys.A + sys.B @ K.K, sys.A_bar + sys.B_bar @ K.K
+    M = (Acl + Abcl * w).tolist()
+    return np.array([_fold(row[j] * x[j] for j in range(len(x))) for row in M])
+
+
 class TestSimulateTrajectory:
     def test_deadbeat(self):
         # K = -A (with B = I) zeroes the state in one step.
@@ -394,6 +420,47 @@ class TestSimulateTrajectory:
         assert step is None and not traj.overflow
         assert np.array_equal(traj.xs, xs)
         assert np.array_equal(traj.costs, costs)
+
+    @pytest.mark.parametrize("case", ["benchmark", "stable3", "overflowing3"])
+    def test_stage_costs_are_elementwise_sums_bit_for_bit(self, bench_sys,
+                                                           bench_noise,
+                                                           bench_oracle, case):
+        if case == "benchmark":
+            sys, K, x0 = bench_sys, bench_oracle.K_star, [1.0, -0.5]
+        else:
+            sys, K = generated_loop(11, 0.5 if case == "stable3" else 3.0)
+            x0 = [1.0, -0.5, 0.25]
+        traj = simulate_trajectory(sys, K, x0,
+                                   draw_noise(RngStream(17, 6), bench_noise, 400))
+        assert traj.overflow == (case == "overflowing3")
+        expected = elementwise_costs(sys, K, traj.xs[:len(traj.costs)])
+        assert traj.costs.tobytes() == expected.tobytes()
+
+    def test_retaken_steps_are_elementwise_sums_bit_for_bit(self, bench_noise,
+                                                            monkeypatch):
+        # The first column of every product grows past float range within
+        # about 100 steps, but x0 has no first component, so the scanned
+        # state turns NaN (inf * 0) while the true state decays: each such
+        # step is retaken from the last kept state and the scan resumes there.
+        sys = SystemModel(
+            A=[[1e3, 0.0, 0.0], [0.3, 0.5, 0.2], [0.1, -0.3, 0.6]],
+            A_bar=[[10.0, 0.0, 0.0], [0.05, 0.1, -0.05], [0.02, 0.03, 0.1]],
+            B=np.ones((3, 1)), B_bar=np.zeros((3, 1)), Q=np.eye(3), R=np.eye(1),
+        )
+        K = Gain(np.zeros((1, 3)))
+        starts = []
+        scan = sampling._scan_states
+        monkeypatch.setattr(sampling, "_scan_states",
+                            lambda M, x: starts.append(x) or scan(M, x))
+        w = draw_noise(RngStream(19, 7), bench_noise, 400)
+        traj = simulate_trajectory(sys, K, [0.0, 1.0, -0.5], w)
+        assert not traj.overflow and len(traj.xs) == 401
+        retaken = [int(np.flatnonzero((traj.xs == x).all(axis=1))[0])
+                   for x in starts[1:]]
+        assert len(retaken) >= 3
+        for k in retaken:
+            assert traj.xs[k].tobytes() == elementwise_step(
+                sys, K, traj.xs[k - 1], w[k - 1]).tobytes()
 
     def test_nan_state_counts_as_overflow(self, scalar_sys):
         traj = simulate_trajectory(scalar_sys, Gain([[-0.5]]), [np.nan],

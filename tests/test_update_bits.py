@@ -4,6 +4,7 @@ below is the plain expression (np.linalg.pinv, new arrays instead of in-place
 updates, np.stack over the sensors), and the update must equal it bit for
 bit, so traces and CSVs never move."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from lqlearn import (
     symmetrize,
     y_operator,
 )
+from lqlearn.distributed import _mix, _round
 from lqlearn.lqcore import PINV_TOL, _pinv_uu
 
 
@@ -40,12 +42,18 @@ def _y_reference(G, Uk, Q, R):
     return (M + M.swapaxes(-1, -2)) / 2.0
 
 
+def _mix_reference(G, cons):
+    """The dense mixing step: L weighs all N x N pairwise differences."""
+    diff = G[..., None, :, :, :] - G[..., :, None, :, :]
+    return G - cons.w * np.einsum("ij,...ijab->...iab", cons.L, diff)
+
+
 def _round_reference(G, k, sys, cons, gains, Uk, sched):
     N = G.shape[0]
     Uk = np.broadcast_to(Uk, (N, sys.n, sys.n + sys.m))
     alpha = sched.alpha(k)
     Y = np.stack([_y_reference(g, u, sys.Q, sys.R) for g, u in zip(G, Uk)])
-    G = G - cons.w * np.einsum("ij,ijab->iab", cons.L, G[None] - G[:, None])
+    G = _mix_reference(G, cons)
     G = G + alpha * (gains[:, :, None] * Y)
     return (G + G.swapaxes(-1, -2)) / 2.0
 
@@ -196,3 +204,82 @@ def test_distributed_round_equals_reference_bit_for_bit(bench_sys, spec, mode,
         bank = distributed_round(bank, k, bench_sys, cons, gains, Uk, sched)
         ref = _round_reference(ref, k, bench_sys, cons, gains, Uk, sched)
         assert _same_bits(bank, ref)
+
+
+# Every kind of graph the descriptors build; the star and the last edge list
+# have unequal degrees, so their neighbour tables are padded.
+GRAPHS = ["single", "ring:5", "path:5", "star:6", "complete:5",
+          "edges:1-2,2-3,3-4,4-1,1-3,4-5"]
+
+
+def _bank_stack(rng, shape):
+    X = rng.standard_normal((*shape, 3, 3))
+    return symmetrize(X @ X.swapaxes(-1, -2) + np.eye(3))
+
+
+@pytest.mark.parametrize("spec", GRAPHS)
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("private", [False, True])
+def test_round_on_a_seed_stack_equals_reference_bit_for_bit(bench_sys, spec, S,
+                                                            private):
+    g = build_graph(spec)
+    N = g.n_sensors
+    cons = consensus_operator(g)
+    gains = allocate_gains(g, (bench_sys.n, bench_sys.m), "uniform")
+    sched = Schedule(scale=0.05)
+    rng = np.random.default_rng(31)
+    stack = ref = _bank_stack(rng, (S, N))
+    for k in range(6):
+        Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=(S, N if private else 1)))
+        stack, diverged = _round(stack, Uk, bench_sys, cons, gains, sched.alpha(k), k)
+        assert not diverged
+        ref = np.stack([_round_reference(G, k, bench_sys, cons, gains, U, sched)
+                        for G, U in zip(ref, Uk)])
+        assert _same_bits(stack, ref)
+
+
+def _mixing_cases(rng, shape):
+    """Stacks that probe the mixing sum's bits: generic values, sensors that
+    agree exactly, entries of +0 and -0 mixed across sensors (alone and
+    next to nonzeros), and entries around 1e150."""
+    yield rng.standard_normal(shape)
+    yield np.broadcast_to(rng.standard_normal(shape[-2:]), shape).copy()
+    agree = rng.standard_normal(shape)
+    agree[..., ::2, :, :] = agree[..., :1, :, :]
+    yield agree
+    yield rng.choice([0.0, -0.0], size=shape)
+    yield rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], size=shape)
+    yield 1e150 * rng.standard_normal(shape)
+    yield rng.choice([0.0, -0.0, 1e150, -1e150, 3e149], size=shape)
+
+
+@pytest.mark.parametrize("spec", GRAPHS)
+@pytest.mark.parametrize("S", [1, 3])
+def test_mixing_equals_dense_reference_bit_for_bit(spec, S):
+    cons = consensus_operator(build_graph(spec))
+    rng = np.random.default_rng(41)
+    for G in _mixing_cases(rng, (S, cons.graph.n_sensors, 3, 3)):
+        got, ref = _mix(G, cons), _mix_reference(G, cons)
+        assert _same_bits(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        for s in range(S):  # each bank of the stack as if mixed alone
+            assert _same_bits(got[s], _mix(G[s], cons))
+
+
+def test_one_round_on_200_sensors_stays_below_a_megabyte(bench_sys):
+    # The round's temporaries are a few (S, N, d, d) stacks: 43 KB each here,
+    # where the dense pairwise differences alone would take 8.6 MB.
+    g = build_graph("ring:200")
+    cons = consensus_operator(g)
+    gains = allocate_gains(g, (bench_sys.n, bench_sys.m), "uniform")
+    rng = np.random.default_rng(51)
+    G = _bank_stack(rng, (3, 200))
+    Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=(3, 200)))
+    _round(G, Uk, bench_sys, cons, gains, 0.01, 0)  # first-call set-up
+    tracemalloc.start()
+    try:
+        _round(G, Uk, bench_sys, cons, gains, 0.01, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
