@@ -67,7 +67,6 @@ def _round(
     gets the bits of a round on its own, and every temporary is a stack of
     S + (N, ...) blocks: none is N x N.
     """
-    Uk = np.broadcast_to(Uk, (*G.shape[:-2], sys.n, sys.n + sys.m))
     Y = y_operator(G, Uk, sys.Q, sys.R)
     # alpha * (gains * Y), scaled in place in that order.
     Y *= gains[:, :, None]
@@ -75,7 +74,9 @@ def _round(
     Y += _mix(G, cons)
     G = symmetrize(Y)
 
-    norms = np.linalg.norm(G, axis=(-2, -1))
+    # The norms as np.linalg.norm(G, axis=(-2, -1)) takes them, minus its
+    # dispatch.
+    norms = np.sqrt(np.add.reduce(G * G, axis=(-2, -1)))
     diverged = {}
     # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
     if not norms.max() <= DIVERGENCE_CAP:
@@ -122,16 +123,20 @@ def distributed_round(
     if cons.graph.n_sensors != G.shape[0]:
         raise ValueError("bank and consensus operator must agree on the sensor count")
     _check_gains(gains, G.shape[0], sys)
-    G, diverged = _round(G, Uk, sys, cons, gains, sched.alpha(k), k)
+    G, diverged = _round(G, np.asarray(Uk, dtype=float), sys, cons, gains,
+                         sched.alpha(k), k)
     if diverged:
         raise diverged[()]
     return G
 
 
 def _psd_jitter(M: np.ndarray, scale: float) -> np.ndarray:
-    """Symmetric PSD perturbation M'M, scaled to Frobenius norm = scale."""
-    E = symmetrize(M.T @ M)
-    return scale * E / np.linalg.norm(E)
+    """Symmetric PSD perturbations M'M of a stack of square M, each scaled
+    to Frobenius norm = scale. A vector @ vector matmul is a dot product, as
+    np.linalg.norm of one matrix takes it, so each norm keeps those bits."""
+    E = symmetrize(M.swapaxes(-1, -2) @ M)
+    e = E.reshape(len(E), -1)
+    return scale * E / np.sqrt(e[:, None] @ e[:, :, None])
 
 
 def initial_bank(
@@ -155,7 +160,7 @@ def initial_bank(
     elif init == "spread":
         streams = [rng.substream(_NS_JITTER, i) for i in range(n_sensors)]
         Ms = draw_noise_rows(streams, NoiseModel(0.0, 1.0), d * d).reshape(-1, d, d)
-        G = np.stack([symmetrize(base + _psd_jitter(M, spread_scale)) for M in Ms])
+        G = symmetrize(base + _psd_jitter(Ms, spread_scale))
     else:
         raise ValueError(f"unknown initialization mode {init!r}")
     return G
@@ -186,8 +191,9 @@ def run_seeds(
     noise tape from its own stream, so the tape is (rounds, S, 1 or N), all
     of it drawn by one draw_noise_rows call. A seed that trips the guard
     leaves the stack at that round; the rest go on. Blocks of rounds are
-    sized so that the (S, B, N, d, d) estimates and each trace's metric pass
-    keep to trace.block_rounds's budget.
+    sized so that the (S, B, N, d, d) estimates keep to trace.block_rounds's
+    budget; each trace's metric pass is linear in the sensors and holds no
+    temporary larger than its seed's (B, N, d, d) block.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -345,10 +345,32 @@ def optimal_gain_closed_form(
     return Gain(K)
 
 
+def _sum_of_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[j] * b[j] over the leading axis, added in ascending j from the
+    j = 0 term; elementwise, so its bits do not depend on the BLAS build."""
+    out = a[0] * b[0]
+    for j in range(1, len(a)):
+        out += a[j] * b[j]
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a and b, each entry summed by _sum_of_products."""
+    return _sum_of_products(a.T[:, :, None], b[:, None, :])
+
+
 def _closed_loop(K: Gain, sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """(Acl, Abcl) = (A + BK, Abar + Bbar K): under u = Kx the sampled plant
-    steps x(k+1) = (Acl + w(k) Abcl) x(k)."""
-    return sys.A + sys.B @ K.K, sys.A_bar + sys.B_bar @ K.K
+    steps x(k+1) = (Acl + w(k) Abcl) x(k). BK and Bbar K are summed by
+    _matmul, so the bits do not depend on the BLAS build; with m = 1 each
+    entry is one product, as a matmul gives it."""
+    return sys.A + _matmul(sys.B, K.K), sys.A_bar + _matmul(sys.B_bar, K.K)
+
+
+def _stage_weight(K: Gain, sys: SystemModel) -> np.ndarray:
+    """C = Q + (K'R)K, so that x'Cx = x'Qx + u'Ru under u = Kx; summed by
+    _matmul, in the order K.T @ R @ K takes it."""
+    return sys.Q + _matmul(_matmul(K.K.T, sys.R), K.K)
 
 
 def ms_stability_check(

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedError, NotStabilizingError
-from .lqcore import Gain, NoiseModel, SystemModel, _closed_loop, ms_stability_check
+from .lqcore import (
+    Gain,
+    NoiseModel,
+    SystemModel,
+    _closed_loop,
+    _stage_weight,
+    _sum_of_products,
+    ms_stability_check,
+)
 from .lqcore import realize  # noqa: F401  (re-exported; it draws nothing)
 
 # Trajectories whose state norm exceeds this are flagged as diverging and
@@ -38,8 +46,10 @@ OVERFLOW_LIMIT = 1e12
 _U53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
-# draw_noise_rows transforms at most about this many draws per call, so the
-# transform's temporaries stay near 1 MB (a few arrays of 512 KB).
+# draw_noise_rows transforms at most about this many draws per call, so a
+# chunk's memory stays bounded: a chunk of 163 rows of 400 draws peaks at
+# 3.4 MB under tracemalloc (numpy 2.4), of which 0.5 MB is the output and the
+# rest the transform's temporaries, each an array of 0.5 MB or less.
 _CHUNK_DRAWS = 2**16
 
 # Cephes ndtri: sqrt(2 pi), e^-2, and the coefficients, highest degree
@@ -143,16 +153,7 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         self._spawn = _spawn
-        self._gen: np.random.Generator | None = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            seq = np.random.SeedSequence(
-                self.seed, spawn_key=(self.stream_id, *self._spawn)
-            )
-            self._gen = np.random.Generator(np.random.Philox(seq))
-        return self._gen
+        self._bits: np.random.Philox | None = None
 
     def substream(self, *indices: int) -> "RngStream":
         """Fresh derived stream; disjoint from this one and all siblings."""
@@ -162,12 +163,23 @@ class RngStream:
         """Uniforms strictly inside (0, 1): (k + 0.5) / 2^53 for a raw 53-bit
         integer k, as rounded in float64.
 
+        k is the top 53 bits of one raw 64-bit Philox word, the integer that
+        Generator.integers(0, 2**53) returns for it (Lemire's method with a
+        range of 2^53 keeps the top bits and never rejects). So the tape
+        depends only on the bit generator's raw stream, which NEP 19 keeps
+        stable, and not on Generator.
+
         For k >= 2^52 the + 0.5 rounds to even, so those values are not
         exactly (k + 0.5) / 2^53, and k = 2^53 - 1 would round to 1.0. That
         one value is clamped to the largest float below 1; no other k
         reaches it, so every other draw keeps its bits.
         """
-        raw = self.generator.integers(0, 2**53, size=size)
+        if self._bits is None:
+            seq = np.random.SeedSequence(
+                self.seed, spawn_key=(self.stream_id, *self._spawn)
+            )
+            self._bits = np.random.Philox(seq)
+        raw = self._bits.random_raw(size) >> 11
         return np.minimum((raw + 0.5) / _U53, _BELOW_ONE)
 
     def __repr__(self) -> str:
@@ -230,15 +242,6 @@ class Trajectory:
         return float(self.costs.sum())
 
 
-def _sum_of_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_j a[j] * b[j] over the leading axis, added in ascending j from the
-    j = 0 term; elementwise, so its bits do not depend on the BLAS build."""
-    out = a[0] * b[0]
-    for j in range(1, len(a)):
-        out += a[j] * b[j]
-    return out
-
-
 def _scan_states(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """States M(k) ... M(0) x for k = 0 .. T-1, as a (T, n) array.
 
@@ -271,9 +274,9 @@ def simulate_trajectory(
     the step matrices time-major, as one (n, n, horizon) array: horizon x
     n x n floats (12.8 KB at n = 2 and 400 steps), plus at most two
     temporaries of that size during a pass, where a step-by-step rollout
-    holds horizon x n. The scan, a retaken step and the stage costs are
-    elementwise (_sum_of_products), so their bits do not depend on the BLAS
-    build.
+    holds horizon x n. Acl, Abcl and C, the scan, a retaken step and the
+    stage costs are elementwise (_sum_of_products), so their bits do not
+    depend on the BLAS build.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or not w.size:
@@ -281,7 +284,7 @@ def simulate_trajectory(
     horizon = w.size
     x = np.asarray(x0, dtype=float).reshape(sys.n)
     Acl, Abcl = _closed_loop(K, sys)
-    C = sys.Q + K.K.T @ sys.R @ K.K
+    C = _stage_weight(K, sys)
 
     chunks = [x[None]]
     k = 0  # steps taken

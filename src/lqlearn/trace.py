@@ -8,8 +8,10 @@ distributed run, recorded as sensor id 0 with an empty consensus diameter
 The learner records its rounds a block at a time, and each block is
 measured when it is recorded, in one vectorized pass. A block holds as many
 rounds as fit a fixed float budget (block_rounds), so the memory a pass
-takes is bounded by the block and not by the run length, nor (through
-chunks of sensor rows) by the square of the sensor count.
+takes is bounded by the block and not by the run length. The consensus
+diameter is taken one sensor offset at a time, so no temporary of the pass
+is larger than the block's (B, N, d, d) estimates: its memory is linear in
+the sensor count.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ CSV_COLUMNS = (
     "consensus_diameter",
 )
 
-# Floats one metrics pass may hold: its largest temporary is the
-# (B, N, N, d, d) stack of pairwise differences behind the consensus
-# diameter. At d = 3 a block is 3 rounds on ring:32 and 227 on ring:4.
-# Above 60 sensors a single round exceeds the budget, so the differences
-# are taken over chunks of sensor rows, (B, rows, N, d, d) at a time. A
-# learner stepping S seeds at once also keeps their (S, B, N, d, d)
-# post-round estimates within it.
-_BLOCK_FLOATS = 2**15
+# Floats (64 KB) of the post-round estimates one block holds: the
+# (S, B, N, d, d) stack of a learner stepping S seeds at once. A metrics
+# pass over one seed's (B, N, d, d) block holds a few temporaries of at most
+# that size, the largest the (B, N - 1, d, d) differences of one sensor
+# offset. At d = 3 and one seed a block is 28 rounds on ring:32 and 227 on
+# ring:4; above 910 sensors it is a single round, which exceeds the budget.
+_BLOCK_FLOATS = 2**13
 
 # Floats the traces of one group of seeds may hold (about 8 MB of Python
 # floats): `lqlearn run` learns its seeds a group at a time, so its memory
@@ -45,8 +46,11 @@ _GROUP_FLOATS = 2**18
 
 
 def block_rounds(n_sensors: int, d: int, n_seeds: int = 1) -> int:
-    """Rounds per block: as many as fit the float budget, at least one."""
-    return max(1, _BLOCK_FLOATS // (n_sensors * d * d * max(n_sensors, n_seeds)))
+    """Rounds per block, at least one: as many as keep the (S, B, N, d, d)
+    estimates of S seeds within the float budget. The metrics pass of one
+    seed's block holds a few temporaries of at most its (B, N, d, d) size,
+    so its memory is linear in the sensors too."""
+    return max(1, _BLOCK_FLOATS // (n_seeds * n_sensors * d * d))
 
 
 def group_seeds(n_sensors: int, d: int, rounds: int) -> int:
@@ -54,7 +58,8 @@ def group_seeds(n_sensors: int, d: int, rounds: int) -> int:
     the group budget. A trace keeps, per round, three floats per sensor
     (omega, norm1 and the error to G*), the d x d averaged iterate and
     three scalars. A round's temporaries are a few (S, N, d, d) stacks,
-    with S bounded by this trace budget."""
+    with S bounded by this trace budget; a block's (S, B, N, d, d)
+    estimates are bounded by block_rounds."""
     return max(1, _GROUP_FLOATS // (rounds * (3 * n_sensors + d * d + 3)))
 
 
@@ -107,15 +112,15 @@ class RunTrace:
         sq_norms = np.square(G).sum(axis=(2, 3))
         self.max_fro_norm = max(self.max_fro_norm, float(np.sqrt(sq_norms.max())))
         if N >= 2:
-            # max is exact, so the max over chunks of the squared pair
-            # distances gives the bits of one pass over all pairs.
-            rows = max(1, _BLOCK_FLOATS // (B * N * G.shape[-1] ** 2))
+            # Offset o pairs each sensor i >= o with i - o, so the offsets
+            # visit every unordered pair once. G_i - G_j is exactly
+            # -(G_j - G_i) and max is exact, so this gives the bits of one
+            # pass over all ordered pairs.
             sq_max = np.full(B, -np.inf)
-            for i0 in range(0, N, rows):
-                diff = G[:, i0:i0 + rows, None] - G[:, None]
+            for o in range(1, N):
+                diff = G[:, o:] - G[:, :-o]
                 np.square(diff, out=diff)
-                np.maximum(sq_max, diff.sum(axis=(3, 4)).max(axis=(1, 2)), out=sq_max)
-                del diff  # freed before the next chunk is allocated
+                np.maximum(sq_max, diff.sum(axis=(2, 3)).max(axis=1), out=sq_max)
             self.diameters.extend(np.sqrt(sq_max).tolist())
         else:
             self.diameters.extend([None] * B)

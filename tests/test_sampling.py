@@ -26,6 +26,7 @@ from lqlearn import (
 from lqlearn import sampling
 from lqlearn.config import preset_file, read_json
 from lqlearn.errors import DivergedError, NotStabilizingError
+from lqlearn.lqcore import _closed_loop, _stage_weight
 from lqlearn.sampling import OVERFLOW_LIMIT, _ndtri, draw_noise_rows
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -95,18 +96,43 @@ class TestRngStream:
 
     @pytest.mark.parametrize("size", [None, 4])
     def test_top_raw_integer_stays_below_one(self, size):
-        # 2^53 - 1 + 0.5 rounds to 2^53 in float64, which would give u = 1.0
-        # and an infinite Gaussian draw.
-        class TopGenerator:
-            def integers(self, low, high, size=None):
-                top = np.int64(high - 1)
-                return top if size is None else np.full(size, top)
+        # The all-ones raw word gives k = 2^53 - 1, and 2^53 - 1 + 0.5 rounds
+        # to 2^53 in float64, which would give u = 1.0 and an infinite
+        # Gaussian draw.
+        class TopBits:
+            def random_raw(self, size=None):
+                top = 2**64 - 1
+                return top if size is None else np.full(size, top, dtype=np.uint64)
 
         rng = RngStream(0)
-        rng._gen = TopGenerator()
+        rng._bits = TopBits()
         u = rng.uniform_open(size)
         assert np.all(u < 1.0) and np.all(u == np.nextafter(1.0, 0.0))
         assert np.all(np.isfinite(draw_noise(rng, NoiseModel(0.0, 1.0), size)))
+
+    @pytest.mark.parametrize("seed, stream_id, spawn", [
+        (0, 0, ()),
+        (123, 7, (0,)),
+        (2**32 - 1, 2**32 - 1, (2**32 - 1, 5)),
+        (2**32, 2**32, (2**32,)),
+        (2**64 - 1, 2**40 + 3, (1, 2**63)),
+    ])
+    def test_raw_words_equal_the_generator_integers_path(self, seed, stream_id, spawn):
+        # The top 53 bits of each raw Philox word are what
+        # Generator.integers(0, 2**53) returns for it, draw by draw, for
+        # keys below and above 2^32 in every position.
+        rng = RngStream(seed, stream_id).substream(*spawn)
+        seq = np.random.SeedSequence(seed, spawn_key=(stream_id, *spawn))
+        gen = np.random.Generator(np.random.Philox(seq))
+
+        def expected(size=None):
+            raw = gen.integers(0, 2**53, size=size)
+            return np.minimum((raw + 0.5) / 2.0**53, np.nextafter(1.0, 0.0))
+
+        assert rng.uniform_open() == expected()
+        assert np.array_equal(rng.uniform_open(1000), expected(1000))
+        assert rng.uniform_open(0).shape == (0,)
+        assert rng.uniform_open() == expected()
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -268,10 +294,30 @@ def _fold(terms):
     return functools.reduce(operator.add, terms)
 
 
+def py_matmul(a, b):
+    """a @ b on nested lists of Python floats, each entry summed left to
+    right from the first product."""
+    return [[_fold(row[j] * b[j][col] for j in range(len(b)))
+             for col in range(len(b[0]))] for row in a]
+
+
+def py_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def closed_loop_reference(sys, K):
+    """(Acl, Abcl, C) = (A + BK, Abar + Bbar K, Q + (K'R)K) in pure Python
+    floats, every matrix product summed in ascending order."""
+    k = K.K.tolist()
+    return (py_add(sys.A.tolist(), py_matmul(sys.B.tolist(), k)),
+            py_add(sys.A_bar.tolist(), py_matmul(sys.B_bar.tolist(), k)),
+            py_add(sys.Q.tolist(), py_matmul(py_matmul(K.K.T.tolist(), sys.R.tolist()), k)))
+
+
 def elementwise_costs(sys, K, xs):
     """Stage costs x'Cx, C = Q + K'RK, as (Cx)_i = sum_j x_j C_ji and then
     sum_i (Cx)_i x_i, each an n-term sum taken left to right."""
-    C = (sys.Q + K.K.T @ sys.R @ K.K).tolist()
+    C = closed_loop_reference(sys, K)[2]
     n = len(C)
     return np.array([
         _fold(_fold(x[j] * C[j][i] for j in range(n)) * x[i] for i in range(n))
@@ -281,9 +327,28 @@ def elementwise_costs(sys, K, xs):
 
 def elementwise_step(sys, K, x, w):
     """x(k+1) = sum_j M_ij x_j with M = Acl + Abcl * w, left to right."""
-    Acl, Abcl = sys.A + sys.B @ K.K, sys.A_bar + sys.B_bar @ K.K
+    Acl, Abcl, _ = map(np.array, closed_loop_reference(sys, K))
     M = (Acl + Abcl * w).tolist()
     return np.array([_fold(row[j] * x[j] for j in range(len(x))) for row in M])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_loop_matrices_are_ascending_sums_bit_for_bit(m, seed):
+    # With m >= 2 each entry of BK, Bbar K and (K'R)K is a sum of m
+    # products, which a BLAS build may fuse or reorder; they are summed in
+    # ascending order instead. With m = 1 each is one product.
+    g = np.random.default_rng(seed)
+    n = 3
+    X = g.normal(size=(m, m))
+    sys = SystemModel(A=g.normal(size=(n, n)), A_bar=g.normal(size=(n, n)),
+                      B=g.normal(size=(n, m)), B_bar=g.normal(size=(n, m)),
+                      Q=np.eye(n), R=X @ X.T + np.eye(m))
+    K = Gain(g.normal(size=(m, n)))
+    Acl, Abcl = _closed_loop(K, sys)
+    for got, want in zip((Acl, Abcl, _stage_weight(K, sys)),
+                         closed_loop_reference(sys, K)):
+        assert same_bits(got, want)
 
 
 class TestSimulateTrajectory:

@@ -121,28 +121,50 @@ def test_block_metrics_equal_one_round_arithmetic_bit_for_bit():
         )
 
 
-def test_diameter_of_many_sensors_is_chunked_and_bit_exact():
-    # Above 60 sensors at d = 3 one round's N**2 pairwise differences exceed
-    # the block's float budget (3.1 MB at N = 200); the pass takes them over
-    # chunks of sensor rows and must still give the one-pass bits.
-    N, rounds = 200, 3
-    assert block_rounds(N, 3) == 1
+def _all_pairs_diameters(stacks):
+    """The consensus diameters of a (B, N, d, d) block from one pass over
+    the (B, N, N, d, d) stack of all ordered pairwise differences."""
+    diff = stacks[:, :, None] - stacks[:, None]
+    np.square(diff, out=diff)
+    return np.sqrt(diff.sum(axis=(3, 4)).max(axis=(1, 2))).tolist()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 32, 61, 200])
+def test_diameter_over_offsets_equals_all_pairs_one_pass(N):
+    # The pass takes each unordered pair once, one sensor offset at a time,
+    # and must give the bits of the all-pairs pass for any block size. The
+    # estimates span 16 decades, so the squared distances round everywhere.
+    B = block_rounds(N, 3)
+    rng = np.random.default_rng(N)
+    for b in (1, B, B + 1):
+        scales = 10.0 ** rng.integers(-8, 8, size=(b, N, 1, 1))
+        stacks = scales * _sym(rng, (b, N, 3, 3))
+        trace = RunTrace(n_sensors=N)
+        trace.record_round(np.full(b, 0.5), np.zeros((b, N)), stacks)
+        assert trace.diameters == _all_pairs_diameters(stacks)
+
+
+def test_metrics_pass_of_many_sensors_is_linear_in_memory():
+    # At d = 3 a block of 200 sensors is 4 rounds, 7200 floats (58 KB). The
+    # pass holds a few temporaries of that size and the block's trace
+    # entries (0.3 MB in all on numpy 2.4), where the (B, N, N, d, d) pair
+    # differences alone would take 11.5 MB.
+    N, d = 200, 3
+    B = block_rounds(N, d)
+    assert B == 4
     rng = np.random.default_rng(17)
-    stacks = _sym(rng, (rounds, N, 3, 3))
-    alphas, omegas = np.full(1, 0.5), np.zeros((1, N))
-    trace = RunTrace(n_sensors=N)
+    stacks = _sym(rng, (2 * B, N, d, d))
+    alphas, omegas = np.full(B, 0.5), np.zeros((B, N))
+    trace = RunTrace(n_sensors=N, G_star=_sym(rng, (d, d)))
+    trace.record_round(alphas, omegas, stacks[:B])  # first-call set-up
     tracemalloc.start()
     try:
-        for G in stacks:
-            trace.record_round(alphas, omegas, G[None])
+        trace.record_round(alphas, omegas, stacks[B:])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
-    diff = stacks[:, :, None] - stacks[:, None]
-    np.square(diff, out=diff)
-    one_pass = np.sqrt(diff.sum(axis=(3, 4)).max(axis=(1, 2)))
-    assert trace.diameters == one_pass.tolist()
+    assert peak < 2**19
+    assert trace.diameters[B:] == _all_pairs_diameters(stacks[B:])
 
 
 def test_single_sensor_round_has_no_diameter():

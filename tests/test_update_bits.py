@@ -11,17 +11,22 @@ import numpy as np
 import pytest
 
 from lqlearn import (
+    NoiseModel,
     RankDeficientWarning,
+    RngStream,
     Schedule,
+    SystemModel,
     allocate_gains,
     build_graph,
     consensus_operator,
     distributed_round,
+    initial_bank,
     realize,
     symmetrize,
     y_operator,
 )
-from lqlearn.distributed import _mix, _round
+from lqlearn.distributed import _NS_JITTER, _mix, _round
+from lqlearn.sampling import draw_noise_rows
 from lqlearn.lqcore import PINV_TOL, _pinv_uu
 
 
@@ -283,3 +288,31 @@ def test_one_round_on_200_sensors_stays_below_a_megabyte(bench_sys):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _spread_bank_reference(sys, N, rng, scale):
+    """The per-sensor loop: each sensor's M'M, scaled by its own
+    np.linalg.norm, added to diag(Q, R) and symmetrized."""
+    d = sys.n + sys.m
+    streams = [rng.substream(_NS_JITTER, i) for i in range(N)]
+    Ms = draw_noise_rows(streams, NoiseModel(0.0, 1.0), d * d).reshape(-1, d, d)
+    bank = []
+    for M in Ms:
+        E = symmetrize(M.T @ M)
+        bank.append(symmetrize(sys.cost_block() + scale * E / np.linalg.norm(E)))
+    return np.stack(bank)
+
+
+@pytest.mark.parametrize("N", [1, 4, 32, 70])
+@pytest.mark.parametrize("scale", [0.1, 0.37, 0.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_spread_bank_equals_per_sensor_loop_bit_for_bit(bench_sys, N, scale, m):
+    if m == 2:  # d = 4, so each jitter norm sums 16 squares
+        bench_sys = SystemModel(A=bench_sys.A, A_bar=bench_sys.A_bar,
+                                B=[[0.7, 0.1], [0.3, -0.2]],
+                                B_bar=[[0.1, 0.0], [0.7, 0.4]],
+                                Q=bench_sys.Q, R=[[1.0, 0.3], [0.3, 0.8]])
+    bank = initial_bank(bench_sys, N, RngStream(11, 2), init="spread",
+                        spread_scale=scale)
+    assert _same_bits(bank, _spread_bank_reference(bench_sys, N, RngStream(11, 2),
+                                                   scale))
