@@ -10,6 +10,7 @@ learner over a communication graph, plus a CLI for reproducible experiments.
 
 from .config import ExperimentConfig, from_dict, load_config, load_preset
 from .distributed import (
+    Schedule,
     compare_centralized,
     distributed_round,
     initial_bank,
@@ -46,6 +47,7 @@ from .lqcore import (
     riccati_residual,
     solve_oracle,
     symmetrize,
+    y_operator,
 )
 from .network import (
     ConsensusOperator,
@@ -54,12 +56,7 @@ from .network import (
     build_graph,
     consensus_operator,
 )
-from .qlearning import (
-    Schedule,
-    centralized_step,
-    run_centralized,
-    y_operator,
-)
+from .qlearning import centralized_step, run_centralized
 from .sampling import (
     CostEstimate,
     RngStream,

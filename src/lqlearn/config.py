@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .distributed import Schedule
 from .errors import (
     BadSpecError,
     ConfigParseError,
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .lqcore import DEFAULT_ORACLE_MAX_ITER, DEFAULT_ORACLE_TOL, NoiseModel, SystemModel
 from .network import Graph, build_graph, consensus_operator
-from .qlearning import Schedule
 
 RNG_FAMILY = "philox4x64-invcdf"
 
@@ -168,14 +168,17 @@ class _Fields:
         return None
 
     def matrix(self, key: str) -> list | None:
-        """A row-major nested list of finite numbers; a bare number is 1x1."""
+        """A row-major nested list of finite numbers, its rows of equal
+        length; a bare number is 1x1."""
         path, raw = self.value(key)
         if _is_number(raw):
             value = self.finite(raw, path)
             return None if value is None else [[value]]
         rows_ok = isinstance(raw, list) and raw and all(
-            isinstance(row, list) and all(map(_is_number, row)) for row in raw)
-        rule = "a row-major nested list of numbers (or a bare number)"
+            isinstance(row, list) and all(map(_is_number, row)) for row in raw
+        ) and len({len(row) for row in raw}) == 1
+        rule = ("a row-major nested list of numbers with rows of equal length "
+                "(or a bare number)")
         if self.check(path, raw, rows_ok, rule) is None:
             return None
         rows = [[self.finite(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]

@@ -6,7 +6,9 @@ synchronous round, computes from the pre-round estimates (Jacobi-style)
     G_i <- G_i + w * sum_{j in N_i} (G_j - G_i) + alpha(k) * L_i Y(G_i),
 
 where w is the consensus weight, L_i the sensor's innovation gain
-(sum_i L_i = N*I) and Y the sampled Bellman residual. The learner's whole
+(sum_i L_i = N*I), alpha(k) the step of a power-law Schedule and Y the
+sampled Bellman residual (lqcore.y_operator). The round owns its Schedule
+and its divergence guard, DIVERGENCE_CAP on ||G_i||_F. The learner's whole
 state is the N estimates, held as one plain (N, d, d) array: initial_bank
 returns it, and distributed_round takes it with the index k of the round
 just done and returns a new array. Each step of a round runs once on the
@@ -24,12 +26,13 @@ centralized iteration, which is how lqlearn.qlearning runs it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DivergedError, SeedMismatchError
-from .lqcore import NoiseModel, SystemModel, realize, symmetrize
+from .lqcore import NoiseModel, SystemModel, realize, symmetrize, y_operator
 from .network import ConsensusOperator, Graph, consensus_operator
-from .qlearning import DIVERGENCE_CAP, Schedule, y_operator
 from .sampling import RngStream, draw_noise_rows
 from .trace import RunTrace, block_rounds
 
@@ -37,6 +40,52 @@ from .trace import RunTrace, block_rounds
 # per-sensor noise for the independent-noise mode.
 _NS_JITTER = 1
 _NS_SENSOR_NOISE = 2
+
+# Abort threshold on ||G||_F; a capped abort with diagnostics beats silent NaN
+# when an adversarial seed blows up the heavy-tailed early steps. A NaN norm
+# trips it too.
+DIVERGENCE_CAP = 1e9
+# A Python float, so comparing an int with it is exact and cannot overflow.
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Power-law learning rates alpha(k) = scale * (1 / (k + offset))^exponent.
+
+    The exponent range (0.5, 1] guarantees sum(alpha) = inf and
+    sum(alpha^2) < inf. scale = 0 is allowed as a degenerate diagnostic mode
+    (consensus-only rounds); any positive scale must keep alpha(0) < 1.
+    """
+
+    exponent: float = 0.6
+    offset: int = 2
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not 0.5 < self.exponent <= 1.0:
+            raise ValueError(f"exponent must be in (0.5, 1], got {self.exponent}")
+        # "not 1 <= offset <= max" is true for NaN and infinities as well, and
+        # for an integer too large to convert to a float (alpha divides by it).
+        if not 1 <= self.offset <= _FLOAT_MAX or int(self.offset) != self.offset:
+            # Such an integer is named by its size: str() of one longer than
+            # 4300 digits raises.
+            got = (f"an integer of {self.offset.bit_length()} bits"
+                   if isinstance(self.offset, int) and self.offset > _FLOAT_MAX
+                   else self.offset)
+            raise ValueError(
+                f"offset must be an integer >= 1 that converts to a finite "
+                f"float, got {got}"
+            )
+        if not self.scale >= 0.0:  # NaN fails too
+            raise ValueError(f"scale must be >= 0, got {self.scale}")
+        if self.scale > 0.0 and self.alpha(0) >= 1.0:
+            raise ValueError(
+                "alpha(0) must be < 1; increase offset or lower scale"
+            )
+
+    def alpha(self, k: int) -> float:
+        return self.scale * (1.0 / (k + self.offset)) ** self.exponent
 
 
 def _mix(G: np.ndarray, cons: ConsensusOperator) -> np.ndarray:

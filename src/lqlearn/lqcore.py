@@ -10,7 +10,9 @@ optimal feedback gain (gamma_map). The expectation operator closes the loop:
 G* is the unique fixed point G = H(Pi(G)) of the second-moment operator
 H(P) = diag(Q,R) + E[ Ups(k)' P Ups(k) ], Ups(k) = [A(k) B(k)], found by
 Picard iteration. H, like the lifted operator of ms_stability_check, is an
-exact mean over the two noise nodes, the one place the moments enter.
+exact mean over the two noise nodes, the one place the moments enter. The
+learners' residual y_operator is the same Bellman map on one sampled plant,
+minus G, so H(Pi(G)) - G is its exact mean over the nodes.
 
 All operations are pure functions; safe to call concurrently.
 """
@@ -90,6 +92,9 @@ class SystemModel:
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape}")
+        if not n or not m:
+            raise ValueError(f"the system needs n >= 1 states and m >= 1 "
+                             f"inputs, got n = {n} and m = {m}")
         _check_spd(self.Q, "Q")
         _check_spd(self.R, "R")
 
@@ -267,6 +272,23 @@ def _bellman(P: np.ndarray, plants: np.ndarray, Q: np.ndarray,
     M[..., :n, :n] += Q
     M[..., n:, n:] += R
     return M
+
+
+def y_operator(G: np.ndarray, Uk: np.ndarray, Q: np.ndarray,
+               R: np.ndarray) -> np.ndarray:
+    """Sampled Bellman residual at the raw (n+m)x(n+m) estimate G for one
+    sampled plant Uk = [A_k B_k] (see realize). G may be a stack of
+    estimates, S + (n+m, n+m), and Uk a stack of plants, S + (n, n+m); either
+    broadcasts against the other, and the result is the stack of residuals,
+    S + (n+m, n+m). Each entry has the bits of a call on its own G and Uk.
+
+    [[Q + A_k' P A_k, A_k' P B_k], [B_k' P A_k, B_k' P B_k + R]] - G
+    with P = pi_map(G); symmetrized. Its expectation under the true noise law
+    vanishes exactly at G*.
+    """
+    M = _bellman(pi_map(G, Q.shape[0]), Uk, Q, R)
+    M -= G
+    return symmetrize(M)
 
 
 def _h_map(P: np.ndarray, sys: SystemModel, noise: NoiseModel) -> np.ndarray:

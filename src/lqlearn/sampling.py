@@ -274,9 +274,10 @@ def simulate_trajectory(
     the step matrices time-major, as one (n, n, horizon) array: horizon x
     n x n floats (12.8 KB at n = 2 and 400 steps), plus at most two
     temporaries of that size during a pass, where a step-by-step rollout
-    holds horizon x n. Acl, Abcl and C, the scan, a retaken step and the
-    stage costs are elementwise (_sum_of_products), so their bits do not
-    depend on the BLAS build.
+    holds horizon x n. A flagged state restarts the scan from the last kept
+    state, and a flagged first state of a scan is the overflow. Acl, Abcl
+    and C, the scan and the stage costs are elementwise (_sum_of_products),
+    so their bits do not depend on the BLAS build.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or not w.size:
@@ -301,17 +302,14 @@ def simulate_trajectory(
                 chunks.append(seg)
                 break
             j = int(bad[0])
-            chunks.append(seg[:j])
-            # Retake the flagged step from the last kept state: a state is
-            # also flagged when a product overflowed but the state did not
-            # (x(0) orthogonal to a growing mode), and the scan resumes there.
-            last = seg[j - 1] if j else x
-            x = _sum_of_products((Acl + Abcl * w[k + j]).T, last)
-            if not np.linalg.norm(x) <= OVERFLOW_LIMIT:
-                overflow_step = k + j + 1
+            if not j:  # one step from a kept state: the state overflowed
+                overflow_step = k + 1
                 break
-            chunks.append(x[None])
-            k += j + 1
+            # A state is also flagged when a product overflowed but the state
+            # did not (x(0) orthogonal to a growing mode): restart the scan
+            # from the last kept state.
+            chunks.append(seg[:j])
+            x, k = seg[j - 1], k + j
     xs = np.concatenate(chunks)
     kept = xs[:horizon].T
     return Trajectory(

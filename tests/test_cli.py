@@ -87,6 +87,20 @@ class TestCmdOracle:
         assert "system.A[0][0] must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "oracle.json").exists()
 
+    def test_ragged_matrix_rows_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"system": {"A": [[1, 0], [0]], "A_bar": 0.0, "B": 1.0,'
+            ' "B_bar": 0.0, "Q": 1.0, "R": 1.0}, "noise": {"mu": 0.0,'
+            ' "sigma2": 0.0}, "graph": "single", "seeds": 1}'
+        )
+        assert run_cli("oracle", "--config", config, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "system.A must be a row-major nested list of numbers with rows " \
+               "of equal length (or a bare number), got [[1, 0], [0]]" in err
+        assert "inhomogeneous" not in err
+        assert not (tmp_path / "oracle.json").exists()
+
     def test_overflowing_matrix_entry_exit_code(self, tmp_path, capsys):
         # An integer literal beyond float range is not a finite number.
         config = tmp_path / "config.json"

@@ -260,6 +260,35 @@ class TestValidation:
         assert "seed 1 is listed 2 times" in violations
         assert any("rounds" in v for v in violations)  # reported alongside
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["system"].update(A=[[1, 0], [0]]),
+             "system.A must be a row-major nested list of numbers with rows "
+             "of equal length (or a bare number), got [[1, 0], [0]]"),
+            (lambda d: d.pop("system"), "missing field 'system'"),
+            (lambda d: d["system"].pop("Q"), "missing field 'system.Q'"),
+            (lambda d: d.update(oracle={"tol": 0}), "oracle.tol must be > 0"),
+            (lambda d: d.update(oracle={"tol": -1}), "oracle.tol must be > 0"),
+            (lambda d: d.update(spread_scale=-1), "spread_scale must be >= 0"),
+        ],
+        ids=["ragged-A", "no-system", "no-system.Q", "tol-0", "tol-negative",
+             "spread_scale"],
+    )
+    def test_rejected_field_reported_alongside_others(self, edit, message):
+        data = base_config(rounds=0)
+        edit(data)
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(data)
+        assert sorted(info.value.violations) == sorted(
+            [message, "rounds must be an integer >= 1, got 0"])
+
+    @pytest.mark.parametrize("top", [[], "x", None])
+    def test_non_object_top_level_rejected(self, top):
+        with pytest.raises(ConfigValidationError) as info:
+            from_dict(top)
+        assert info.value.violations == ["top level must be a JSON object"]
+
     def test_nan_rounds_is_one_violation(self):
         with pytest.raises(ConfigValidationError) as info:
             from_dict(base_config(rounds=float("nan")))

@@ -341,6 +341,16 @@ class TestModelValidation:
             SystemModel(A=[[1.0]], A_bar=[[0.0]], B=[[1.0]], B_bar=[[0.0]],
                         Q=np.eye(2), R=[[1.0]])
 
+    @pytest.mark.parametrize("n, m", [(1, 0), (0, 1)])
+    def test_rejects_system_without_state_or_input(self, n, m):
+        # A config cannot reach this case: its matrices have at least one
+        # row, so it cannot write the (0, 0) A or R that n = 0 or m = 0
+        # needs, and its shape checks reject a B of [[]] first.
+        with pytest.raises(ValueError, match=f"got n = {n} and m = {m}"):
+            SystemModel(A=np.full((n, n), 0.5), A_bar=np.zeros((n, n)),
+                        B=np.zeros((n, m)), B_bar=np.zeros((n, m)),
+                        Q=np.eye(n), R=np.eye(m))
+
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             NoiseModel(mu=0.0, sigma2=-1.0)

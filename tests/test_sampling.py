@@ -501,31 +501,31 @@ class TestSimulateTrajectory:
         expected = elementwise_costs(sys, K, traj.xs[:len(traj.costs)])
         assert traj.costs.tobytes() == expected.tobytes()
 
-    def test_retaken_steps_are_elementwise_sums_bit_for_bit(self, bench_noise,
-                                                            monkeypatch):
+    def test_restarted_scans_begin_with_an_elementwise_step_bit_for_bit(
+            self, bench_noise, monkeypatch):
         # The first column of every product grows past float range within
         # about 100 steps, but x0 has no first component, so the scanned
-        # state turns NaN (inf * 0) while the true state decays: each such
-        # step is retaken from the last kept state and the scan resumes there.
+        # state turns NaN (inf * 0) while the true state decays: each time,
+        # the scan restarts from the last kept state, and its first state is
+        # one elementwise step from there.
         sys = SystemModel(
             A=[[1e3, 0.0, 0.0], [0.3, 0.5, 0.2], [0.1, -0.3, 0.6]],
             A_bar=[[10.0, 0.0, 0.0], [0.05, 0.1, -0.05], [0.02, 0.03, 0.1]],
             B=np.ones((3, 1)), B_bar=np.zeros((3, 1)), Q=np.eye(3), R=np.eye(1),
         )
         K = Gain(np.zeros((1, 3)))
-        starts = []
+        starts = []  # (steps taken, start state) of each scan
         scan = sampling._scan_states
-        monkeypatch.setattr(sampling, "_scan_states",
-                            lambda M, x: starts.append(x) or scan(M, x))
+        monkeypatch.setattr(sampling, "_scan_states", lambda M, x: starts.append(
+            (400 - M.shape[2], x.copy())) or scan(M, x))
         w = draw_noise(RngStream(19, 7), bench_noise, 400)
         traj = simulate_trajectory(sys, K, [0.0, 1.0, -0.5], w)
         assert not traj.overflow and len(traj.xs) == 401
-        retaken = [int(np.flatnonzero((traj.xs == x).all(axis=1))[0])
-                   for x in starts[1:]]
-        assert len(retaken) >= 3
-        for k in retaken:
-            assert traj.xs[k].tobytes() == elementwise_step(
-                sys, K, traj.xs[k - 1], w[k - 1]).tobytes()
+        assert len(starts) >= 4  # the first scan and at least 3 restarts
+        for k, x in starts:
+            assert traj.xs[k].tobytes() == x.tobytes()
+            assert traj.xs[k + 1].tobytes() == elementwise_step(
+                sys, K, x, w[k]).tobytes()
 
     def test_nan_state_counts_as_overflow(self, scalar_sys):
         traj = simulate_trajectory(scalar_sys, Gain([[-0.5]]), [np.nan],
