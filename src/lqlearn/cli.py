@@ -11,8 +11,10 @@ each kind of learner as one distributed.run_seeds batch: the centralized
 batch first, then the distributed batch on the seeds that did not diverge. Every output file and
 log line is the same as when each seed runs alone, in seed order.
 
-Exit codes: 0 clean, 2 validation error, 3 all runs diverged, 4 oracle
-failure, 5 partial divergence. Log verbosity via the QLEARN_LOG env var.
+Every failure leaves through one handler in main. Exit codes: 0 clean, 2
+validation error (config, summary or unwritable output), 3 all runs diverged,
+4 oracle failure, 5 partial divergence. Log verbosity via the QLEARN_LOG env var.
+Every JSON file written spells a non-finite number "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .config import (
 )
 from .distributed import run_seeds
 from .errors import (
-    ConfigParseError,
-    ConfigValidationError,
     DivergedError,
     LqLearnError,
     NoConvergenceError,
@@ -77,10 +77,22 @@ def _listify(mat: np.ndarray) -> list:
     return np.asarray(mat, dtype=float).tolist()
 
 
+def _spelled(value):
+    """JSON has no NaN or infinity: value with each non-finite float spelled
+    as Python does, "nan", "inf" or "-inf"."""
+    if isinstance(value, dict):
+        return {key: _spelled(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_spelled, value))
+    if isinstance(value, float) and not np.isfinite(value):
+        return repr(float(value))
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_spelled(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -116,28 +128,25 @@ def cmd_oracle(config: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _trace_stats(trace) -> dict:
-    stats = {
+    return {
         "rounds": trace.n_rounds,
         "n_sensors": trace.n_sensors,
         "final_norm1": trace.norm1[-1],
         "max_fro_norm": trace.max_fro_norm,
         "final_diameter": trace.diameters[-1],
         "final_G_mean": _listify(trace.final_mean()),
+        "final_fro_err": trace.fro_err[-1],
+        "final_mean_err": trace.mean_err[-1],
+        "max_mean_err": max(trace.mean_err),
     }
-    if trace.fro_err is not None:
-        stats["final_fro_err"] = trace.fro_err[-1]
-        stats["final_mean_err"] = trace.mean_err[-1]
-        stats["max_mean_err"] = max(trace.mean_err)
-    return stats
 
 
 def _plot_trace(trace, plot_dir: Path, kind: str) -> None:
     plot_dir.mkdir(parents=True, exist_ok=True)
     plots = [("norm1_G", trace.norm1, "Entrywise 1-norm of estimates",
-              "||G_i(k)||_1")]
-    if trace.fro_err is not None:
-        plots.append(("fro_err", trace.fro_err, "Error to oracle G*",
-                      "||G_i(k) - G*||_F"))
+              "||G_i(k)||_1"),
+             ("fro_err", trace.fro_err, "Error to oracle G*",
+              "||G_i(k) - G*||_F")]
     for name, column, title, ylabel in plots:
         # One row per round -> one series per sensor.
         series = [(f"sensor {s}", ys) for s, ys in enumerate(zip(*column))]
@@ -171,9 +180,7 @@ def _diverged_entry(entry: dict, kind: str, exc: DivergedError) -> None:
     if exc.sensor is not None:
         entry["sensor"] = exc.sensor
     if exc.norm is not None:
-        # JSON has no NaN or infinity: a non-finite norm is written as
-        # its Python spelling, "nan" or "inf".
-        entry["norm"] = exc.norm if np.isfinite(exc.norm) else repr(exc.norm)
+        entry["norm"] = exc.norm
 
 
 def _write_kind(results, seeds, kind: str, name: str, entries: dict,
@@ -301,51 +308,44 @@ def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
 
 
 def _read_run(config: ExperimentConfig, summary_path: Path, seed: int | None):
-    """(seed, kind, final averaged estimate, problem) of one run in
-    summary.json.
-
-    seed None picks the summary's first seed. When that seed has no clean
-    run, kind and the estimate are None and problem says why: the seed is
-    not in the summary, or its run diverged. An unreadable or wrongly shaped
-    summary raises OSError, ValueError, LookupError or TypeError.
-    """
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    if seed is None:
-        seed = summary["seeds"][0]
-    run = next((r for r in summary["runs"] if r["seed"] == seed), None)
-    if run is None:
-        listed = ", ".join(map(str, summary["seeds"]))
-        problem = f"seed {seed} is not in {summary_path} (seeds: {listed})"
-        return seed, None, None, problem
-    if run["status"] != "ok":
-        problem = f"no clean run for seed {seed} in {summary_path}"
-        return seed, None, None, problem
-    kind = "distributed" if "distributed" in run else "centralized"
-    G_final = QFactor.symmetrized(
-        np.asarray(run[kind]["final_G_mean"], dtype=float),
-        config.system.n,
-        config.system.m,
-    )
-    return seed, kind, G_final, None
+    """(seed, kind, final averaged estimate) of one run in summary.json;
+    seed None picks the summary's first seed. Raises LqLearnError when the
+    summary cannot be read or is wrongly shaped, when the seed is not in it,
+    or when its run diverged."""
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        if seed is None:
+            seed = summary["seeds"][0]
+        run = next((r for r in summary["runs"] if r["seed"] == seed), None)
+        if run is None:
+            listed = ", ".join(map(str, summary["seeds"]))
+            raise LqLearnError(f"seed {seed} is not in {summary_path} "
+                               f"(seeds: {listed})")
+        if run["status"] != "ok":
+            raise LqLearnError(f"no clean run for seed {seed} in {summary_path}")
+        kind = "distributed" if "distributed" in run else "centralized"
+        G_final = QFactor.symmetrized(
+            np.asarray(run[kind]["final_G_mean"], dtype=float),
+            config.system.n,
+            config.system.m,
+        )
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise LqLearnError(
+            f"cannot read {summary_path}: {type(exc).__name__}: {exc} "
+            "(run `lqlearn run` first)") from exc
+    return seed, kind, G_final
 
 
 def cmd_validate_controller(
     config: ExperimentConfig, out_dir: Path, seed: int | None
 ) -> int:
-    summary_path = out_dir / "summary.json"
-    try:
-        seed, kind, G_final, problem = _read_run(config, summary_path, seed)
-    except (OSError, ValueError, LookupError, TypeError) as exc:
-        print(f"cannot read {summary_path}: {type(exc).__name__}: {exc} "
-              "(run `lqlearn run` first)", file=_sys.stderr)
-        return EXIT_VALIDATION
+    seed, kind, G_final = _read_run(config, out_dir / "summary.json", seed)
     oracle = _solve(config)
-    if problem is not None:
-        print(problem, file=_sys.stderr)
-        return EXIT_VALIDATION
 
     learned = gamma_map(G_final.mat, G_final.n)
-    gain_gap = float(np.linalg.norm(learned.K - oracle.K_star.K))
+    # A huge learned gain overflows the norm to inf, which the report keeps.
+    with np.errstate(over="ignore"):
+        gain_gap = float(np.linalg.norm(learned.K - oracle.K_star.K))
     report = ms_stability_check(learned, config.system, config.noise)
 
     val = config.validation
@@ -442,13 +442,7 @@ def main(argv=None) -> int:
         if isinstance(data, dict):
             data.update((k, v) for k, v in overrides.items() if v is not None)
         config = from_dict(data)
-    except (ConfigParseError, ConfigValidationError) as exc:
-        print(str(exc), file=_sys.stderr)
-        return EXIT_VALIDATION
-
-    out_dir = args.out if args.out is not None else Path(config.output_dir)
-
-    try:
+        out_dir = args.out if args.out is not None else Path(config.output_dir)
         if args.command == "oracle":
             return cmd_oracle(config, out_dir)
         if args.command == "run":
@@ -460,6 +454,11 @@ def main(argv=None) -> int:
         return EXIT_ORACLE
     except LqLearnError as exc:
         print(str(exc), file=_sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        # read_json and _read_run wrap their read errors, so this is an
+        # output under out_dir that cannot be written.
+        print(f"cannot write output in {out_dir}: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
 
 

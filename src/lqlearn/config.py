@@ -168,14 +168,15 @@ class _Fields:
         return None
 
     def matrix(self, key: str) -> list | None:
-        """A row-major nested list of finite numbers, its rows of equal
-        length; a bare number is 1x1."""
+        """A row-major nested list of finite numbers, its rows non-empty and
+        of equal length; a bare number is 1x1."""
         path, raw = self.value(key)
         if _is_number(raw):
             value = self.finite(raw, path)
             return None if value is None else [[value]]
         rows_ok = isinstance(raw, list) and raw and all(
-            isinstance(row, list) and all(map(_is_number, row)) for row in raw
+            isinstance(row, list) and row and all(map(_is_number, row))
+            for row in raw
         ) and len({len(row) for row in raw}) == 1
         rule = ("a row-major nested list of numbers with rows of equal length "
                 "(or a bare number)")

@@ -21,6 +21,16 @@ def write_config(tmp_path, data, name="config.json"):
     return path
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def read_strict_json(path):
+    """path's JSON, failing on the NaN and Infinity tokens that Python's json
+    reads and writes but JSON does not have."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def masked_config(tmp_path, offset):
     """The paper_sec4 preset with masked gains and the schedule offset."""
     data = read_json(preset_file("paper_sec4"))
@@ -100,6 +110,42 @@ class TestCmdOracle:
                "of equal length (or a bare number), got [[1, 0], [0]]" in err
         assert "inhomogeneous" not in err
         assert not (tmp_path / "oracle.json").exists()
+
+    def test_zero_length_matrix_rows_exit_code(self, tmp_path, capsys):
+        # Each empty-rowed matrix is named, not a shape mismatch it causes
+        # further on (here R against an input count of 0).
+        data = json.loads(single_sensor_config(tmp_path).read_text())
+        data["system"].update(B=[[], []], B_bar=[[], []])
+        config = write_config(tmp_path, data)
+        assert run_cli("oracle", "--config", config, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        for name in ("B", "B_bar"):
+            assert f"system.{name} must be a row-major nested list of numbers " \
+                   "with rows of equal length (or a bare number), got [[], []]" in err
+        assert "has shape" not in err
+        assert not (tmp_path / "oracle.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [(("oracle",), "notadir/x"),
+         (("run", "--seeds", "1", "--rounds", "3"), "notadir")],
+        ids=["oracle", "run"],
+    )
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, command, out):
+        blocker = tmp_path / "notadir"
+        blocker.write_text("")
+        assert run_cli(*command, "--preset", "paper_sec4",
+                       "--out", tmp_path / out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write output in {tmp_path / out}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("preset", ["paper_sec4", "scalar_deterministic",
+                                        "zero_dynamics"])
+    def test_oracle_json_is_strict(self, tmp_path, preset):
+        assert run_cli("oracle", "--preset", preset, "--out", tmp_path) == 0
+        assert read_strict_json(tmp_path / "oracle.json")["stable"] is True
 
     def test_overflowing_matrix_entry_exit_code(self, tmp_path, capsys):
         # An integer literal beyond float range is not a finite number.
@@ -310,6 +356,21 @@ class TestCmdRun:
             "seed": 0, "status": "diverged", "kind": "distributed", "round": 3,
         }
 
+    def test_non_finite_norm_spelled_as_a_string(self, tmp_path, monkeypatch):
+        def explode(sys, noise, graph, alloc, sched, rounds, rngs, **kwargs):
+            return [DivergedError("boom", step=3, sensor=2, norm=float("nan"))
+                    for _ in rngs]
+
+        monkeypatch.setattr(cli, "run_seeds", explode)
+        code = run_cli("run", "--preset", "paper_sec4", "--seeds", "1",
+                       "--out", tmp_path)
+        assert code == 3
+        summary = read_strict_json(tmp_path / "summary.json")
+        assert summary["runs"][0] == {
+            "seed": 0, "status": "diverged", "kind": "distributed", "round": 3,
+            "sensor": 2, "norm": "nan",
+        }
+
     def test_diverged_seed_names_learner_sensor_and_norm(self, tmp_path):
         # Masked gains on the preset's ring:4 diverge within a few rounds,
         # while the centralized learner on the same seed does not.
@@ -491,6 +552,27 @@ class TestCmdValidateController:
         assert report["monte_carlo_cost"] is None
         assert report["ms_spectral_radius"] >= 1.0
 
+    def test_overflowing_learned_gain_reported_as_inf(self, tmp_path, capsys):
+        # G_uu = 1e-300 makes K = -G_ux / G_uu about 1e300, so its gap to K*
+        # and the mean-square radius overflow to inf, spelled "inf".
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "paper_sec4", "--seeds", "1",
+                       "--rounds", "5", "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        G = summary["runs"][0]["distributed"]["final_G_mean"]
+        G[2][2] = 1e-300
+        G[0][2] = G[2][0] = G[1][2] = G[2][1] = 1.0
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert run_cli("validate-controller", "--preset", "paper_sec4",
+                       "--out", out) == 0
+        report = read_strict_json(out / "controller_report.json")
+        assert report["gain_gap_fro"] == "inf"
+        assert report["ms_spectral_radius"] == "inf"
+        assert report["stable"] is False
+        assert report["monte_carlo_cost"] is None
+        assert capsys.readouterr().err == ""
+
     def test_seed_not_in_summary_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("run", "--preset", "paper_sec4", "--seeds", "2",
@@ -507,6 +589,8 @@ class TestCmdValidateController:
         out = tmp_path / "out"
         assert run_cli("run", "--config", masked_config(tmp_path, 6),
                        "--seeds", "1,3", "--rounds", "20", "--out", out) == 5
+        runs = read_strict_json(out / "summary.json")["runs"]
+        assert [run["status"] for run in runs] == ["ok", "diverged"]
         capsys.readouterr()
         assert run_cli("validate-controller", "--config",
                        masked_config(tmp_path, 6), "--seed", "3",

@@ -271,9 +271,18 @@ class TestValidation:
             (lambda d: d.update(oracle={"tol": 0}), "oracle.tol must be > 0"),
             (lambda d: d.update(oracle={"tol": -1}), "oracle.tol must be > 0"),
             (lambda d: d.update(spread_scale=-1), "spread_scale must be >= 0"),
+            (lambda d: d["system"].update(B=[[], []]),
+             "system.B must be a row-major nested list of numbers with rows "
+             "of equal length (or a bare number), got [[], []]"),
+            (lambda d: d["system"].update(B_bar=[[], []]),
+             "system.B_bar must be a row-major nested list of numbers with rows "
+             "of equal length (or a bare number), got [[], []]"),
+            (lambda d: d["system"].update(A=[[]]),
+             "system.A must be a row-major nested list of numbers with rows "
+             "of equal length (or a bare number), got [[]]"),
         ],
         ids=["ragged-A", "no-system", "no-system.Q", "tol-0", "tol-negative",
-             "spread_scale"],
+             "spread_scale", "empty-B-rows", "empty-B_bar-rows", "empty-A-row"],
     )
     def test_rejected_field_reported_alongside_others(self, edit, message):
         data = base_config(rounds=0)
