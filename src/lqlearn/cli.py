@@ -5,11 +5,15 @@ Subcommands:
   run                  run the learner(s), write trace.csv / summary.json / plots
   validate-controller  check a learned gain against the oracle, write a report
 
-`run` learns its seeds a group at a time (trace.group_seeds bounds the
-floats a group's traces hold, and so a round's (S, N, d, d) temporaries),
-each kind of learner as one distributed.run_seeds batch: the centralized
-batch first, then the distributed batch on the seeds that did not diverge. Every output file and
-log line is the same as when each seed runs alone, in seed order.
+`run` builds its learners once, keeping only --mode's kind unless it is
+"both", and learns its seeds a group at a time (trace.group_seeds, sized by
+the largest sensor count among them, bounds the floats a group's traces
+hold, and so a round's (S, N, d, d) temporaries). In each group it walks the
+kinds in order, the centralized first: one distributed.run_seeds batch on
+the seeds that have not diverged, then each seed's trace, plots and summary
+entry, and that kind's traces are dropped before the next kind learns.
+Every output file and log line is the same as when each seed runs alone,
+in seed order.
 
 Every failure leaves through one handler in main. Exit codes: 0 clean, 2
 validation error (config, summary or unwritable output), 3 all runs diverged,
@@ -183,26 +187,9 @@ def _diverged_entry(entry: dict, kind: str, exc: DivergedError) -> None:
         entry["norm"] = exc.norm
 
 
-def _write_kind(results, seeds, kind: str, name: str, entries: dict,
-                out_dir: Path) -> dict:
-    """Write each finished seed's trace, plots and stats for one kind of
-    learner; return the error of each seed that diverged."""
-    errors = {}
-    for seed, trace in zip(seeds, results):
-        if isinstance(trace, DivergedError):
-            errors[seed] = trace
-            _diverged_entry(entries[seed], kind, trace)
-            continue
-        seed_dir = out_dir / f"seed_{seed:04d}"
-        trace.write_csv(seed_dir / name)
-        _plot_trace(trace, seed_dir / "plots", kind)
-        entries[seed][kind] = _trace_stats(trace)
-    return errors
-
-
 def _run_group(
     config: ExperimentConfig,
-    mode: str,
+    learners: dict,
     seeds,
     oracle: OracleSolution,
     out_dir: Path,
@@ -214,29 +201,32 @@ def _run_group(
     errors = {}
     for seed in seeds:
         (out_dir / f"seed_{seed:04d}").mkdir(parents=True, exist_ok=True)
-    learners = _learners(config)
-    for kind in tuple(learners) if mode == "both" else (mode,):
-        graph, gains, options = learners[kind]
+    name = "trace_{}.csv" if len(learners) > 1 else "trace.csv"
+    for kind, (graph, gains, options) in learners.items():
         learning = [seed for seed in seeds if seed not in errors]
-        # One kind's traces are dropped before the next kind learns.
-        errors |= _write_kind(
-            run_seeds(
-                config.system,
-                config.noise,
-                graph,
-                gains,
-                config.schedule,
-                config.rounds,
-                [RngStream(seed, _STREAM_LEARN) for seed in learning],
-                oracle=oracle,
-                **options,
-            ),
-            learning,
-            kind,
-            f"trace_{kind}.csv" if mode == "both" else "trace.csv",
-            entries,
-            out_dir,
+        results = run_seeds(
+            config.system,
+            config.noise,
+            graph,
+            gains,
+            config.schedule,
+            config.rounds,
+            [RngStream(seed, _STREAM_LEARN) for seed in learning],
+            oracle=oracle,
+            **options,
         )
+        for seed, trace in zip(learning, results):
+            if isinstance(trace, DivergedError):
+                errors[seed] = trace
+                _diverged_entry(entries[seed], kind, trace)
+                continue
+            seed_dir = out_dir / f"seed_{seed:04d}"
+            trace.write_csv(seed_dir / name.format(kind))
+            _plot_trace(trace, seed_dir / "plots", kind)
+            entries[seed][kind] = _trace_stats(trace)
+        # One kind's traces are dropped before the next kind learns.
+        del results
+        trace = None
     for seed in seeds:
         if seed in errors:
             log.warning("seed %d %s learner diverged: %s", seed,
@@ -256,15 +246,18 @@ def _median_over(runs: list[dict], kind: str, key: str):
 
 def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
     oracle = _solve(config)
+    learners = _learners(config)
+    if mode != "both":
+        learners = {mode: learners[mode]}
     # Seeds are learned a group at a time, so only one group's traces are
     # alive at once and a round's temporaries stay bounded (trace.group_seeds).
-    n_sensors = 1 if mode == "centralized" else config.graph.n_sensors
+    n_sensors = max(graph.n_sensors for graph, _, _ in learners.values())
     size = group_seeds(n_sensors, config.system.n + config.system.m, config.rounds)
     seeds = config.seeds
     runs = []
     for start in range(0, len(seeds), size):
         group = seeds[start:start + size]
-        runs.extend(_run_group(config, mode, group, oracle, out_dir))
+        runs.extend(_run_group(config, learners, group, oracle, out_dir))
 
     medians = {}
     for kind in ("centralized", "distributed"):
@@ -324,15 +317,16 @@ def _read_run(config: ExperimentConfig, summary_path: Path, seed: int | None):
         if run["status"] != "ok":
             raise LqLearnError(f"no clean run for seed {seed} in {summary_path}")
         kind = "distributed" if "distributed" in run else "centralized"
-        G_final = QFactor.symmetrized(
-            np.asarray(run[kind]["final_G_mean"], dtype=float),
-            config.system.n,
-            config.system.m,
-        )
+        final = np.asarray(run[kind]["final_G_mean"], dtype=float)
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise LqLearnError(
             f"cannot read {summary_path}: {type(exc).__name__}: {exc} "
             "(run `lqlearn run` first)") from exc
+    try:
+        G_final = QFactor(final, config.system.n, config.system.m)
+    except ValueError as exc:
+        raise LqLearnError(f"{summary_path}: seed {seed} has no usable "
+                           f"final_G_mean: {exc}") from exc
     return seed, kind, G_final
 
 

@@ -171,6 +171,9 @@ def distributed_round(
     """
     if cons.graph.n_sensors != G.shape[0]:
         raise ValueError("bank and consensus operator must agree on the sensor count")
+    d = sys.n + sys.m
+    if G.shape[1:] != (d, d):
+        raise ValueError(f"bank must have shape {(G.shape[0], d, d)}, got {G.shape}")
     _check_gains(gains, G.shape[0], sys)
     G, diverged = _round(G, np.asarray(Uk, dtype=float), sys, cons, gains,
                          sched.alpha(k), k)

@@ -385,7 +385,10 @@ def _closed_loop(K: Gain, sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """(Acl, Abcl) = (A + BK, Abar + Bbar K): under u = Kx the sampled plant
     steps x(k+1) = (Acl + w(k) Abcl) x(k). BK and Bbar K are summed by
     _matmul, so the bits do not depend on the BLAS build; with m = 1 each
-    entry is one product, as a matmul gives it."""
+    entry is one product, as a matmul gives it. Raises ValueError unless K
+    is m x n."""
+    if K.K.shape != (sys.m, sys.n):
+        raise ValueError(f"K has shape {K.K.shape}, expected {(sys.m, sys.n)}")
     return sys.A + _matmul(sys.B, K.K), sys.A_bar + _matmul(sys.B_bar, K.K)
 
 

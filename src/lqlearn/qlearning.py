@@ -27,10 +27,13 @@ from .sampling import RngStream
 from .trace import RunTrace
 
 
+# The centralized learner's network, built once: one sensor, no edges.
+_SINGLE = consensus_operator(build_graph("single"))
+
+
 def single_sensor(sys: SystemModel):
     """(graph, gains) of the centralized learner: one sensor, no edges, L_1 = I."""
-    graph = build_graph("single")
-    return graph, allocate_gains(graph, (sys.n, sys.m), "uniform")
+    return _SINGLE.graph, allocate_gains(_SINGLE.graph, (sys.n, sys.m), "uniform")
 
 
 def centralized_step(
@@ -43,8 +46,8 @@ def centralized_step(
     """One update G <- G + alpha(k) Y(G) of the (1, d, d) estimate after
     step k, returned as a new array: a distributed round on the
     single-sensor network."""
-    graph, gains = single_sensor(sys)
-    return distributed_round(G, k, sys, consensus_operator(graph), gains, Uk, sched)
+    _, gains = single_sensor(sys)
+    return distributed_round(G, k, sys, _SINGLE, gains, Uk, sched)
 
 
 def run_centralized(

@@ -613,18 +613,28 @@ class TestCmdValidateController:
         assert f"cannot read {tmp_path / 'summary.json'}" in capsys.readouterr().err
         assert not (tmp_path / "controller_report.json").exists()
 
-    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
-    def test_non_finite_final_estimate_exit_code(self, tmp_path, capsys, entry):
+    @pytest.mark.parametrize("entry, reason", [
+        ("NaN", "G must be finite"),
+        ("Infinity", "G must be finite"),
+        ("0.9", "G must be symmetric"),
+    ], ids=["NaN", "Infinity", "asymmetric"])
+    def test_non_finite_final_estimate_exit_code(self, tmp_path, capsys,
+                                                 entry, reason):
         # The summary is where a learned Q-factor re-enters the program, and
         # the only check between it and gamma_map.
-        G = f"[[0.4, 0.0, -0.6], [0.0, 0.7, 0.5], [-0.6, 0.5, {entry}]]"
+        G = f"[[0.4, 0.0, -0.6], [0.0, 0.7, 0.5], [-0.6, {entry}, 0.9]]"
         (tmp_path / "summary.json").write_text(
             '{"seeds": [0], "runs": [{"seed": 0, "status": "ok", '
             f'"distributed": {{"final_G_mean": {G}}}}}]}}'
         )
         assert run_cli("validate-controller", "--preset", "paper_sec4",
                        "--out", tmp_path) == 2
-        assert "G must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'summary.json'}: seed 0 has no usable "
+                f"final_G_mean: {reason}") in err
+        # The file was read, and `lqlearn run` writes such a summary.
+        assert "cannot read" not in err
+        assert "first)" not in err
         assert not (tmp_path / "controller_report.json").exists()
 
 

@@ -280,6 +280,23 @@ class TestDistributedRound:
                               np.ones(shape), realize(bench_sys, 1.0), Schedule())
 
 
+    @pytest.mark.parametrize("d", [4, 2])
+    def test_bank_of_wrong_shape_rejected(self, bench_sys, d):
+        # A (4, 4, 4) bank of the 3 x 3 problem would warn of rank-deficient
+        # blocks, then fail as numpy broadcasts it against the residuals.
+        g = build_graph("ring:4")
+        with pytest.raises(ValueError, match=re.escape(
+                f"bank must have shape (4, 3, 3), got (4, {d}, {d})")):
+            distributed_round(np.tile(np.eye(d), (4, 1, 1)), 0, bench_sys,
+                              consensus_operator(g),
+                              allocate_gains(g, (2, 1), "uniform"),
+                              realize(bench_sys, 1.0), Schedule())
+        with pytest.raises(ValueError, match=re.escape(
+                f"bank must have shape (1, 3, 3), got (1, {d}, {d})")):
+            centralized_step(np.eye(d)[None], 0, bench_sys,
+                             realize(bench_sys, 1.0), Schedule())
+
+
 class TestRunDistributed:
     @pytest.mark.parametrize("shape", [(1, 3), (4, 2), (2, 3)])
     def test_gains_of_wrong_shape_rejected(self, bench_sys, bench_noise, shape):

@@ -13,6 +13,7 @@ from lqlearn import (
     run_centralized,
     y_operator,
 )
+from lqlearn import qlearning
 from lqlearn.errors import DivergedError
 
 
@@ -127,6 +128,18 @@ class TestCentralizedStep:
                                Schedule())
         assert state.tobytes() == before.tobytes()
         assert not np.array_equal(nxt, state)
+
+    def test_builds_no_network_per_step(self, bench_sys, monkeypatch):
+        # The one-sensor graph and its consensus operator are built once.
+        def refuse(*args, **kwargs):
+            raise AssertionError("network built for a centralized step")
+
+        monkeypatch.setattr(qlearning, "build_graph", refuse)
+        monkeypatch.setattr(qlearning, "consensus_operator", refuse)
+        state = bench_sys.cost_block()[None]
+        nxt = centralized_step(state, 0, bench_sys, realize(bench_sys, 1.3),
+                               Schedule())
+        assert nxt.shape == state.shape
 
     def test_fixed_point_of_sampled_map(self, det_sys, det_oracle):
         # Deterministic plant: Y(G*) = 0 for any draw, so G* is invariant.

@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -533,6 +534,29 @@ class TestSimulateTrajectory:
         assert traj.overflow
         assert traj.overflow_step == 1
         assert len(traj.xs) == 1
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2), (1, 3)],
+                         ids=["1x1", "2x1", "2x2", "1x3"])
+def test_gain_of_wrong_shape_rejected(bench_sys, bench_noise, monkeypatch,
+                                      shape):
+    # Every gain meets the plant in _closed_loop. There a 1 x 1 gain would
+    # broadcast to [[k, k]], and a 2 x 1 one pass the stability check and
+    # fail inside the rollout.
+    K = Gain(np.full(shape, -0.3))
+    match = re.escape(f"K has shape {shape}, expected (1, 2)")
+    with pytest.raises(ValueError, match=match):
+        ms_stability_check(K, bench_sys, bench_noise)
+    with pytest.raises(ValueError, match=match):
+        simulate_trajectory(bench_sys, K, np.ones(2), np.ones(5))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("noise drawn for a gain of the wrong shape")
+
+    monkeypatch.setattr(sampling, "draw_noise_rows", no_draw)
+    with pytest.raises(ValueError, match=match):
+        monte_carlo_cost(bench_sys, bench_noise, K, np.ones(2), 5, 2,
+                         RngStream(0))
 
 
 class TestMonteCarloCost:
