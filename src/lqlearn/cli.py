@@ -15,6 +15,13 @@ entry, and that kind's traces are dropped before the next kind learns.
 Every output file and log line is the same as when each seed runs alone,
 in seed order.
 
+`validate-controller` takes the oracle from the G* that the run stored in
+summary.json once one Picard step certifies it under the given config (the
+oracle's own residual test and a mean-square stabilizing K*, with no
+warning), and solves the oracle only when that test fails or no G* is
+stored. JSON keeps a float's bits, so an unchanged problem gets the solved
+oracle's bits.
+
 Every failure leaves through one handler in main. Exit codes: 0 clean, 2
 validation error (config, summary or unwritable output), 3 all runs diverged,
 4 oracle failure, 5 partial divergence. Log verbosity via the QLEARN_LOG env var.
@@ -29,6 +36,7 @@ import logging
 import os
 import statistics
 import sys as _sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +115,35 @@ def _solve(config: ExperimentConfig) -> OracleSolution:
         oracle_tol=config.oracle_tol,
         max_iter=config.oracle_max_iter,
     )
+
+
+def _reuse_or_solve(config: ExperimentConfig, stored) -> OracleSolution:
+    """The oracle from stored, a run's G* as summary.json holds it, when one
+    Picard step from it passes solve_oracle's test under config; otherwise,
+    or with no stored G*, the oracle solved from diag(Q, R). Logs which."""
+    reason = "no G* in the summary"
+    if stored is not None:
+        try:
+            # A warning (a rank-deficient G_uu, an overflow) fails the test
+            # too, so only the solve, as without a stored G*, can warn.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                oracle = solve_oracle(
+                    config.system,
+                    config.noise,
+                    oracle_tol=config.oracle_tol,
+                    max_iter=1,
+                    start=stored,
+                )
+        except (ValueError, TypeError, Warning, NoConvergenceError,
+                NotStabilizingError) as exc:
+            reason = f"the summary's G* failed: {exc}"
+        else:
+            log.info("G* from the summary, residual %.3e", oracle.residual)
+            return oracle
+    oracle = _solve(config)
+    log.info("G* solved in %d iterations (%s)", oracle.iterations, reason)
+    return oracle
 
 
 def cmd_oracle(config: ExperimentConfig, out_dir: Path) -> int:
@@ -301,10 +338,11 @@ def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
 
 
 def _read_run(config: ExperimentConfig, summary_path: Path, seed: int | None):
-    """(seed, kind, final averaged estimate) of one run in summary.json;
-    seed None picks the summary's first seed. Raises LqLearnError when the
-    summary cannot be read or is wrongly shaped, when the seed is not in it,
-    or when its run diverged."""
+    """(seed, kind, final averaged estimate, stored G*) of one run in
+    summary.json; seed None picks the summary's first seed, and the stored
+    G* is the oracle block's G_star as read, None when there is none.
+    Raises LqLearnError when the summary cannot be read or is wrongly
+    shaped, when the seed is not in it, or when its run diverged."""
     try:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         if seed is None:
@@ -327,14 +365,16 @@ def _read_run(config: ExperimentConfig, summary_path: Path, seed: int | None):
     except ValueError as exc:
         raise LqLearnError(f"{summary_path}: seed {seed} has no usable "
                            f"final_G_mean: {exc}") from exc
-    return seed, kind, G_final
+    oracle = summary.get("oracle")
+    stored = oracle.get("G_star") if isinstance(oracle, dict) else None
+    return seed, kind, G_final, stored
 
 
 def cmd_validate_controller(
     config: ExperimentConfig, out_dir: Path, seed: int | None
 ) -> int:
-    seed, kind, G_final = _read_run(config, out_dir / "summary.json", seed)
-    oracle = _solve(config)
+    seed, kind, G_final, stored = _read_run(config, out_dir / "summary.json", seed)
+    oracle = _reuse_or_solve(config, stored)
 
     learned = gamma_map(G_final.mat, G_final.n)
     # A huge learned gain overflows the norm to inf, which the report keeps.

@@ -307,12 +307,21 @@ def solve_oracle(
     noise: NoiseModel,
     oracle_tol: float = DEFAULT_ORACLE_TOL,
     max_iter: int = DEFAULT_ORACLE_MAX_ITER,
+    *,
+    start=None,
 ) -> OracleSolution:
-    """Picard iteration G <- expectation_map(G) from diag(Q, R).
+    """Picard iteration G <- expectation_map(G) from start, diag(Q, R) by
+    default.
 
     Returns G* with ||G* - expectation_map(G*)||_F <= oracle_tol, together
     with P = pi_map(G*) and K* = gamma_map(G*). The iterates are plain
     arrays; G* is checked once, as a QFactor.
+
+    start, when given, is checked as a QFactor (ValueError unless it is a
+    finite (n+m)x(n+m) matrix, symmetric within SYM_TOL) and copied. From a
+    G* this function returned, one step passes the test: with max_iter=1
+    the call certifies a stored G* and returns it, with the P, K* and
+    residual of the solve that found it, bit for bit.
 
     Raises NoConvergenceError when the residual stays above oracle_tol or
     overflows (the LQ problem is then likely ill-posed) and
@@ -324,7 +333,10 @@ def solve_oracle(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    G = sys.cost_block()
+    if start is None:
+        G = sys.cost_block()
+    else:
+        G = QFactor(np.array(start, dtype=float), sys.n, sys.m).mat
     residual = np.inf
     for iteration in range(1, max_iter + 1):
         G_next = expectation_map(G, sys, noise)

@@ -47,10 +47,11 @@ _U53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 # draw_noise_rows transforms at most about this many draws per call, so a
-# chunk's memory stays bounded: a chunk of 163 rows of 400 draws peaks at
-# 3.4 MB under tracemalloc (numpy 2.4), of which 0.5 MB is the output and the
-# rest the transform's temporaries, each an array of 0.5 MB or less.
-_CHUNK_DRAWS = 2**16
+# chunk's memory stays bounded: a chunk of 20 rows of 400 draws peaks at
+# 0.45 MB under tracemalloc (numpy 2.4), of which 64 KB is the output and the
+# rest the transform's temporaries, each an array of 64 KB or less. The
+# chunking never changes a draw: each row has draw_noise's bits.
+_CHUNK_DRAWS = 2**13
 
 # Cephes ndtri: sqrt(2 pi), e^-2, and the coefficients, highest degree
 # first. The Q polynomials are monic; their leading 1 is left out.

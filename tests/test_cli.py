@@ -638,6 +638,141 @@ class TestCmdValidateController:
         assert not (tmp_path / "controller_report.json").exists()
 
 
+def small_sec4_config(tmp_path, name="small.json", **edits):
+    """paper_sec4 with a short run and a small validation, then edits."""
+    data = read_json(preset_file("paper_sec4"))
+    data.update(rounds=10, seeds=1,
+                validation={"x0": [1.0, 1.0], "horizon": 50, "n_runs": 20})
+    data.update(edits)
+    return write_config(tmp_path, data, name=name)
+
+
+@pytest.fixture
+def oracle_solves(monkeypatch):
+    """The keyword arguments of every cli.solve_oracle call, in order."""
+    calls = []
+    solve = cli.solve_oracle
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_oracle", recorded)
+    return calls
+
+
+class TestValidateReusesStoredOracle:
+    """validate-controller certifies the run's stored G* with one Picard step
+    and falls back to solving the oracle when that test fails."""
+
+    @staticmethod
+    def run(tmp_path, *args):
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", small_sec4_config(tmp_path), *args,
+                       "--out", out) == 0
+        return out
+
+    @staticmethod
+    def edit_summary(out, edit):
+        summary = json.loads((out / "summary.json").read_text())
+        edit(summary)
+        (out / "summary.json").write_text(json.dumps(summary))
+
+    @staticmethod
+    def validate(config, out):
+        assert run_cli("validate-controller", "--config", config,
+                       "--out", out) == 0
+        return (out / "controller_report.json").read_bytes()
+
+    def cold_report(self, config, out):
+        """The report from the run in out once its oracle block is deleted."""
+        self.edit_summary(out, lambda summary: summary.pop("oracle"))
+        return self.validate(config, out)
+
+    def test_unchanged_problem_reuses_g_star(self, tmp_path, oracle_solves,
+                                             caplog):
+        config = small_sec4_config(tmp_path)
+        out = self.run(tmp_path)
+        oracle_solves.clear()
+        caplog.set_level(logging.INFO, logger="lqlearn")
+        report = self.validate(config, out)
+        assert len(oracle_solves) == 1
+        assert oracle_solves[0]["max_iter"] == 1
+        assert oracle_solves[0]["start"] is not None
+        residual = read_strict_json(out / "summary.json")["oracle"]["residual"]
+        assert caplog.messages == [f"G* from the summary, residual {residual:.3e}"]
+        oracle_solves.clear()
+        caplog.clear()
+        assert self.cold_report(config, out) == report
+        # The oracle-less summary gets one cold solve.
+        assert [call.get("start") for call in oracle_solves] == [None]
+        assert [call["max_iter"] for call in oracle_solves] == [100_000]
+        assert caplog.messages == [
+            "G* solved in 79 iterations (no G* in the summary)"]
+
+    def test_changed_noise_fails_the_test_and_solves(self, tmp_path,
+                                                     oracle_solves, caplog):
+        changed = small_sec4_config(tmp_path, name="changed.json",
+                                    noise={"mu": 1.0, "sigma2": 0.12})
+        out = self.run(tmp_path)
+        oracle_solves.clear()
+        caplog.set_level(logging.INFO, logger="lqlearn")
+        report = self.validate(changed, out)
+        assert [call["max_iter"] for call in oracle_solves] == [1, 100_000]
+        assert [call.get("start") is None for call in oracle_solves] == [
+            False, True]
+        [message] = caplog.messages
+        assert message.startswith("G* solved in ")
+        assert (" iterations (the summary's G* failed: no convergence after "
+                "1 iterations (residual ") in message
+        assert self.cold_report(changed, out) == report
+
+    @pytest.mark.parametrize("G_star", [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, "nan", 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        {"not": "a matrix"},
+        [[0.0] * 3] * 3,
+        [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [0.0, 0.0, 1e300]],
+    ], ids=["wrong_shape", "nan", "asymmetric", "not_a_matrix",
+            "rank_deficient", "overflowing"])
+    def test_malformed_g_star_solves(self, tmp_path, oracle_solves, recwarn,
+                                     G_star):
+        config = small_sec4_config(tmp_path)
+        out = self.run(tmp_path)
+        self.edit_summary(out, lambda s: s["oracle"].update(G_star=G_star))
+        oracle_solves.clear()
+        recwarn.clear()
+        report = self.validate(config, out)
+        assert [call["max_iter"] for call in oracle_solves] == [1, 100_000]
+        # The failed test warns nothing: its warnings only fail it.
+        assert [str(w.message) for w in recwarn] == []
+        assert self.cold_report(config, out) == report
+
+    @pytest.mark.parametrize("oracle", [[], {"residual": 0.0}],
+                             ids=["not_a_dict", "no_G_star"])
+    def test_oracle_block_without_g_star_solves(self, tmp_path, oracle_solves,
+                                                oracle):
+        config = small_sec4_config(tmp_path)
+        out = self.run(tmp_path)
+        self.edit_summary(out, lambda s: s.update(oracle=oracle))
+        oracle_solves.clear()
+        report = self.validate(config, out)
+        assert [call.get("start") for call in oracle_solves] == [None]
+        assert self.cold_report(config, out) == report
+
+    def test_run_and_validation_edits_still_reuse(self, tmp_path,
+                                                  oracle_solves):
+        out = self.run(tmp_path, "--seeds", "2", "--rounds", "15")
+        other = small_sec4_config(
+            tmp_path, name="other.json", rounds=30, seeds=[0, 1],
+            validation={"x0": [0.5, -1.0], "horizon": 30, "n_runs": 10})
+        oracle_solves.clear()
+        assert run_cli("validate-controller", "--config", other, "--seed", "1",
+                       "--out", out) == 0
+        assert [call["max_iter"] for call in oracle_solves] == [1]
+
+
 class TestSvgPlots:
     def test_plots_carry_no_unique_data(self, tmp_path):
         # every plotted series value appears in the CSV

@@ -201,6 +201,42 @@ class TestSolveOracle:
         assert info.value.iterations < 1000
 
 
+class TestSolveOracleStart:
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_one_step_from_g_star_gives_the_cold_solve(self, preset):
+        cfg = load_preset(preset)
+        cold = solve_oracle(cfg.system, cfg.noise, cfg.oracle_tol)
+        warm = solve_oracle(cfg.system, cfg.noise, cfg.oracle_tol, max_iter=1,
+                            start=cold.G_star.mat.tolist())
+        assert warm.iterations == 1
+        for a, b in [(warm.G_star.mat, cold.G_star.mat), (warm.P, cold.P),
+                     (warm.K_star.K, cold.K_star.K)]:
+            assert a.tobytes() == b.tobytes()
+        assert warm.residual == cold.residual
+
+    def test_cost_block_start_is_the_default(self, bench_sys, bench_noise,
+                                             bench_oracle):
+        sol = solve_oracle(bench_sys, bench_noise, start=bench_sys.cost_block())
+        assert sol.iterations == bench_oracle.iterations
+        assert sol.G_star.mat.tobytes() == bench_oracle.G_star.mat.tobytes()
+        assert sol.residual == bench_oracle.residual
+
+    def test_start_is_copied(self, bench_sys, bench_noise, bench_oracle):
+        start = bench_oracle.G_star.mat.copy()
+        sol = solve_oracle(bench_sys, bench_noise, max_iter=1, start=start)
+        start[0, 0] = 0.0
+        assert sol.G_star.mat.tobytes() == bench_oracle.G_star.mat.tobytes()
+
+    @pytest.mark.parametrize("start, reason", [
+        (np.eye(2), "shape"),
+        ([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]], "finite"),
+        ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "symmetric"),
+    ], ids=["shape", "NaN", "asymmetric"])
+    def test_bad_start_rejected(self, bench_sys, bench_noise, start, reason):
+        with pytest.raises(ValueError, match=reason):
+            solve_oracle(bench_sys, bench_noise, start=start)
+
+
 class TestOptimalGainClosedForm:
     def test_scalar_closed_form(self, scalar_sys):
         K = optimal_gain_closed_form([[GOLDEN]], scalar_sys, NoiseModel(0.0, 0.0))

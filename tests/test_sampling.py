@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,25 @@ class TestDrawNoiseRows:
 
     def test_no_streams(self):
         assert draw_noise_rows([], NoiseModel(0.0, 1.0), 8).shape == (0, 8)
+
+    def test_validation_draw_memory_is_bounded(self):
+        # validate-controller's draw, 250 runs of 400 steps: beyond the 0.8 MB
+        # output, the chunked transform's temporaries stay below 1 MB (about
+        # 0.4 MB at 2**13 draws a chunk, 2.9 MB at 2**16).
+        noise = NoiseModel(1.0, 0.1)
+        rngs = [RngStream(7, 1).substream(run) for run in range(250)]
+        for rng in rngs:
+            rng.uniform_open(0)  # builds each bit generator before tracing
+        tracemalloc.start()
+        try:
+            rows = draw_noise_rows(rngs, noise, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows.nbytes < 2**20
+        for run, row in enumerate(rows):
+            assert same_bits(row, draw_noise(RngStream(7, 1).substream(run),
+                                             noise, 400))
 
 
 class TestRealize:
