@@ -6,6 +6,15 @@ a (seed, stream_id) pair yields bit-identical sequences across runs and
 platforms. Substreams (Monte Carlo runs, per-sensor noise) are derived
 through SeedSequence spawn keys and can never collide with each other.
 
+A stream's Philox key is SeedSequence(seed, spawn_key=(stream_id,
+*indices)).generate_state(2, np.uint64), but no SeedSequence is built:
+_stream_keys runs SeedSequence's hash, which NEP 19 keeps stable, as uint64
+array steps over many streams at once. Philox is counter-based (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): word i of a key
+depends only on the key and i. So a stream is its key and the count of words
+it has drawn, and a draw call sets one Philox generator to each stream's key
+and counter in turn, instead of keeping a generator object per stream.
+
 The inverse normal CDF is a numpy port of Moshier's Cephes ndtri (Methods
 and Programs for Mathematical Functions, 1989): a rational approximation in
 y - 1/2 on the centre, e^-2 < y < 1 - e^-2, and two in 1/sqrt(-2 log y) on
@@ -21,6 +30,7 @@ streams' uniforms in one call.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -143,21 +153,24 @@ def _ndtri(u) -> np.ndarray:
 class RngStream:
     """One logical random stream per experiment component.
 
-    Identical (seed, stream_id) always reproduce the same draws.
+    Identical (seed, stream_id) always reproduce the same draws. A stream is
+    its Philox key, derived once from (seed, stream_id, substream indices),
+    and the count of raw words it has drawn; it holds no generator.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _spawn: tuple[int, ...] = ()):
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if not 0 <= stream_id < 2**64:
-            raise ValueError("stream_id must be a 64-bit unsigned integer")
+        _check_word(seed, "seed")
+        _check_word(stream_id, "stream_id")
         self.seed = seed
         self.stream_id = stream_id
         self._spawn = _spawn
-        self._bits: np.random.Philox | None = None
+        self._key: list[int] | None = None  # set by _key_streams
+        self._pos = 0  # raw words drawn
 
     def substream(self, *indices: int) -> "RngStream":
         """Fresh derived stream; disjoint from this one and all siblings."""
+        for index in indices:
+            _check_word(index, "substream index")
         return RngStream(self.seed, self.stream_id, (*self._spawn, *indices))
 
     def uniform_open(self, size: int | None = None):
@@ -175,16 +188,178 @@ class RngStream:
         one value is clamped to the largest float below 1; no other k
         reaches it, so every other draw keeps its bits.
         """
-        if self._bits is None:
-            seq = np.random.SeedSequence(
-                self.seed, spawn_key=(self.stream_id, *self._spawn)
-            )
-            self._bits = np.random.Philox(seq)
-        raw = self._bits.random_raw(size) >> 11
-        return np.minimum((raw + 0.5) / _U53, _BELOW_ONE)
+        out = np.empty(1 if size is None else size)
+        _key_streams([self])
+        _uniform_rows(out.reshape(1, -1), [self], np.random.Philox(0))
+        return out[0] if size is None else out
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _check_word(value, name: str) -> None:
+    """value must be an integer (not a bool) in [0, 2**64), as SeedSequence
+    takes each entry of a key; else ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
+
+# Streams keyed per _stream_keys pass, and held at a time by a Monte Carlo
+# estimate. A pass over this many streams peaks near 0.5 MB under
+# tracemalloc (numpy 2.4), its key entries and (streams, words) uint64
+# temporaries; about 0.2 ms of each pass is fixed cost, so fewer, larger
+# passes are cheaper per stream.
+_KEY_BLOCK = 2**10
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx), which NEP 19 keeps
+# stable: hashmix constants, the mix multipliers, and the 4-word pool.
+_M32 = np.uint64(0xFFFFFFFF)
+_XSHIFT = np.uint64(16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_POOL = 4
+
+
+@functools.lru_cache
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0 .. count-1: the hash constant that
+    the k-th hashmix call starts from. Read-only, as it is cached."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(out, dtype=np.uint64)
+    consts.flags.writeable = False
+    return consts
+
+
+def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix on 32-bit words held in uint64, for calls that
+    start from the hash constants xor and end on mul (the next constants)."""
+    x = x ^ xor
+    x *= mul
+    x &= _M32
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix(x, y), in place on x; the uint64 difference wraps
+    modulo 2^64, so its low 32 bits are the uint32 result."""
+    x *= _MIX_L
+    x -= y * _MIX_R
+    x &= _M32
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _pool_keys(words: np.ndarray) -> np.ndarray:
+    """Philox keys of n streams from their (n, 4 + L) assembled entropy
+    words: mix_entropy, then generate_state(2, np.uint64)."""
+    L = words.shape[1] - _POOL
+    # hashmix calls: the pool's words, then 3 per pool word mixed into the
+    # others, then 4 per word past the pool.
+    ca = _hash_consts(_INIT_A, _MULT_A, _POOL + 12 + 4 * L + 1)
+    pool = _hashmix(words[:, :_POOL], ca[:_POOL], ca[1:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst],
+                            _hashmix(pool[:, src, None], ca[k:k + 3], ca[k + 1:k + 4]))
+        k += 3
+    # A word past the pool is hashed once per pool word with constants that
+    # do not depend on the data, so all those hashes are one step; the mixes
+    # into the pool then go word by word.
+    extra = _hashmix(words[:, _POOL:, None], ca[k:k + 4 * L].reshape(L, 4),
+                     ca[k + 1:k + 4 * L + 1].reshape(L, 4))
+    for j in range(L):
+        _mix(pool, extra[:, j])
+    cb = _hash_consts(_INIT_B, _MULT_B, _POOL + 1)
+    state = _hashmix(pool, cb[:_POOL], cb[1:])
+    # generate_state's uint32 words, read as little-endian uint64 pairs.
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+def _stream_keys(rngs: Sequence[RngStream]) -> np.ndarray:
+    """The (len(rngs), 2) uint64 Philox keys of the streams,
+    SeedSequence(seed, spawn_key=(stream_id, *spawn)).generate_state(2,
+    np.uint64) bit for bit, in one array pass per group of equal word count.
+
+    The spawn key is never empty, so SeedSequence pads the seed's one or two
+    32-bit words to the 4-word pool; each spawn entry adds one word, or two
+    from 2^32 on. Streams are grouped by the number of entries, then by the
+    number of words.
+    """
+    keys = np.empty((len(rngs), 2), dtype=np.uint64)
+    groups: dict[int, list[int]] = {}
+    for i, rng in enumerate(rngs):
+        groups.setdefault(len(rng._spawn), []).append(i)
+    for rows in groups.values():
+        ints = np.array([(rngs[i].seed, rngs[i].stream_id, *rngs[i]._spawn)
+                         for i in rows], dtype=np.uint64)
+        lo, hi = ints & _M32, ints >> np.uint64(32)
+        seed_words = np.zeros((len(rows), _POOL), dtype=np.uint64)
+        seed_words[:, 0], seed_words[:, 1] = lo[:, 0], hi[:, 0]
+        # Each entry's (low, high) words, the high one kept only if nonzero.
+        spawn = np.stack([lo[:, 1:], hi[:, 1:]], axis=2).reshape(len(rows), -1)
+        kept = np.ones(spawn.shape, dtype=bool)
+        kept[:, 1::2] = hi[:, 1:] > 0
+        counts = kept.sum(axis=1)
+        rows = np.array(rows)
+        for count in set(counts.tolist()):
+            same = counts == count
+            words = np.concatenate(
+                [seed_words[same], spawn[same][kept[same]].reshape(-1, count)], axis=1)
+            keys[rows[same]] = _pool_keys(words)
+    return keys
+
+
+def _key_streams(rngs: Sequence[RngStream]) -> None:
+    """Key every stream of rngs that has no key yet, _KEY_BLOCK at a pass."""
+    todo = [rng for rng in rngs if rng._key is None]
+    for start in range(0, len(todo), _KEY_BLOCK):
+        block = todo[start:start + _KEY_BLOCK]
+        for rng, key in zip(block, _stream_keys(block).tolist()):
+            rng._key = key
+
+
+def _raw_words(bits: np.random.Philox, rng: RngStream, size: int) -> np.ndarray:
+    """The next size raw 64-bit words of the keyed stream rng, drawn by the
+    Philox generator bits after re-keying it; advances rng. Each draw call
+    makes its own bits, so streams drawn on different threads share none.
+
+    Philox draws word i of a key from block i // 4 of four words, which it
+    makes after advancing its counter. So the state (key, counter = pos // 4,
+    buffer spent) followed by pos % 4 discarded words resumes at word pos.
+    """
+    pos = rng._pos
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (pos >> 2, 0, 0, 0), "key": rng._key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if pos & 3:
+        bits.random_raw(pos & 3)
+    rng._pos = pos + size
+    return bits.random_raw(size)
+
+
+def _uniform_rows(out: np.ndarray, rngs: Sequence[RngStream],
+                  bits: np.random.Philox) -> None:
+    """Fill row i of the float array out with uniform_open draws of the keyed
+    stream rngs[i]: each row's raw words go into out's memory, then all rows
+    become uniforms in one in-place step."""
+    raw = out.view(np.uint64)
+    for row, rng in zip(raw, rngs):
+        row[:] = _raw_words(bits, rng, out.shape[1])
+    raw >>= np.uint64(11)
+    np.add(raw, 0.5, out=out)
+    out /= _U53
+    np.minimum(out, _BELOW_ONE, out=out)
 
 
 def _gaussian(u, noise: NoiseModel) -> np.ndarray:
@@ -215,15 +390,24 @@ def draw_noise_rows(
     The uniforms of whole rows are transformed together, in chunks of at most
     about _CHUNK_DRAWS draws (one row if a row is longer), so a draw over
     many streams makes few inverse-CDF calls and its temporaries stay small.
+    Streams not yet keyed are keyed in _stream_keys passes, and one Philox
+    generator, re-keyed per row, draws for the whole call.
     """
     out = np.empty((len(rngs), size))
+    _key_streams(rngs)
+    bits = np.random.Philox(0)
     step = _rows_per_chunk(size)
     for start in range(0, len(rngs), step):
-        block = out[start:start + step]
-        for row, rng in zip(block, rngs[start:start + step]):
-            row[:] = rng.uniform_open(size)
-        block[:] = _gaussian(block, noise)
+        _noise_chunk(out[start:start + step], rngs[start:start + step], noise, bits)
     return out
+
+
+def _noise_chunk(out: np.ndarray, rngs: Sequence[RngStream], noise: NoiseModel,
+                 bits: np.random.Philox) -> None:
+    """Fill row i of out with draw_noise(rngs[i], noise, out.shape[1]) for
+    keyed streams, in one transform."""
+    _uniform_rows(out, rngs, bits)
+    out[:] = _gaussian(out, noise)
 
 
 @dataclass(frozen=True)
@@ -342,9 +526,11 @@ def monte_carlo_cost(
 
     Each run owns the private substream rng.substream(run_index), so results
     do not depend on execution order; the reduction is by run index. The
-    runs' noise paths are drawn one chunk of runs at a time, by one
-    draw_noise_rows call of at most about _CHUNK_DRAWS draws, and each run
-    of the chunk is then rolled out on its own path.
+    runs' streams are keyed _KEY_BLOCK at a time in one pass, and their
+    noise paths are drawn into one buffer a chunk of runs at a time, as
+    draw_noise_rows draws them (at most about _CHUNK_DRAWS draws a chunk),
+    by one Philox generator for the whole estimate. Each run of the chunk
+    is then rolled out on its own path.
     Requires a mean-square stabilizing K (the infinite-horizon cost diverges
     otherwise) and raises DivergedError if any rollout overflows anyway.
     """
@@ -357,18 +543,23 @@ def monte_carlo_cost(
         raise NotStabilizingError(report.spectral_radius)
 
     totals = np.empty(n_runs)
-    step = _rows_per_chunk(horizon)
-    for start in range(0, n_runs, step):
-        runs = range(start, min(start + step, n_runs))
-        paths = draw_noise_rows([rng.substream(run) for run in runs], noise, horizon)
-        for run, w in zip(runs, paths):
-            traj = simulate_trajectory(sys, K, x0, w)
-            if traj.overflow:
-                raise DivergedError(
-                    f"Monte Carlo run {run} overflowed at step {traj.overflow_step}",
-                    step=traj.overflow_step,
-                )
-            totals[run] = traj.total_cost()
+    bits = np.random.Philox(0)
+    paths = np.empty((min(_rows_per_chunk(horizon), n_runs), horizon))
+    for first in range(0, n_runs, _KEY_BLOCK):
+        streams = [rng.substream(run)
+                   for run in range(first, min(first + _KEY_BLOCK, n_runs))]
+        _key_streams(streams)
+        for start in range(0, len(streams), len(paths)):
+            chunk = streams[start:start + len(paths)]
+            _noise_chunk(paths[:len(chunk)], chunk, noise, bits)
+            for run, w in enumerate(paths[:len(chunk)], first + start):
+                traj = simulate_trajectory(sys, K, x0, w)
+                if traj.overflow:
+                    raise DivergedError(
+                        f"Monte Carlo run {run} overflowed at step {traj.overflow_step}",
+                        step=traj.overflow_step,
+                    )
+                totals[run] = traj.total_cost()
     mean = float(totals.mean())
     if np.ptp(totals) == 0.0:
         # Identical runs (deterministic plant): avoid the O(eps) artifact the

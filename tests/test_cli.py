@@ -7,6 +7,7 @@ import pytest
 from lqlearn import cli, trace
 from lqlearn.config import preset_file, read_json
 from lqlearn.errors import DivergedError
+from lqlearn.svgplot import line_plot
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -773,7 +774,22 @@ class TestValidateReusesStoredOracle:
         assert [call["max_iter"] for call in oracle_solves] == [1]
 
 
+@pytest.mark.parametrize("value, level", [("info", "INFO"), ("verbose", "WARNING")])
+def test_qlearn_log_sets_the_level(monkeypatch, capsys, value, level):
+    # An unknown QLEARN_LOG value falls back to WARNING.
+    seen = {}
+    monkeypatch.setenv("QLEARN_LOG", value)
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.update(kwargs))
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert seen["level"] == level
+
+
 class TestSvgPlots:
+    def test_nothing_to_plot_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="nothing to plot"):
+            line_plot(tmp_path / "empty.svg", [("a", [])], "title", "x", "y")
+
     def test_plots_carry_no_unique_data(self, tmp_path):
         # every plotted series value appears in the CSV
         out = tmp_path / "out"

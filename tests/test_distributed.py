@@ -297,6 +297,15 @@ class TestDistributedRound:
                              realize(bench_sys, 1.0), Schedule())
 
 
+    def test_bank_and_consensus_sensor_counts_must_agree(self, bench_sys):
+        g = build_graph("ring:4")
+        with pytest.raises(ValueError, match="must agree on the sensor count"):
+            distributed_round(np.tile(np.eye(3), (3, 1, 1)), 0, bench_sys,
+                              consensus_operator(g),
+                              allocate_gains(g, (2, 1), "uniform"),
+                              realize(bench_sys, 1.0), Schedule())
+
+
 class TestRunDistributed:
     @pytest.mark.parametrize("shape", [(1, 3), (4, 2), (2, 3)])
     def test_gains_of_wrong_shape_rejected(self, bench_sys, bench_noise, shape):
@@ -356,6 +365,16 @@ class TestRunDistributed:
         G = initial_bank(bench_sys, 4, RngStream(1), init=init)
         assert type(G) is np.ndarray
         assert G.shape == (4, 3, 3)
+
+    def test_unknown_init_rejected(self, bench_sys):
+        with pytest.raises(ValueError, match="unknown initialization mode 'zeros'"):
+            initial_bank(bench_sys, 4, RngStream(0), init="zeros")
+
+    def test_zero_rounds_rejected(self, bench_sys, bench_noise):
+        g = build_graph("ring:4")
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            run_seeds(bench_sys, bench_noise, g, allocate_gains(g, (2, 1), "uniform"),
+                      Schedule(), 0, [RngStream(0)])
 
     @pytest.mark.parametrize("scale", [float("nan"), -1.0])
     def test_bad_spread_scale_rejected(self, bench_sys, bench_noise, scale):

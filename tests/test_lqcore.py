@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -236,6 +238,15 @@ class TestSolveOracleStart:
         with pytest.raises(ValueError, match=reason):
             solve_oracle(bench_sys, bench_noise, start=start)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"oracle_tol": 0.0}, "oracle_tol must be > 0"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+    ], ids=["oracle_tol", "max_iter"])
+    def test_bad_solver_settings_rejected(self, bench_sys, bench_noise, settings,
+                                          message):
+        with pytest.raises(ValueError, match=message):
+            solve_oracle(bench_sys, bench_noise, **settings)
+
 
 class TestOptimalGainClosedForm:
     def test_scalar_closed_form(self, scalar_sys):
@@ -386,6 +397,16 @@ class TestModelValidation:
             SystemModel(A=np.full((n, n), 0.5), A_bar=np.zeros((n, n)),
                         B=np.zeros((n, m)), B_bar=np.zeros((n, m)),
                         Q=np.eye(n), R=np.eye(m))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("A", [0.5, 0.5], re.escape("A must be a 2-D matrix, got shape (2,)")),
+        ("Q", [[1.0, 0.5], [0.0, 1.0]], "Q must be symmetric"),
+    ], ids=["1-d", "asymmetric"])
+    def test_rejects_bad_matrix(self, bench_sys, field, value, message):
+        matrices = {name: getattr(bench_sys, name)
+                    for name in ("A", "A_bar", "B", "B_bar", "Q", "R")}
+        with pytest.raises(ValueError, match=message):
+            SystemModel(**{**matrices, field: value})
 
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,8 @@ class TestBuildGraph:
         with pytest.raises(BadSpecError):
             build_graph(desc)
 
-    @pytest.mark.parametrize("desc", ["blob:4", "ring:x", "edges:1+2", "ring"])
+    @pytest.mark.parametrize("desc", ["blob:4", "ring:x", "edges:1+2", "ring",
+                                      "edges:0-1"])
     def test_malformed_rejected(self, desc):
         with pytest.raises(BadSpecError):
             build_graph(desc)
@@ -60,6 +61,14 @@ class TestBuildGraph:
             Graph(3, frozenset({(0, 1)}))
         with pytest.raises(BadSpecError):
             Graph(2, frozenset({(0, 0)}))
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (0, frozenset(), "graph needs at least one vertex"),
+        (2, frozenset({(0, 2)}), r"edge \(0, 2\) out of range"),
+    ], ids=["no-vertex", "out-of-range"])
+    def test_direct_construction_rejects_bad_specs(self, n, edges, message):
+        with pytest.raises(BadSpecError, match=message):
+            Graph(n, edges)
 
 
 class TestAdjacency:

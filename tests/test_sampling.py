@@ -97,17 +97,15 @@ class TestRngStream:
         assert not np.array_equal(first, other)
 
     @pytest.mark.parametrize("size", [None, 4])
-    def test_top_raw_integer_stays_below_one(self, size):
+    def test_top_raw_integer_stays_below_one(self, monkeypatch, size):
         # The all-ones raw word gives k = 2^53 - 1, and 2^53 - 1 + 0.5 rounds
         # to 2^53 in float64, which would give u = 1.0 and an infinite
         # Gaussian draw.
-        class TopBits:
-            def random_raw(self, size=None):
-                top = 2**64 - 1
-                return top if size is None else np.full(size, top, dtype=np.uint64)
+        def top_words(bits, rng, size):
+            return np.full(size, 2**64 - 1, dtype=np.uint64)
 
+        monkeypatch.setattr(sampling, "_raw_words", top_words)
         rng = RngStream(0)
-        rng._bits = TopBits()
         u = rng.uniform_open(size)
         assert np.all(u < 1.0) and np.all(u == np.nextafter(1.0, 0.0))
         assert np.all(np.isfinite(draw_noise(rng, NoiseModel(0.0, 1.0), size)))
@@ -139,6 +137,104 @@ class TestRngStream:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             RngStream(-1)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: RngStream(0, -1), "stream_id"),
+        (lambda: RngStream(0, 2**64), "stream_id"),
+        (lambda: RngStream(1.5), "seed"),
+        (lambda: RngStream(True), "seed"),
+        (lambda: RngStream(0).substream(-1), "substream index"),
+        (lambda: RngStream(0).substream(1.5), "substream index"),
+        (lambda: RngStream(0).substream(True), "substream index"),
+        (lambda: RngStream(0).substream(2**64), "substream index"),
+        (lambda: RngStream(0).substream(3).substream(0, -1), "substream index"),
+    ], ids=["id-negative", "id-2^64", "seed-float", "seed-bool", "index-negative",
+            "index-float", "index-bool", "index-2^64", "nested-negative"])
+    def test_rejects_bad_key_entry_where_it_is_given(self, make, name):
+        # A negative index would otherwise be built and fail at the first
+        # draw, a float fail naming the seed, and True alias index 1.
+        with pytest.raises(ValueError, match=f"{name} must be an integer in"):
+            make()
+
+    def test_numpy_integer_entries_accepted(self):
+        noise = NoiseModel(0.0, 1.0)
+        rng = RngStream(np.uint64(5), np.int64(2)).substream(np.uint32(7))
+        assert same_bits(draw_noise(rng, noise, 8),
+                         draw_noise(RngStream(5, 2).substream(7), noise, 8))
+
+
+# Key entries at the edges of one and two 32-bit words.
+EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def seed_sequence_key(seed, stream_id, spawn=()):
+    return np.random.SeedSequence(seed, spawn_key=(stream_id, *spawn)).generate_state(
+        2, np.uint64)
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", EDGES)
+    @pytest.mark.parametrize("stream_id", EDGES)
+    def test_key_is_the_seed_sequence_state(self, seed, stream_id):
+        for spawn in [(), *((i,) for i in EDGES), (2**64 - 1, 0, 2**32)]:
+            rng = RngStream(seed, stream_id).substream(*spawn)
+            key = sampling._stream_keys([rng])
+            assert key.dtype == np.uint64 and key.shape == (1, 2)
+            assert np.array_equal(key[0], seed_sequence_key(seed, stream_id, spawn)), spawn
+
+    def test_batch_of_mixed_word_counts(self):
+        # One pass over streams whose keys have 1 to 3 spawn entries of one
+        # or two words each, in shuffled order.
+        g = np.random.default_rng(5)
+        pick = [*EDGES, 1, 2**31, 2**40 + 3, 2**63]
+        entries = [tuple(pick[i] for i in g.integers(len(pick), size=g.integers(3, 6)))
+                   for _ in range(300)]
+        rngs = [RngStream(e[0], e[1]).substream(*e[2:]) for e in entries]
+        keys = sampling._stream_keys(rngs)
+        assert keys.shape == (300, 2)
+        for key, e in zip(keys, entries):
+            assert np.array_equal(key, seed_sequence_key(e[0], e[1], e[2:]))
+
+    def test_no_streams(self):
+        assert sampling._stream_keys([]).shape == (0, 2)
+
+    def test_keys_passes_of_at_most_a_block(self, monkeypatch):
+        passes = []
+        stream_keys = sampling._stream_keys
+        monkeypatch.setattr(sampling, "_KEY_BLOCK", 4)
+        monkeypatch.setattr(sampling, "_stream_keys",
+                            lambda rngs: passes.append(len(rngs)) or stream_keys(rngs))
+        rngs = [RngStream(3, 1).substream(i) for i in range(10)]
+        rows = draw_noise_rows(rngs, NoiseModel(0.0, 1.0), 6)
+        assert passes == [4, 4, 2]
+        for i, row in enumerate(rows):
+            assert same_bits(row, draw_noise(RngStream(3, 1).substream(i),
+                                             NoiseModel(0.0, 1.0), 6))
+
+    def test_drawing_in_pieces_equals_one_draw(self):
+        # Pieces end at every offset within Philox's 4-word blocks.
+        whole = RngStream(8, 3).substream(2).uniform_open(409)
+        rng = RngStream(8, 3).substream(2)
+        pieces = [rng.uniform_open(size) for size in (1, 3, 5, 400)]
+        assert same_bits(np.concatenate(pieces), whole)
+
+    def test_monte_carlo_builds_no_generator_per_run(self, monkeypatch, bench_sys,
+                                                     bench_noise, bench_oracle):
+        built = {"SeedSequence": 0, "Philox": 0}
+
+        def counting(name):
+            cls = getattr(np.random, name)
+
+            def make(*args, **kwargs):
+                built[name] += 1
+                return cls(*args, **kwargs)
+            return make
+
+        for name in built:
+            monkeypatch.setattr(np.random, name, counting(name))
+        monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star, [1.0, 1.0],
+                         400, 250, RngStream(0, 1))
+        assert built["SeedSequence"] + built["Philox"] <= 2, built
 
 
 class TestDrawNoise:
@@ -548,6 +644,11 @@ class TestSimulateTrajectory:
             assert traj.xs[k + 1].tobytes() == elementwise_step(
                 sys, K, x, w[k]).tobytes()
 
+    @pytest.mark.parametrize("w", [np.empty(0), np.ones((2, 5))], ids=["empty", "2-d"])
+    def test_rejects_a_path_that_is_not_nonempty_1d(self, scalar_sys, w):
+        with pytest.raises(ValueError, match="w must be a nonempty 1-d noise path"):
+            simulate_trajectory(scalar_sys, Gain([[-0.5]]), [1.0], w)
+
     def test_nan_state_counts_as_overflow(self, scalar_sys):
         traj = simulate_trajectory(scalar_sys, Gain([[-0.5]]), [np.nan],
                                    np.zeros(10))
@@ -573,7 +674,7 @@ def test_gain_of_wrong_shape_rejected(bench_sys, bench_noise, monkeypatch,
     def no_draw(*args, **kwargs):
         raise AssertionError("noise drawn for a gain of the wrong shape")
 
-    monkeypatch.setattr(sampling, "draw_noise_rows", no_draw)
+    monkeypatch.setattr(sampling, "_noise_chunk", no_draw)
     with pytest.raises(ValueError, match=match):
         monte_carlo_cost(bench_sys, bench_noise, K, np.ones(2), 5, 2,
                          RngStream(0))
@@ -642,6 +743,16 @@ class TestMonteCarloCost:
         assert report.stable is False and report.spectral_radius == np.inf
         with pytest.raises(NotStabilizingError, match="radius inf"):
             monte_carlo_cost(bench_sys, noise, K, [1.0, 1.0], 10, 2, RngStream(0))
+
+    @pytest.mark.parametrize("horizon, n_runs, message", [
+        (10, 1, "n_runs must be >= 2"),
+        (0, 5, "horizon must be >= 1"),
+    ], ids=["one-run", "no-steps"])
+    def test_rejects_bad_sizes(self, bench_sys, bench_noise, bench_oracle, horizon,
+                               n_runs, message):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star,
+                             [1.0, 1.0], horizon, n_runs, RngStream(0))
 
     def test_deterministic_given_seed(self, bench_sys, bench_noise, bench_oracle):
         a = monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star,

@@ -175,6 +175,11 @@ def test_single_sensor_round_has_no_diameter():
     assert np.array_equal(trace.final_mean(), np.eye(3))
 
 
+def test_empty_trace_has_no_final_mean():
+    with pytest.raises(ValueError, match="empty trace"):
+        RunTrace(n_sensors=1).final_mean()
+
+
 def test_record_round_rejects_wrong_sensor_count():
     trace = RunTrace(n_sensors=2)
     alphas = np.full(3, 0.5)
