@@ -172,11 +172,11 @@ def _trace_stats(trace) -> dict:
     return {
         "rounds": trace.n_rounds,
         "n_sensors": trace.n_sensors,
-        "final_norm1": trace.norm1[-1],
+        "final_norm1": trace.norm1[-1].tolist(),
         "max_fro_norm": trace.max_fro_norm,
         "final_diameter": trace.diameters[-1],
         "final_G_mean": _listify(trace.final_mean()),
-        "final_fro_err": trace.fro_err[-1],
+        "final_fro_err": trace.fro_err[-1].tolist(),
         "final_mean_err": trace.mean_err[-1],
         "max_mean_err": max(trace.mean_err),
     }
@@ -189,8 +189,8 @@ def _plot_trace(trace, plot_dir: Path, kind: str) -> None:
              ("fro_err", trace.fro_err, "Error to oracle G*",
               "||G_i(k) - G*||_F")]
     for name, column, title, ylabel in plots:
-        # One row per round -> one series per sensor.
-        series = [(f"sensor {s}", ys) for s, ys in enumerate(zip(*column))]
+        # One (rounds,) column per sensor -> one series per sensor.
+        series = [(f"sensor {s}", ys) for s, ys in enumerate(column.T.tolist())]
         line_plot(plot_dir / f"{name}_{kind}.svg", series, f"{title} ({kind})",
                   "iteration k", ylabel)
 

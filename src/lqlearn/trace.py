@@ -12,6 +12,12 @@ takes is bounded by the block and not by the run length. The consensus
 diameter is taken one sensor offset at a time, so no temporary of the pass
 is larger than the block's (B, N, d, d) estimates: its memory is linear in
 the sensor count.
+
+The per-sensor columns (omegas, norm1, fro_err) are float64 arrays of shape
+(n_rounds, N) and mean_history an (n_rounds, d, d) array; alphas, diameters
+and mean_err are lists of Python floats, one per round. Readers convert an
+array column with tolist() where they need Python floats (the CSV, the JSON
+summary), which gives the floats a list column would have held.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ CSV_COLUMNS = (
 # ring:4; above 910 sensors it is a single round, which exceeds the budget.
 _BLOCK_FLOATS = 2**13
 
-# Floats the traces of one group of seeds may hold (about 8 MB of Python
-# floats): `lqlearn run` learns its seeds a group at a time, so its memory
+# Floats the traces of one group of seeds may hold (about 2 MB of float64
+# arrays): `lqlearn run` learns its seeds a group at a time, so its memory
 # does not grow with the seed count. At d = 3 and 200 rounds a group is 87
 # seeds on the single sensor, 54 on ring:4 and 12 on ring:32.
 _GROUP_FLOATS = 2**18
@@ -67,25 +73,41 @@ class RunTrace:
     """Round-by-round metrics of one learning run.
 
     norm1 is the entrywise 1-norm of each sensor's estimate, fro_err the
-    Frobenius distance to the oracle G* (when known), and the consensus
-    diameter is max_{i<j} ||G_i - G_j||_F (None when fewer than 2 sensors).
-    mean_history keeps the averaged iterate per round so runs can be compared
-    and the final controller extracted. Every column is a list, one entry per
-    round; the per-sensor columns hold one list of floats per round. A block
-    of rounds is measured as soon as it is recorded.
+    Frobenius distance to the oracle G* (None when G* is not known), and the
+    consensus diameter is max_{i<j} ||G_i - G_j||_F (None when fewer than 2
+    sensors). mean_history keeps the averaged iterate per round so runs can
+    be compared and the final controller extracted. omegas, norm1 and
+    fro_err are (n_rounds, N) float64 arrays and mean_history is an
+    (n_rounds, d, d) array; alphas, diameters and mean_err are lists, one
+    entry per round. A block of rounds is measured as soon as it is
+    recorded; an array column joins its blocks on the first read after
+    them, once.
     """
 
     def __init__(self, n_sensors: int, G_star: np.ndarray | None = None):
         self.n_sensors = n_sensors
         self.G_star = G_star
         self.alphas: list[float] = []
-        self.omegas: list[list[float]] = []
-        self.norm1: list[list[float]] = []
         self.diameters: list[float | None] = []
-        self.mean_history: list[np.ndarray] = []
-        self.fro_err = None if G_star is None else []
         self.mean_err = None if G_star is None else []
         self.max_fro_norm = 0.0
+        # Array column -> its blocks of rounds, in order.
+        self._blocks: dict[str, list[np.ndarray]] = {
+            "omegas": [], "norm1": [], "fro_err": [], "mean_history": []}
+
+    def _column(self, name: str) -> np.ndarray:
+        blocks = self._blocks[name]
+        if len(blocks) > 1:
+            blocks[:] = [np.concatenate(blocks)]
+        return blocks[0] if blocks else np.empty((0, self.n_sensors))
+
+    omegas = property(lambda self: self._column("omegas"))
+    norm1 = property(lambda self: self._column("norm1"))
+    mean_history = property(lambda self: self._column("mean_history"))
+
+    @property
+    def fro_err(self) -> np.ndarray | None:
+        return None if self.G_star is None else self._column("fro_err")
 
     @property
     def n_rounds(self) -> int:
@@ -104,9 +126,11 @@ class RunTrace:
         if np.shape(omegas) != (B, N) or G.shape[:2] != (B, N):
             raise ValueError("one alpha per round and one omega and one "
                              "estimate per sensor and round expected")
+        blocks = self._blocks
         self.alphas.extend(map(float, alphas))
-        self.omegas.extend(np.asarray(omegas, dtype=float).tolist())
-        self.norm1.extend(np.abs(G).sum(axis=(2, 3)).tolist())
+        # A copy, so the block keeps no view of the caller's noise tape.
+        blocks["omegas"].append(np.array(omegas, dtype=float))
+        blocks["norm1"].append(np.abs(G).sum(axis=(2, 3)))
         # sqrt is monotone, so the max of the squared norms gives the same
         # bits as the max of the norms.
         sq_norms = np.square(G).sum(axis=(2, 3))
@@ -127,19 +151,19 @@ class RunTrace:
 
         # np.mean's bits, without its Python-level overhead on a small stack.
         means = G.sum(axis=1) / N
-        self.mean_history.extend(means)
+        blocks["mean_history"].append(means)
 
         if self.G_star is not None:
-            self.fro_err.extend(np.linalg.norm(G - self.G_star, axis=(2, 3)).tolist())
+            blocks["fro_err"].append(np.linalg.norm(G - self.G_star, axis=(2, 3)))
             # A vector @ vector matmul is a dot product, as np.linalg.norm of
             # one matrix takes it, so each round's error keeps those bits.
             e = (means - self.G_star).reshape(B, -1)
             self.mean_err.extend(np.sqrt(e[:, None] @ e[:, :, None]).ravel().tolist())
 
     def final_mean(self) -> np.ndarray:
-        if not self.mean_history:
+        if not self.alphas:
             raise ValueError("empty trace")
-        return self.mean_history[-1]
+        return self._blocks["mean_history"][-1][-1]
 
     def csv_rows(self):
         """Yield formatted CSV rows, one per (round, sensor).
@@ -148,8 +172,10 @@ class RunTrace:
         the empty string.
         """
         sensors = [str(s) for s in range(self.n_sensors)]
-        errs = self.fro_err or repeat([None] * self.n_sensors)
-        columns = zip(self.alphas, self.omegas, self.norm1, errs, self.diameters)
+        errs = (repeat([None] * self.n_sensors) if self.fro_err is None
+                else self.fro_err.tolist())
+        columns = zip(self.alphas, self.omegas.tolist(), self.norm1.tolist(),
+                      errs, self.diameters)
         for k, (alpha, omegas, norms, errs_k, diameter) in enumerate(columns, 1):
             k, alpha = str(k), f"{alpha!r}"
             diameter = "" if diameter is None else f"{diameter!r}"

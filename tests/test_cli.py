@@ -1,10 +1,19 @@
 import json
 import logging
+import sys
 
 import numpy as np
 import pytest
 
-from lqlearn import cli, trace
+from lqlearn import (
+    RngStream,
+    Schedule,
+    allocate_gains,
+    build_graph,
+    cli,
+    run_distributed,
+    trace,
+)
 from lqlearn.config import preset_file, read_json
 from lqlearn.errors import DivergedError
 from lqlearn.svgplot import line_plot
@@ -258,6 +267,24 @@ class TestCmdRun:
         a = (tmp_path / "a" / "seed_0000" / "trace.csv").read_bytes()
         b = (tmp_path / "b" / "seed_0000" / "trace.csv").read_bytes()
         assert a == b
+
+    def test_trace_stats_hold_python_floats(self, bench_sys, bench_noise,
+                                            bench_oracle):
+        # A summary entry reads the array columns' last rows as lists of the
+        # Python floats that the CSV's cells spell.
+        g = build_graph("ring:4")
+        run = run_distributed(bench_sys, bench_noise, g,
+                              allocate_gains(g, (2, 1), "uniform"), Schedule(),
+                              30, RngStream(0), oracle=bench_oracle)
+        stats = cli._trace_stats(run)
+        per_sensor = stats["final_norm1"] + stats["final_fro_err"]
+        scalars = [stats[key] for key in ("max_fro_norm", "final_diameter",
+                                          "final_mean_err", "max_mean_err")]
+        assert len(per_sensor) == 8
+        assert all(type(v) is float for v in per_sensor + scalars)
+        last = [row for row in run.csv_rows() if row[0] == "30"]
+        assert [float(row[4]) for row in last] == stats["final_norm1"]
+        assert [float(row[5]) for row in last] == stats["final_fro_err"]
 
     def test_validation_error_exit_code(self, tmp_path):
         config = write_config(
@@ -762,6 +789,28 @@ class TestValidateReusesStoredOracle:
         assert [call.get("start") for call in oracle_solves] == [None]
         assert self.cold_report(config, out) == report
 
+    def test_non_stabilizing_g_star_solves(self, tmp_path, oracle_solves,
+                                           caplog):
+        # The other Riccati root of scalar_deterministic is a fixed point, so
+        # the one step converges, but its gain fails the mean-square check.
+        data = read_json(preset_file("scalar_deterministic"))
+        data.update(rounds=10, validation={**data["validation"], "n_runs": 5})
+        config = write_config(tmp_path, data, name="scalar.json")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", config, "--out", out) == 0
+        P = (1.0 - np.sqrt(5.0)) / 2.0
+        G_star = [[1.0 + P, P], [P, 1.0 + P]]
+        self.edit_summary(out, lambda s: s["oracle"].update(G_star=G_star))
+        oracle_solves.clear()
+        caplog.set_level(logging.INFO, logger="lqlearn")
+        report = self.validate(config, out)
+        assert [call["max_iter"] for call in oracle_solves] == [1, 100_000]
+        [message] = caplog.messages
+        assert message.endswith(
+            "(the summary's G* failed: closed loop is not mean-square stable "
+            "(second-moment spectral radius 6.854102 >= 1))")
+        assert self.cold_report(config, out) == report
+
     def test_run_and_validation_edits_still_reuse(self, tmp_path,
                                                   oracle_solves):
         out = self.run(tmp_path, "--seeds", "2", "--rounds", "15")
@@ -772,6 +821,31 @@ class TestValidateReusesStoredOracle:
         assert run_cli("validate-controller", "--config", other, "--seed", "1",
                        "--out", out) == 0
         assert [call["max_iter"] for call in oracle_solves] == [1]
+
+
+def _exit_code(call):
+    """call's return value, or the status it exits with (argparse exits 2 on
+    a rejected argument)."""
+    try:
+        return call()
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("preset, code", [("paper_sec4", 0), ("no_such", 2)],
+                         ids=["oracle", "unknown_preset"])
+def test_entry_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys,
+                                           preset, code):
+    # The console script's path: entry reads sys.argv and exits with main's
+    # code.
+    argv = ["oracle", "--preset", preset, "--out", str(tmp_path / "entry")]
+    monkeypatch.setattr(sys, "argv", ["lqlearn", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == code
+    argv[-1] = str(tmp_path / "main")
+    assert _exit_code(lambda: cli.main(argv)) == code
+    assert (tmp_path / "entry").exists() == (tmp_path / "main").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("value, level", [("info", "INFO"), ("verbose", "WARNING")])

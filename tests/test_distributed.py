@@ -346,7 +346,7 @@ class TestRunDistributed:
         again = run_distributed(bench_sys, bench_noise, g, alloc, Schedule(),
                                 50, RngStream(0), oracle=bench_oracle,
                                 shared_noise=False)
-        assert trace.omegas == again.omegas
+        assert trace.omegas.tobytes() == again.omegas.tobytes()
 
     def test_spread_init_is_seeded_and_psd(self, bench_sys, bench_noise):
         b1 = initial_bank(bench_sys, 4, RngStream(1), init="spread")
@@ -476,8 +476,8 @@ class TestCompareCentralized:
                              RngStream(0))
         tc = run_centralized(bench_sys, bench_noise, Schedule(), 30,
                              RngStream(0))
-        for r in (4, 11):
-            tc.omegas[r] = [tc.omegas[r][0] + 1.0]
+        # The stored column itself: a read does not hand out a copy.
+        tc.omegas[[4, 11]] += 1.0
         with pytest.raises(SeedMismatchError, match="at round 5;"):
             compare_centralized(td, tc)
 
@@ -498,12 +498,14 @@ class TestCompareCentralized:
 def assert_same_trace(batch, solo):
     """Every column of two traces, and the final estimate, bit for bit."""
     assert (batch.n_sensors, batch.n_rounds) == (solo.n_sensors, solo.n_rounds)
-    for column in ("alphas", "omegas", "norm1", "diameters", "fro_err",
-                   "mean_err", "max_fro_norm"):
+    for column in ("alphas", "diameters", "mean_err", "max_fro_norm"):
         assert getattr(batch, column) == getattr(solo, column), column
-    assert len(batch.mean_history) == len(solo.mean_history)
-    for a, b in zip(batch.mean_history, solo.mean_history):
-        assert np.array_equal(a, b)
+    for column in ("omegas", "norm1", "fro_err", "mean_history"):
+        a, b = getattr(batch, column), getattr(solo, column)
+        if a is None or b is None:
+            assert a is b, column
+        else:
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), column
     assert np.array_equal(batch.final_mean(), solo.final_mean())
 
 

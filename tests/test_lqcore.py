@@ -23,7 +23,11 @@ from lqlearn import (
     y_operator,
 )
 from lqlearn.config import preset_names
-from lqlearn.errors import NoConvergenceError, SingularInnerMatrixError
+from lqlearn.errors import (
+    NoConvergenceError,
+    NotStabilizingError,
+    SingularInnerMatrixError,
+)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -228,6 +232,19 @@ class TestSolveOracleStart:
         sol = solve_oracle(bench_sys, bench_noise, max_iter=1, start=start)
         start[0, 0] = 0.0
         assert sol.G_star.mat.tobytes() == bench_oracle.G_star.mat.tobytes()
+
+    def test_fixed_point_of_the_other_riccati_root_is_not_stabilizing(self):
+        # On scalar_deterministic, P = (1 - sqrt 5) / 2 solves the Riccati
+        # equation P = 1 + P - P^2 / (1 + P) too. Its G is a fixed point of
+        # expectation_map, so one step passes the residual test, but its gain
+        # K = -P / (1 + P) = GOLDEN puts the closed loop at 1 + GOLDEN =
+        # GOLDEN^2, so the second moment grows by GOLDEN^4 = 6.854 a step.
+        cfg = load_preset("scalar_deterministic")
+        P = (1.0 - np.sqrt(5.0)) / 2.0
+        G = [[1.0 + P, P], [P, 1.0 + P]]
+        with pytest.raises(NotStabilizingError) as info:
+            solve_oracle(cfg.system, cfg.noise, max_iter=1, start=G)
+        assert info.value.spectral_radius == pytest.approx(GOLDEN**4, rel=1e-12)
 
     @pytest.mark.parametrize("start, reason", [
         (np.eye(2), "shape"),
