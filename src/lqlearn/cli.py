@@ -190,7 +190,7 @@ def _plot_trace(trace, plot_dir: Path, kind: str) -> None:
               "||G_i(k) - G*||_F")]
     for name, column, title, ylabel in plots:
         # One (rounds,) column per sensor -> one series per sensor.
-        series = [(f"sensor {s}", ys) for s, ys in enumerate(column.T.tolist())]
+        series = [(f"sensor {s}", ys) for s, ys in enumerate(column.T)]
         line_plot(plot_dir / f"{name}_{kind}.svg", series, f"{title} ({kind})",
                   "iteration k", ylabel)
 

@@ -18,6 +18,13 @@ The per-sensor columns (omegas, norm1, fro_err) are float64 arrays of shape
 and mean_err are lists of Python floats, one per round. Readers convert an
 array column with tolist() where they need Python floats (the CSV, the JSON
 summary), which gives the floats a list column would have held.
+
+write_csv formats a chunk of rounds at a time, each float column with repr
+over tolist(). Within a round, a sensor holding the same bits as the sensor
+before it reuses that string, so a value all sensors of a round share (every
+omega under shared noise) is formatted once, and a per-round value (alpha,
+the diameter) once per round. Bits decide, not ==, so 0.0 and -0.0 stay
+apart; the bytes are those of formatting every cell on its own.
 """
 
 from __future__ import annotations
@@ -49,6 +56,29 @@ _BLOCK_FLOATS = 2**13
 # does not grow with the seed count. At d = 3 and 200 rounds a group is 87
 # seeds on the single sensor, 54 on ring:4 and 12 on ring:32.
 _GROUP_FLOATS = 2**18
+
+
+# CSV rows formatted at a time: write_csv holds one chunk's strings, not
+# the run's, so its memory does not grow with the run length.
+_CSV_CHUNK_ROWS = 2**9
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """The shortest round-trip repr of each (round, sensor) value, row-major.
+
+    A sensor that holds the same bits as the sensor before it in its round
+    reuses that string, so a value all sensors of a round share is formatted
+    once. Bits, not ==, decide: 0.0 and -0.0 stay apart, and a NaN matches
+    only a NaN of its own bits.
+    """
+    bits = column.view(np.int64)
+    fresh = np.empty(column.shape, dtype=bool)
+    fresh[:, :1] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=fresh[:, 1:])
+    if fresh.all():
+        return list(map(repr, column.ravel().tolist()))
+    reprs = list(map(repr, column[fresh].tolist()))
+    return list(map(reprs.__getitem__, (np.cumsum(fresh) - 1).tolist()))
 
 
 def block_rounds(n_sensors: int, d: int, n_seeds: int = 1) -> int:
@@ -165,27 +195,44 @@ class RunTrace:
             raise ValueError("empty trace")
         return self._blocks["mean_history"][-1][-1]
 
+    def _csv_chunks(self):
+        """Yield the CSV rows a chunk of rounds at a time, each chunk a zip
+        of its columns' formatted cells, so no string list spans the run.
+        A per-round value is formatted once and repeated for its sensors."""
+        sensors = [str(s) for s in range(self.n_sensors)]
+
+        def each_sensor(cells):
+            return [cell for cell in cells for _ in sensors]
+
+        errs = self.fro_err
+        per_chunk = max(1, _CSV_CHUNK_ROWS // self.n_sensors)
+        for start in range(0, self.n_rounds, per_chunk):
+            rounds = slice(start, start + per_chunk)
+            alphas = self.alphas[rounds]
+            yield zip(
+                each_sensor(map(str, range(start + 1, start + len(alphas) + 1))),
+                sensors * len(alphas),
+                each_sensor(map(repr, alphas)),
+                _cells(self.omegas[rounds]),
+                _cells(self.norm1[rounds]),
+                repeat("") if errs is None else _cells(errs[rounds]),
+                each_sensor("" if d is None else repr(d)
+                            for d in self.diameters[rounds]),
+            )
+
     def csv_rows(self):
         """Yield formatted CSV rows, one per (round, sensor).
 
         Numbers take their shortest round-trip decimal form, a missing value
         the empty string.
         """
-        sensors = [str(s) for s in range(self.n_sensors)]
-        errs = (repeat([None] * self.n_sensors) if self.fro_err is None
-                else self.fro_err.tolist())
-        columns = zip(self.alphas, self.omegas.tolist(), self.norm1.tolist(),
-                      errs, self.diameters)
-        for k, (alpha, omegas, norms, errs_k, diameter) in enumerate(columns, 1):
-            k, alpha = str(k), f"{alpha!r}"
-            diameter = "" if diameter is None else f"{diameter!r}"
-            for s, w, v, e in zip(sensors, omegas, norms, errs_k):
-                e = "" if e is None else f"{e!r}"
-                yield (k, s, alpha, f"{w!r}", f"{v!r}", e, diameter)
+        for rows in self._csv_chunks():
+            yield from rows
 
     def write_csv(self, path) -> None:
         """Deterministic CSV: header then one line per (round, sensor)."""
-        lines = [",".join(CSV_COLUMNS)]
-        lines.extend(map(",".join, self.csv_rows()))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for rows in self._csv_chunks():
+                fh.write("\n".join(map(",".join, rows)))
+                fh.write("\n")

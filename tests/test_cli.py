@@ -1,6 +1,8 @@
+import hashlib
 import json
 import logging
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -873,3 +875,121 @@ class TestSvgPlots:
         svg = (out / "seed_0000" / "plots" / "norm1_G_distributed.svg").read_text()
         assert svg.count("<polyline") == 4
         assert "</svg>" in svg
+
+    @staticmethod
+    def _reference_points(series):
+        """Each series' polyline points formatted point by point: x = 1..len
+        over a frame of rounds 1..max(longest, 2), y over the padded span of
+        every value."""
+        values = [y for _, ys in series for y in ys]
+        lo, hi = min(values), max(values)
+        if lo == hi:
+            pad = abs(lo) if lo != 0 else 1.0
+            lo, hi = lo - 0.5 * pad, hi + 0.5 * pad
+        xhi = max(2, max(len(ys) for _, ys in series))
+        return [
+            " ".join(f"{70 + (k - 1) / (xhi - 1) * 630:.2f},"
+                     f"{390 - (y - lo) / (hi - lo) * 350:.2f}"
+                     for k, y in enumerate(ys, 1))
+            for _, ys in series
+        ]
+
+    @pytest.mark.parametrize("series", [
+        # Identical series, one departing from them, and a repeat of the first.
+        [("a", [0.5, 1.25, 3.0]), ("b", [0.5, 1.25, 3.0]),
+         ("c", [0.5, 2.0, 3.0]), ("d", [0.5, 1.25, 3.0])],
+        # Series of different lengths: the shorter one is a prefix in x.
+        [("long", np.linspace(-4.0, 9.0, 40)), ("short", [1.0, -2.5, 0.1])],
+        # One round: the frame spans rounds 1 and 2, and a flat span is padded.
+        [("one", [2.0])],
+        [("zeros", [0.0]), ("same", np.array([0.0]))],
+    ])
+    def test_points_match_a_per_point_formatter(self, tmp_path, series):
+        path = tmp_path / "plot.svg"
+        line_plot(path, series, "title", "x", "y")
+        polylines = ElementTree.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}polyline")
+        assert [p.get("points") for p in polylines] == self._reference_points(
+            [(label, list(ys)) for label, ys in series])
+
+    def test_text_is_escaped(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        line_plot(path, [("a<b & 'c'", [1.0, 2.0])], 'R&D <x>', 'say "k"',
+                  "y > 0")
+        texts = [t.text for t in ElementTree.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert {"R&D <x>", 'say "k"', "y > 0", "a<b & 'c'"} <= set(texts)
+        assert "R&amp;D &lt;x&gt;" in path.read_text()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "plot.svg"
+        with pytest.raises(ValueError, match="'sensor 1' has a non-finite"):
+            line_plot(path, [("sensor 0", [1.0, 2.0]), ("sensor 1", [1.0, bad])],
+                      "title", "x", "y")
+        assert not path.exists()
+
+
+def _fixed_trace(n_sensors, with_oracle):
+    """A trace of fixed floats whose written metrics are exact, so its bytes
+    depend on no BLAS or summation order: dyadic multiples of small integer
+    matrices.
+    Sensors 0, 1 and 3 hold one estimate and sensor 2 departs from it in the
+    rounds where spread is nonzero; rounds 3 and 4 repeat each other, and
+    round 2 mixes 0.0 and -0.0."""
+    base = np.arange(1.0, 10.0).reshape(3, 3)
+    scales = 2.0 ** np.array([-6, -1, 0, 0, 3, 6])
+    spread = np.array([0.0, 1.0, 0.0, 0.0, 2.0, 0.0])
+    offsets = np.array([0.0, 0.0, 1.0, 0.0])[:n_sensors]
+    G = scales[:, None, None, None] * (
+        base + spread[:, None, None, None] * offsets[None, :, None, None])
+    omegas = np.array([[0.1, 0.1, 0.1, 0.1],
+                       [-0.0, 0.0, 0.25, -0.0],
+                       [1.5, 1.5, 1.5, 1.5],
+                       [1.5, 1.5, 1.5, 1.5],
+                       [2.0**-30, 2.0**-30, 0.5, 2.0**-30],
+                       [-7.25, -7.25, -7.25, -7.25]])[:, :n_sensors]
+    G_star = np.diag([2.0, 1.0, 3.0]) if with_oracle else None
+    fixed = trace.RunTrace(n_sensors, G_star=G_star)
+    fixed.record_round(1.0 / np.arange(2.0, 8.0), omegas, G)
+    return fixed
+
+
+# sha256 of each file that the cell-by-cell writers made from _fixed_trace;
+# a change to any byte shows here.
+_WRITER_DIGESTS = {
+    "N1_no_oracle.csv":
+        "f10d4d99de074ab09a1b5f76cf422e578a2875d4cb18bdcfa6cc6103322c66ae",
+    "N1_oracle/fro_err_fixed.svg":
+        "02a73cbcdc4e34fbaadf6730e26d3841fd7231be9ce5888bee1f5ad8d218aaf4",
+    "N1_oracle/norm1_G_fixed.svg":
+        "b36bffa9d099df65f63dc77279526f3a699159f4f87e1ac0a45fad582d3821a3",
+    "N1_oracle.csv":
+        "a017a45f8726853ef680c5b41bb972ee0a994b6e55df1234b017a6a29c306fd4",
+    "N4_no_oracle.csv":
+        "82a2c1db06822fb5dd65b775bcc9a386ea277ed0e545bad75f3f9be7ba4efc23",
+    "N4_oracle/fro_err_fixed.svg":
+        "3412dacbba2138c1017ad71132ad1656cf27cd7061dd53151953d948bdf50eaa",
+    "N4_oracle/norm1_G_fixed.svg":
+        "fceb3a9b97baf2868fe0b3f25a84879e167f0a7ade37cbece48b0e5b81adaaa3",
+    "N4_oracle.csv":
+        "af2de140f91f58d338af6f936f4fa9351c9130c74bfac5b0ee53d8edd2eae218",
+}
+
+
+def test_writers_keep_their_recorded_bytes(tmp_path):
+    digests = {}
+    for n_sensors in (1, 4):
+        for with_oracle in (True, False):
+            fixed = _fixed_trace(n_sensors, with_oracle)
+            case = f"N{n_sensors}_{'oracle' if with_oracle else 'no_oracle'}"
+            fixed.write_csv(tmp_path / f"{case}.csv")
+            # The plots draw the error to G*, so they need the oracle.
+            if with_oracle:
+                cli._plot_trace(fixed, tmp_path / case, "fixed")
+    for path in sorted(tmp_path.rglob("*.*")):
+        name = path.relative_to(tmp_path).as_posix()
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    differ = sorted(name for name in digests.keys() | _WRITER_DIGESTS.keys()
+                    if digests.get(name) != _WRITER_DIGESTS.get(name))
+    assert not differ, f"writer output differs in {differ}"

@@ -298,6 +298,21 @@ def _reference_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _special_rounds(n_sensors):
+    """(omegas, estimates) of rounds whose cells break a CSV dedupe keyed on
+    value, not bits: sensors sharing one value or holding it apart (0.3 at
+    sensors 0, 2 and 3 of [0.3, 0.7, 0.3, 0.3]), 0.0 beside -0.0 within a
+    round and across rounds, and NaN beside +-inf. Each estimate is its
+    omega times the all-ones matrix, so norm1 and fro_err carry the
+    pattern too."""
+    vals = [np.nan, np.inf, -np.inf, 1.0]
+    rows = [[0.3] * 4, [0.3, 0.7, 0.3, 0.3],
+            [0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, -0.0],
+            *(np.roll(vals, -r) for r in range(4))]
+    omegas = np.array(rows)[:, :n_sensors]
+    return omegas, omegas[..., None, None] * np.ones((3, 3))
+
+
 @pytest.mark.parametrize("n_sensors", [1, 4])
 @pytest.mark.parametrize("with_oracle", [True, False])
 def test_write_csv_matches_cell_by_cell_reference(tmp_path, n_sensors,
@@ -312,6 +327,10 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path, n_sensors,
     stacks = scales[:, None, None, None] * _sym(rng, (rounds, n_sensors, 3, 3))
     _record_in_blocks(trace, 1.0 / np.arange(2, rounds + 2),
                       rng.standard_normal((rounds, n_sensors)), stacks, [B, 3])
+    omegas, G = _special_rounds(n_sensors)
+    # inf - inf in the metrics of the nonfinite rounds gives NaN.
+    with np.errstate(invalid="ignore"):
+        trace.record_round(np.full(len(omegas), 0.125), omegas, G)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     assert path.read_bytes() == _reference_csv(trace).encode("utf-8")
