@@ -145,8 +145,9 @@ def consensus_operator(g: Graph, w: float | None = None) -> ConsensusOperator:
     L = g.laplacian()
     if w is None:
         w = 1.0 / (int(g.degrees().max(initial=0)) + 1)
-    if not w > 0.0:  # NaN fails too
-        raise ValueError(f"consensus weight must be > 0, got {w}")
+    # NaN fails too; inf fails even where lambda_max = 0 makes w * lambda_max NaN.
+    if not 0.0 < w < np.inf:
+        raise ValueError(f"consensus weight must be finite and > 0, got {w}")
     # Ascending; the graph is connected, so only lam[0] is zero.
     lam = np.linalg.eigvalsh(L)
     lam_max = float(lam[-1])

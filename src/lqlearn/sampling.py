@@ -24,15 +24,16 @@ log does not round as libm does, so they call math.log (libm) element by
 element; about 27% of draws fall there, and that is most of the port's
 cost. Its bits equal scipy.special.ndtri's wherever math.log is the libm
 log that scipy links, which tests/test_sampling.py checks. Because of that
-per-element cost, it runs once per batch: draw_noise_rows transforms many
-streams' uniforms in one call.
+per-element cost, it runs once per batch: _noise_paths, through which
+draw_noise_rows and monte_carlo_cost draw, transforms many streams at once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,9 @@ OVERFLOW_LIMIT = 1e12
 _U53 = float(2**53)
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
-# draw_noise_rows transforms at most about this many draws per call, so a
+# _noise_paths transforms at most about this many draws per call, so a
 # chunk's memory stays bounded: a chunk of 20 rows of 400 draws peaks at
-# 0.45 MB under tracemalloc (numpy 2.4), of which 64 KB is the output and the
+# 0.45 MB under tracemalloc (numpy 2.4), of which 64 KB is the buffer and the
 # rest the transform's temporaries, each an array of 64 KB or less. The
 # chunking never changes a draw: each row has draw_noise's bits.
 _CHUNK_DRAWS = 2**13
@@ -168,7 +169,10 @@ class RngStream:
         self._pos = 0  # raw words drawn
 
     def substream(self, *indices: int) -> "RngStream":
-        """Fresh derived stream; disjoint from this one and all siblings."""
+        """Fresh derived stream; disjoint from this one and all siblings. It
+        needs an index: with none, it would draw this stream's own tape."""
+        if not indices:
+            raise ValueError("substream needs at least one index")
         for index in indices:
             _check_word(index, "substream index")
         return RngStream(self.seed, self.stream_id, (*self._spawn, *indices))
@@ -205,8 +209,8 @@ def _check_word(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
-# Streams keyed per _stream_keys pass, and held at a time by a Monte Carlo
-# estimate. A pass over this many streams peaks near 0.5 MB under
+# Streams keyed per _stream_keys pass, and held at a time by _noise_paths.
+# A pass over this many streams peaks near 0.5 MB under
 # tracemalloc (numpy 2.4), its key entries and (streams, words) uint64
 # temporaries; about 0.2 ms of each pass is fixed cost, so fewer, larger
 # passes are cheaper per stream.
@@ -316,12 +320,10 @@ def _stream_keys(rngs: Sequence[RngStream]) -> np.ndarray:
 
 
 def _key_streams(rngs: Sequence[RngStream]) -> None:
-    """Key every stream of rngs that has no key yet, _KEY_BLOCK at a pass."""
+    """Key every stream of rngs that has no key yet, in one _stream_keys pass."""
     todo = [rng for rng in rngs if rng._key is None]
-    for start in range(0, len(todo), _KEY_BLOCK):
-        block = todo[start:start + _KEY_BLOCK]
-        for rng, key in zip(block, _stream_keys(block).tolist()):
-            rng._key = key
+    for rng, key in zip(todo, _stream_keys(todo).tolist()):
+        rng._key = key
 
 
 def _raw_words(bits: np.random.Philox, rng: RngStream, size: int) -> np.ndarray:
@@ -376,9 +378,30 @@ def draw_noise(rng: RngStream, noise: NoiseModel, size: int | None = None):
     return float(w) if size is None else w
 
 
-def _rows_per_chunk(size: int) -> int:
-    """Rows of size draws that one transform takes, at least one."""
-    return max(1, _CHUNK_DRAWS // max(size, 1))
+def _noise_paths(rngs: Iterable[RngStream], noise: NoiseModel,
+                 size: int) -> Iterator[np.ndarray]:
+    """Yield draw_noise(rng, noise, size) for each stream of rngs, in order
+    and bit for bit, as a view of one buffer that the next chunk overwrites.
+
+    Streams are taken and keyed _KEY_BLOCK at a time. The buffer holds at
+    most about _CHUNK_DRAWS draws (one row if a row is longer) and no more
+    rows than the first block has streams; each chunk of rows is drawn by
+    one Philox, re-keyed per row, and transformed in one inverse-CDF call.
+    """
+    streams = iter(rngs)
+    rows = max(1, _CHUNK_DRAWS // max(size, 1))
+    bits = np.random.Philox(0)
+    buf = None
+    while block := list(itertools.islice(streams, _KEY_BLOCK)):
+        _key_streams(block)
+        if buf is None:
+            buf = np.empty((min(rows, len(block)), size))
+        for start in range(0, len(block), len(buf)):
+            chunk = block[start:start + len(buf)]
+            paths = buf[:len(chunk)]
+            _uniform_rows(paths, chunk, bits)
+            paths[:] = _gaussian(paths, noise)
+            yield from paths
 
 
 def draw_noise_rows(
@@ -387,27 +410,13 @@ def draw_noise_rows(
     """The (len(rngs), size) array whose row i is draw_noise(rngs[i], noise,
     size), bit for bit; advances each stream by size draws.
 
-    The uniforms of whole rows are transformed together, in chunks of at most
-    about _CHUNK_DRAWS draws (one row if a row is longer), so a draw over
-    many streams makes few inverse-CDF calls and its temporaries stay small.
-    Streams not yet keyed are keyed in _stream_keys passes, and one Philox
-    generator, re-keyed per row, draws for the whole call.
+    The rows come from _noise_paths, as monte_carlo_cost's paths do, so a
+    draw over many streams makes few inverse-CDF calls and stays small.
     """
     out = np.empty((len(rngs), size))
-    _key_streams(rngs)
-    bits = np.random.Philox(0)
-    step = _rows_per_chunk(size)
-    for start in range(0, len(rngs), step):
-        _noise_chunk(out[start:start + step], rngs[start:start + step], noise, bits)
+    for row, path in zip(out, _noise_paths(rngs, noise, size)):
+        row[:] = path
     return out
-
-
-def _noise_chunk(out: np.ndarray, rngs: Sequence[RngStream], noise: NoiseModel,
-                 bits: np.random.Philox) -> None:
-    """Fill row i of out with draw_noise(rngs[i], noise, out.shape[1]) for
-    keyed streams, in one transform."""
-    _uniform_rows(out, rngs, bits)
-    out[:] = _gaussian(out, noise)
 
 
 @dataclass(frozen=True)
@@ -526,11 +535,8 @@ def monte_carlo_cost(
 
     Each run owns the private substream rng.substream(run_index), so results
     do not depend on execution order; the reduction is by run index. The
-    runs' streams are keyed _KEY_BLOCK at a time in one pass, and their
-    noise paths are drawn into one buffer a chunk of runs at a time, as
-    draw_noise_rows draws them (at most about _CHUNK_DRAWS draws a chunk),
-    by one Philox generator for the whole estimate. Each run of the chunk
-    is then rolled out on its own path.
+    runs' paths come from _noise_paths, as draw_noise_rows's rows do, so one
+    key block of streams and one chunk of paths are held at a time.
     Requires a mean-square stabilizing K (the infinite-horizon cost diverges
     otherwise) and raises DivergedError if any rollout overflows anyway.
     """
@@ -543,23 +549,15 @@ def monte_carlo_cost(
         raise NotStabilizingError(report.spectral_radius)
 
     totals = np.empty(n_runs)
-    bits = np.random.Philox(0)
-    paths = np.empty((min(_rows_per_chunk(horizon), n_runs), horizon))
-    for first in range(0, n_runs, _KEY_BLOCK):
-        streams = [rng.substream(run)
-                   for run in range(first, min(first + _KEY_BLOCK, n_runs))]
-        _key_streams(streams)
-        for start in range(0, len(streams), len(paths)):
-            chunk = streams[start:start + len(paths)]
-            _noise_chunk(paths[:len(chunk)], chunk, noise, bits)
-            for run, w in enumerate(paths[:len(chunk)], first + start):
-                traj = simulate_trajectory(sys, K, x0, w)
-                if traj.overflow:
-                    raise DivergedError(
-                        f"Monte Carlo run {run} overflowed at step {traj.overflow_step}",
-                        step=traj.overflow_step,
-                    )
-                totals[run] = traj.total_cost()
+    streams = (rng.substream(run) for run in range(n_runs))
+    for run, w in enumerate(_noise_paths(streams, noise, horizon)):
+        traj = simulate_trajectory(sys, K, x0, w)
+        if traj.overflow:
+            raise DivergedError(
+                f"Monte Carlo run {run} overflowed at step {traj.overflow_step}",
+                step=traj.overflow_step,
+            )
+        totals[run] = traj.total_cost()
     mean = float(totals.mean())
     if np.ptp(totals) == 0.0:
         # Identical runs (deterministic plant): avoid the O(eps) artifact the

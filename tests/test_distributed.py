@@ -326,6 +326,15 @@ class TestRunDistributed:
         for a, b in zip(td.mean_history, tc.mean_history):
             assert np.array_equal(a, b)
 
+    def test_infinite_weight_rejected_on_one_sensor(self, bench_sys, bench_noise):
+        # Before any round: an infinite weight would make the first mixing
+        # step NaN and trip the divergence guard.
+        g = build_graph("single")
+        with pytest.raises(ValueError, match="consensus weight must be finite"):
+            run_distributed(bench_sys, bench_noise, g,
+                            allocate_gains(g, (2, 1), "uniform"), Schedule(), 5,
+                            RngStream(0), w=float("inf"))
+
     def test_masked_gains_still_converge(self, det_sys, det_noise, det_oracle):
         g = build_graph("ring:4")
         alloc = allocate_gains(g, (2, 1), "masked")

@@ -187,6 +187,13 @@ class TestConsensusOperator:
         with pytest.raises(ValueError):
             consensus_operator(build_graph("ring:4"), float("nan"))
 
+    @pytest.mark.parametrize("desc", ["single", "ring:4"])
+    def test_rejects_infinite_weight(self, desc):
+        # One sensor has lambda_max = 0, where w * lambda_max is NaN and the
+        # contraction check alone would pass it.
+        with pytest.raises(ValueError, match="finite and > 0, got inf"):
+            consensus_operator(build_graph(desc), float("inf"))
+
 
 class TestAllocateGains:
     def test_uniform_sums_to_NI(self):

@@ -121,7 +121,9 @@ class TestRngStream:
         # The top 53 bits of each raw Philox word are what
         # Generator.integers(0, 2**53) returns for it, draw by draw, for
         # keys below and above 2^32 in every position.
-        rng = RngStream(seed, stream_id).substream(*spawn)
+        rng = RngStream(seed, stream_id)
+        if spawn:
+            rng = rng.substream(*spawn)
         seq = np.random.SeedSequence(seed, spawn_key=(stream_id, *spawn))
         gen = np.random.Generator(np.random.Philox(seq))
 
@@ -138,22 +140,25 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(-1)
 
-    @pytest.mark.parametrize("make, name", [
-        (lambda: RngStream(0, -1), "stream_id"),
-        (lambda: RngStream(0, 2**64), "stream_id"),
-        (lambda: RngStream(1.5), "seed"),
-        (lambda: RngStream(True), "seed"),
-        (lambda: RngStream(0).substream(-1), "substream index"),
-        (lambda: RngStream(0).substream(1.5), "substream index"),
-        (lambda: RngStream(0).substream(True), "substream index"),
-        (lambda: RngStream(0).substream(2**64), "substream index"),
-        (lambda: RngStream(0).substream(3).substream(0, -1), "substream index"),
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RngStream(0, -1), "stream_id must be an integer in"),
+        (lambda: RngStream(0, 2**64), "stream_id must be an integer in"),
+        (lambda: RngStream(1.5), "seed must be an integer in"),
+        (lambda: RngStream(True), "seed must be an integer in"),
+        (lambda: RngStream(0).substream(-1), "substream index must be an integer in"),
+        (lambda: RngStream(0).substream(1.5), "substream index must be an integer in"),
+        (lambda: RngStream(0).substream(True), "substream index must be an integer in"),
+        (lambda: RngStream(0).substream(2**64), "substream index must be an integer in"),
+        (lambda: RngStream(0).substream(3).substream(0, -1),
+         "substream index must be an integer in"),
+        (lambda: RngStream(5, 1).substream(), "substream needs at least one index"),
     ], ids=["id-negative", "id-2^64", "seed-float", "seed-bool", "index-negative",
-            "index-float", "index-bool", "index-2^64", "nested-negative"])
-    def test_rejects_bad_key_entry_where_it_is_given(self, make, name):
+            "index-float", "index-bool", "index-2^64", "nested-negative", "index-none"])
+    def test_rejects_bad_key_entry_where_it_is_given(self, make, message):
         # A negative index would otherwise be built and fail at the first
-        # draw, a float fail naming the seed, and True alias index 1.
-        with pytest.raises(ValueError, match=f"{name} must be an integer in"):
+        # draw, a float fail naming the seed, True alias index 1, and no
+        # index at all give the parent's own key and tape.
+        with pytest.raises(ValueError, match=message):
             make()
 
     def test_numpy_integer_entries_accepted(self):
@@ -177,7 +182,9 @@ class TestStreamKeys:
     @pytest.mark.parametrize("stream_id", EDGES)
     def test_key_is_the_seed_sequence_state(self, seed, stream_id):
         for spawn in [(), *((i,) for i in EDGES), (2**64 - 1, 0, 2**32)]:
-            rng = RngStream(seed, stream_id).substream(*spawn)
+            rng = RngStream(seed, stream_id)
+            if spawn:
+                rng = rng.substream(*spawn)
             key = sampling._stream_keys([rng])
             assert key.dtype == np.uint64 and key.shape == (1, 2)
             assert np.array_equal(key[0], seed_sequence_key(seed, stream_id, spawn)), spawn
@@ -351,13 +358,14 @@ class TestDrawNoiseRows:
         assert draw_noise_rows([], NoiseModel(0.0, 1.0), 8).shape == (0, 8)
 
     def test_validation_draw_memory_is_bounded(self):
-        # validate-controller's draw, 250 runs of 400 steps: beyond the 0.8 MB
-        # output, the chunked transform's temporaries stay below 1 MB (about
+        # 250 streams of 400 draws, the size of validate-controller's Monte
+        # Carlo draw, which goes through the same chunked generator: beyond
+        # the 0.8 MB output, the chunks' temporaries stay below 1 MB (about
         # 0.4 MB at 2**13 draws a chunk, 2.9 MB at 2**16).
         noise = NoiseModel(1.0, 0.1)
         rngs = [RngStream(7, 1).substream(run) for run in range(250)]
         for rng in rngs:
-            rng.uniform_open(0)  # builds each bit generator before tracing
+            rng.uniform_open(0)  # keys each stream before tracing
         tracemalloc.start()
         try:
             rows = draw_noise_rows(rngs, noise, 400)
@@ -674,7 +682,7 @@ def test_gain_of_wrong_shape_rejected(bench_sys, bench_noise, monkeypatch,
     def no_draw(*args, **kwargs):
         raise AssertionError("noise drawn for a gain of the wrong shape")
 
-    monkeypatch.setattr(sampling, "_noise_chunk", no_draw)
+    monkeypatch.setattr(sampling, "_uniform_rows", no_draw)
     with pytest.raises(ValueError, match=match):
         monte_carlo_cost(bench_sys, bench_noise, K, np.ones(2), 5, 2,
                          RngStream(0))
@@ -734,6 +742,35 @@ class TestMonteCarloCost:
         ])
         assert est.mean == float(totals.mean())
         assert est.std_err == float(totals.std(ddof=1) / np.sqrt(5))
+
+        # 3-stream key blocks of 7 runs: chunks of 2, 1 | 2, 1 | 1, so a chunk
+        # ends inside a key block as well as at its edge. Each rollout gets
+        # its own run's path, bit for bit.
+        monkeypatch.setattr(sampling, "_KEY_BLOCK", 3)
+        paths = []
+        simulate = sampling.simulate_trajectory
+        monkeypatch.setattr(sampling, "simulate_trajectory",
+                            lambda s, k, x, w: paths.append(w.copy()) or simulate(s, k, x, w))
+        monte_carlo_cost(bench_sys, bench_noise, K, x0, 400, 7, RngStream(34))
+        assert len(paths) == 7
+        for run, w in enumerate(paths):
+            assert same_bits(w, draw_noise(RngStream(34).substream(run),
+                                           bench_noise, 400)), run
+
+    def test_memory_stays_bounded(self, bench_sys, bench_noise, bench_oracle):
+        # 2000 runs of 400 steps cross a 1024-stream key block. One key block
+        # of streams and one chunk of paths are held at a time: about 0.9 MB
+        # under tracemalloc (numpy 2.4), where all 2000 paths at once would
+        # be 6.4 MB.
+        args = bench_sys, bench_noise, bench_oracle.K_star, [1.0, 1.0], 400
+        monte_carlo_cost(*args, 2, RngStream(8))  # fills caches built on first use
+        tracemalloc.start()
+        try:
+            monte_carlo_cost(*args, 2000, RngStream(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_overflowing_stability_operator_is_not_stabilizing(self, bench_sys):
         # The lifted operator T overflows (entries ~ 1e320): the check reports
