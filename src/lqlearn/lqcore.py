@@ -14,14 +14,16 @@ exact mean over the two noise nodes, the one place the moments enter. The
 learners' residual y_operator is the same Bellman map on one sampled plant,
 minus G, so H(Pi(G)) - G is its exact mean over the nodes.
 
-All operations are pure functions; safe to call concurrently.
+All operations are pure functions; safe to call concurrently. The one
+state kept is a Gain's cached closed loop (_gain_loop), set by a single
+attribute assignment, so concurrent calls at worst build it twice.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,9 +54,12 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    mat = np.asarray(value, dtype=float)
+    """A read-only float64 copy of the 2-D matrix value; never an alias of
+    the caller's array, so a model built from it cannot change later."""
+    mat = np.array(value, dtype=float)
     if mat.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {mat.shape}")
+    mat.flags.writeable = False
     return mat
 
 
@@ -67,7 +72,8 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Constant plant matrices (A, Abar, B, Bbar) and cost weights (Q, R)."""
+    """Constant plant matrices (A, Abar, B, Bbar) and cost weights (Q, R),
+    held as read-only float64 copies."""
 
     A: np.ndarray
     A_bar: np.ndarray
@@ -151,6 +157,7 @@ class QFactor:
 
     The maps below take the raw array; this wrapper checks shape and symmetry
     where a Q-factor crosses a boundary (the oracle's G*, a file read back).
+    mat is a read-only float64 copy.
     """
 
     mat: np.ndarray
@@ -175,9 +182,11 @@ class QFactor:
 
 @dataclass(frozen=True)
 class Gain:
-    """State-feedback gain, u = K x."""
+    """State-feedback gain, u = K x; K is a read-only float64 copy. The gain
+    keeps the closed loop of the last system it met (see _gain_loop)."""
 
     K: np.ndarray
+    _loop: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "K", _as_matrix(self.K, "K"))
@@ -336,11 +345,13 @@ def solve_oracle(
     if start is None:
         G = sys.cost_block()
     else:
-        G = QFactor(np.array(start, dtype=float), sys.n, sys.m).mat
+        G = QFactor(start, sys.n, sys.m).mat
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        G_next = expectation_map(G, sys, noise)
-        residual = float(np.linalg.norm(G_next - G))
+        # A diverging iteration overflows; the residual reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            G_next = expectation_map(G, sys, noise)
+            residual = float(np.linalg.norm(G_next - G))
         if residual <= oracle_tol:
             break
         if not np.isfinite(residual):
@@ -410,6 +421,32 @@ def _stage_weight(K: Gain, sys: SystemModel) -> np.ndarray:
     return sys.Q + _matmul(_matmul(K.K.T, sys.R), K.K)
 
 
+def _gain_loop(K: Gain, sys: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Acl, Abcl, C) of the gain K on sys, from _closed_loop and
+    _stage_weight, built once per (gain, system) pair: K keeps the last
+    system it met with the three read-only arrays, and returns them while
+    sys is that same object. Model arrays are read-only copies, so the same
+    object always holds the same values. Raises ValueError unless K is m x n.
+    A gain large enough to overflow C or the loop gets inf entries without
+    a warning, as ms_stability_check's operator does; the check then reports
+    the loop unstable, or a rollout's costs are not finite.
+
+    The reuse sits on the gain because the benchmark pins one
+    simulate_trajectory call per Monte Carlo run (ROADMAP item 1a), so a
+    rollout cannot take the loop from its caller; item 2's batched rollout
+    builds it once per batch and replaces this.
+    """
+    cached = K._loop
+    if cached is not None and cached[0] is sys:
+        return cached[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        loop = (*_closed_loop(K, sys), _stage_weight(K, sys))
+    for mat in loop:
+        mat.flags.writeable = False
+    object.__setattr__(K, "_loop", (sys, loop))
+    return loop
+
+
 def ms_stability_check(
     K: Gain, sys: SystemModel, noise: NoiseModel
 ) -> StabilityReport:
@@ -422,7 +459,7 @@ def ms_stability_check(
     A T that overflows (or holds NaN) is reported as unstable, with spectral
     radius inf.
     """
-    Acl, Abcl = _closed_loop(K, sys)
+    Acl, Abcl, _ = _gain_loop(K, sys)
     with np.errstate(over="ignore", invalid="ignore"):
         T = np.mean(
             [np.kron(M, M) for M in Acl + noise.nodes[:, None, None] * Abcl], axis=0

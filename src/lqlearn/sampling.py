@@ -26,6 +26,11 @@ cost. Its bits equal scipy.special.ndtri's wherever math.log is the libm
 log that scipy links, which tests/test_sampling.py checks. Because of that
 per-element cost, it runs once per batch: _noise_paths, through which
 draw_noise_rows and monte_carlo_cost draw, transforms many streams at once.
+
+Monte Carlo rolls each run out in its own simulate_trajectory call, as the
+benchmark pins (ROADMAP item 1a). The runs share one build of the closed
+loop through the gain, which keeps it (lqcore._gain_loop); item 2's batched
+rollout builds it once per batch and replaces that.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ from .lqcore import (
     Gain,
     NoiseModel,
     SystemModel,
-    _closed_loop,
-    _stage_weight,
+    _gain_loop,
     _sum_of_products,
     ms_stability_check,
 )
@@ -454,6 +458,14 @@ def _scan_states(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _sum_of_products(M.swapaxes(0, 1), x).T
 
 
+def _start_state(x0, sys: SystemModel) -> np.ndarray:
+    """x0 as a float (n,) state; ValueError unless it has n entries."""
+    x = np.asarray(x0, dtype=float)
+    if x.size != sys.n:
+        raise ValueError(f"x0 must have {sys.n} entries, got {x.size}")
+    return x.reshape(sys.n)
+
+
 def simulate_trajectory(
     sys: SystemModel, K: Gain, x0: np.ndarray, w: np.ndarray
 ) -> Trajectory:
@@ -472,14 +484,16 @@ def simulate_trajectory(
     state, and a flagged first state of a scan is the overflow. Acl, Abcl
     and C, the scan and the stage costs are elementwise (_sum_of_products),
     so their bits do not depend on the BLAS build.
+
+    Acl, Abcl and C come from lqcore._gain_loop, built once per (gain,
+    system) pair. Raises ValueError unless K is m x n and x0 has n entries.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or not w.size:
         raise ValueError(f"w must be a nonempty 1-d noise path, got shape {w.shape}")
     horizon = w.size
-    x = np.asarray(x0, dtype=float).reshape(sys.n)
-    Acl, Abcl = _closed_loop(K, sys)
-    C = _stage_weight(K, sys)
+    Acl, Abcl, C = _gain_loop(K, sys)
+    x = _start_state(x0, sys)
 
     chunks = [x[None]]
     k = 0  # steps taken
@@ -487,7 +501,10 @@ def simulate_trajectory(
     # Products past an overflow may reach inf or NaN; they are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
         while k < horizon:
-            seg = _scan_states(Acl[:, :, None] + Abcl[:, :, None] * w[k:], x)
+            # Abcl w + Acl, formed in place: the bits of Acl + Abcl w.
+            M = Abcl[:, :, None] * w[k:]
+            M += Acl[:, :, None]
+            seg = _scan_states(M, x)
             # The row norms as np.linalg.norm(seg, axis=1) takes them, minus
             # its dispatch. "not <=" is true for NaN as well as overflow.
             norms = np.sqrt(np.add.reduce(seg * seg, axis=1))
@@ -536,14 +553,17 @@ def monte_carlo_cost(
     Each run owns the private substream rng.substream(run_index), so results
     do not depend on execution order; the reduction is by run index. The
     runs' paths come from _noise_paths, as draw_noise_rows's rows do, so one
-    key block of streams and one chunk of paths are held at a time.
-    Requires a mean-square stabilizing K (the infinite-horizon cost diverges
-    otherwise) and raises DivergedError if any rollout overflows anyway.
+    key block of streams and one chunk of paths are held at a time. The
+    stability check builds K's closed loop on sys, and every run's rollout
+    reuses it. Requires a mean-square stabilizing K (the infinite-horizon
+    cost diverges otherwise) and raises DivergedError if any rollout
+    overflows anyway.
     """
     if n_runs < 2:
         raise ValueError("n_runs must be >= 2")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    x0 = _start_state(x0, sys)
     report = ms_stability_check(K, sys, noise)
     if not report.stable:
         raise NotStabilizingError(report.spectral_radius)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,11 +201,21 @@ class TestSolveOracle:
         # step until the residual overflows; the solve stops right there.
         sys = SystemModel(A=[[2.0]], A_bar=[[0.0]], B=[[0.0]], B_bar=[[0.0]],
                           Q=[[1.0]], R=[[1.0]])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NoConvergenceError
-        ) as info:
+        with pytest.raises(NoConvergenceError) as info:
             solve_oracle(sys, NoiseModel(0.0, 0.0))
         assert info.value.iterations < 1000
+
+    def test_diverging_picard_leaks_no_warning(self):
+        # The iterates grow 9x per step; the norm of the step that reaches
+        # inf overflows inside numpy, and no RuntimeWarning leaves the solve.
+        sys = SystemModel(A=[[3.0]], A_bar=[[0.0]], B=[[0.0]], B_bar=[[0.0]],
+                          Q=[[1.0]], R=[[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError) as info:
+                solve_oracle(sys, NoiseModel(0.0, 0.0))
+        assert info.value.iterations == 162
+        assert info.value.residual == np.inf
 
 
 class TestSolveOracleStart:
@@ -445,3 +456,36 @@ class TestModelValidation:
     def test_qfactor_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             QFactor(np.array([[1.0, 0.0], [0.0, bad]]), 1, 1)
+
+
+def _models():
+    """(model, {attribute: the caller's array it was built from}) for a
+    SystemModel, a Gain and a QFactor, each array float64 already."""
+    arrays = {"A": np.array([[0.5]]), "A_bar": np.array([[0.1]]),
+              "B": np.array([[1.0]]), "B_bar": np.array([[0.2]]),
+              "Q": np.array([[1.0]]), "R": np.array([[2.0]])}
+    K, G = np.array([[-0.4]]), np.array([[2.0, 0.5], [0.5, 3.0]])
+    return [(SystemModel(**arrays), arrays), (Gain(K), {"K": K}),
+            (QFactor(G, 1, 1), {"mat": G})]
+
+
+class TestModelArraysAreReadOnlyCopies:
+    @pytest.mark.parametrize("which", range(3), ids=["system", "gain", "qfactor"])
+    def test_mutating_the_callers_array_leaves_the_model(self, which):
+        model, arrays = _models()[which]
+        before = {name: getattr(model, name).copy() for name in arrays}
+        for arr in arrays.values():
+            arr += 7.0
+        for name, value in before.items():
+            assert getattr(model, name).tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("which", range(3), ids=["system", "gain", "qfactor"])
+    def test_writing_a_model_array_raises(self, which):
+        model, arrays = _models()[which]
+        for name in arrays:
+            arr = getattr(model, name)
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0

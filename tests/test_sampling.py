@@ -25,7 +25,7 @@ from lqlearn import (
     realize,
     simulate_trajectory,
 )
-from lqlearn import sampling
+from lqlearn import lqcore, sampling
 from lqlearn.config import preset_file, read_json
 from lqlearn.errors import DivergedError, NotStabilizingError
 from lqlearn.lqcore import _closed_loop, _stage_weight
@@ -657,6 +657,20 @@ class TestSimulateTrajectory:
         with pytest.raises(ValueError, match="w must be a nonempty 1-d noise path"):
             simulate_trajectory(scalar_sys, Gain([[-0.5]]), [1.0], w)
 
+    def test_one_gain_on_two_systems_gets_each_systems_bits(
+            self, bench_sys, det_sys, bench_noise):
+        # The gain keeps the loop of the last system it met; switching
+        # systems, and back, rebuilds it, as a fresh gain per call would.
+        K, x0 = Gain([[-0.3, -0.2]]), [1.0, -1.0]
+        w = draw_noise(RngStream(3), bench_noise, 100)
+        runs = []
+        for sys in (bench_sys, det_sys, bench_sys):
+            got = simulate_trajectory(sys, K, x0, w)
+            want = simulate_trajectory(sys, Gain(K.K), x0, w)
+            assert same_bits(got.xs, want.xs) and same_bits(got.costs, want.costs)
+            runs.append(got.costs)
+        assert not same_bits(runs[0], runs[1])
+
     def test_nan_state_counts_as_overflow(self, scalar_sys):
         traj = simulate_trajectory(scalar_sys, Gain([[-0.5]]), [np.nan],
                                    np.zeros(10))
@@ -665,10 +679,18 @@ class TestSimulateTrajectory:
         assert len(traj.xs) == 1
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail the test if any noise is drawn."""
+    def fail(*args, **kwargs):
+        raise AssertionError("noise drawn for a rejected input")
+
+    monkeypatch.setattr(sampling, "_uniform_rows", fail)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2), (1, 3)],
                          ids=["1x1", "2x1", "2x2", "1x3"])
-def test_gain_of_wrong_shape_rejected(bench_sys, bench_noise, monkeypatch,
-                                      shape):
+def test_gain_of_wrong_shape_rejected(bench_sys, bench_noise, no_draw, shape):
     # Every gain meets the plant in _closed_loop. There a 1 x 1 gain would
     # broadcast to [[k, k]], and a 2 x 1 one pass the stability check and
     # fail inside the rollout.
@@ -678,13 +700,21 @@ def test_gain_of_wrong_shape_rejected(bench_sys, bench_noise, monkeypatch,
         ms_stability_check(K, bench_sys, bench_noise)
     with pytest.raises(ValueError, match=match):
         simulate_trajectory(bench_sys, K, np.ones(2), np.ones(5))
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("noise drawn for a gain of the wrong shape")
-
-    monkeypatch.setattr(sampling, "_uniform_rows", no_draw)
     with pytest.raises(ValueError, match=match):
         monte_carlo_cost(bench_sys, bench_noise, K, np.ones(2), 5, 2,
+                         RngStream(0))
+
+
+@pytest.mark.parametrize("x0", [[1.0], [1.0, 1.0, 1.0]], ids=["1", "3"])
+def test_start_state_of_wrong_length_rejected(bench_sys, bench_noise,
+                                              bench_oracle, no_draw, x0):
+    # n = 2: a start of any other length used to fail in numpy's reshape,
+    # and monte_carlo_cost drew a chunk of noise first.
+    match = re.escape(f"x0 must have 2 entries, got {len(x0)}")
+    with pytest.raises(ValueError, match=match):
+        simulate_trajectory(bench_sys, bench_oracle.K_star, x0, np.ones(5))
+    with pytest.raises(ValueError, match=match):
+        monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star, x0, 5, 2,
                          RngStream(0))
 
 
@@ -756,6 +786,22 @@ class TestMonteCarloCost:
         for run, w in enumerate(paths):
             assert same_bits(w, draw_noise(RngStream(34).substream(run),
                                            bench_noise, 400)), run
+
+    def test_builds_the_closed_loop_once(self, monkeypatch, bench_sys,
+                                         bench_noise, bench_oracle):
+        # The stability check builds the loop; all 20 rollouts reuse it.
+        built = []
+        closed_loop, stage_weight = lqcore._closed_loop, lqcore._stage_weight
+        monkeypatch.setattr(lqcore, "_closed_loop",
+                            lambda *args: built.append("loop") or closed_loop(*args))
+        monkeypatch.setattr(lqcore, "_stage_weight",
+                            lambda *args: built.append("weight") or stage_weight(*args))
+        K = Gain(bench_oracle.K_star.K)
+        est = monte_carlo_cost(bench_sys, bench_noise, K, [1.0, 1.0], 50, 20,
+                               RngStream(5))
+        assert built == ["loop", "weight"]
+        assert est == monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star,
+                                       [1.0, 1.0], 50, 20, RngStream(5))
 
     def test_memory_stays_bounded(self, bench_sys, bench_noise, bench_oracle):
         # 2000 runs of 400 steps cross a 1024-stream key block. One key block
