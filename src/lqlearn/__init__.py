@@ -15,6 +15,7 @@ from .distributed import (
     distributed_round,
     initial_bank,
     run_distributed,
+    run_learners,
     run_seeds,
 )
 from .errors import (
@@ -119,6 +120,7 @@ __all__ = [
     "riccati_residual",
     "run_centralized",
     "run_distributed",
+    "run_learners",
     "run_seeds",
     "simulate_trajectory",
     "solve_oracle",

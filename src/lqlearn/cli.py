@@ -6,14 +6,14 @@ Subcommands:
   validate-controller  check a learned gain against the oracle, write a report
 
 `run` builds its learners once, keeping only --mode's kind unless it is
-"both", and learns its seeds a group at a time (trace.group_seeds, sized by
-the largest sensor count among them, bounds the floats a group's traces
-hold, and so a round's (S, N, d, d) temporaries). In each group it walks the
-kinds in order, the centralized first: one distributed.run_seeds batch on
-the seeds that have not diverged, then each seed's trace, plots and summary
-entry, and that kind's traces are dropped before the next kind learns.
-Every output file and log line is the same as when each seed runs alone,
-in seed order.
+"both", and learns its seeds a group at a time (trace.group_seeds, which
+counts every kind's traces, bounds the floats a group's traces hold, and so
+a round's (S, N, d, d) temporaries). Each group is one
+distributed.run_learners call that steps all kinds together, the
+centralized first; then each seed writes its traces, plots and summary
+entry, kind by kind, and a seed that diverged under one kind has no
+outcome for the later ones. Every output file and log line is the same as
+when each kind and seed runs alone, in seed order.
 
 `validate-controller` takes the oracle from the G* that the run stored in
 summary.json once one Picard step certifies it under the given config (the
@@ -49,7 +49,7 @@ from .config import (
     preset_names,
     read_json,
 )
-from .distributed import run_seeds
+from .distributed import run_learners
 from .errors import (
     DivergedError,
     LqLearnError,
@@ -231,39 +231,34 @@ def _run_group(
     oracle: OracleSolution,
     out_dir: Path,
 ) -> list[dict]:
-    """Learn a group of seeds, each kind as one batch, and write each seed's
-    traces, plots and summary entry; a seed that diverges under one kind
-    skips the next. Logs each seed's outcome in seed order."""
+    """Learn a group of seeds, all kinds in one run_learners call, and write
+    each seed's traces, plots and summary entry; a seed that diverges under
+    one kind has no outcome for the next. Logs each seed's outcome in seed
+    order."""
     entries = {seed: {"seed": seed, "status": "ok"} for seed in seeds}
     errors = {}
     for seed in seeds:
         (out_dir / f"seed_{seed:04d}").mkdir(parents=True, exist_ok=True)
     name = "trace_{}.csv" if len(learners) > 1 else "trace.csv"
-    for kind, (graph, gains, options) in learners.items():
-        learning = [seed for seed in seeds if seed not in errors]
-        results = run_seeds(
-            config.system,
-            config.noise,
-            graph,
-            gains,
-            config.schedule,
-            config.rounds,
-            [RngStream(seed, _STREAM_LEARN) for seed in learning],
-            oracle=oracle,
-            **options,
-        )
-        for seed, trace in zip(learning, results):
+    results = run_learners(
+        config.system,
+        config.noise,
+        list(learners.values()),
+        config.schedule,
+        config.rounds,
+        [RngStream(seed, _STREAM_LEARN) for seed in seeds],
+        oracle=oracle,
+    )
+    for seed, outcomes in zip(seeds, results):
+        seed_dir = out_dir / f"seed_{seed:04d}"
+        for kind, trace in zip(learners, outcomes):
             if isinstance(trace, DivergedError):
                 errors[seed] = trace
                 _diverged_entry(entries[seed], kind, trace)
-                continue
-            seed_dir = out_dir / f"seed_{seed:04d}"
-            trace.write_csv(seed_dir / name.format(kind))
-            _plot_trace(trace, seed_dir / "plots", kind)
-            entries[seed][kind] = _trace_stats(trace)
-        # One kind's traces are dropped before the next kind learns.
-        del results
-        trace = None
+            elif trace is not None:
+                trace.write_csv(seed_dir / name.format(kind))
+                _plot_trace(trace, seed_dir / "plots", kind)
+                entries[seed][kind] = _trace_stats(trace)
     for seed in seeds:
         if seed in errors:
             log.warning("seed %d %s learner diverged: %s", seed,
@@ -286,10 +281,11 @@ def cmd_run(config: ExperimentConfig, mode: str, out_dir: Path) -> int:
     learners = _learners(config)
     if mode != "both":
         learners = {mode: learners[mode]}
-    # Seeds are learned a group at a time, so only one group's traces are
-    # alive at once and a round's temporaries stay bounded (trace.group_seeds).
-    n_sensors = max(graph.n_sensors for graph, _, _ in learners.values())
-    size = group_seeds(n_sensors, config.system.n + config.system.m, config.rounds)
+    # Seeds are learned a group at a time, so only one group's traces, those
+    # of every kind, are alive at once and a round's temporaries stay
+    # bounded (trace.group_seeds).
+    size = group_seeds([graph.n_sensors for graph, _, _ in learners.values()],
+                       config.system.n + config.system.m, config.rounds)
     seeds = config.seeds
     runs = []
     for start in range(0, len(seeds), size):
@@ -483,7 +479,6 @@ def main(argv=None) -> int:
             return cmd_run(config, args.mode, out_dir)
         return cmd_validate_controller(config, out_dir, args.seed)
     except (NoConvergenceError, NotStabilizingError) as exc:
-        log.error("oracle failed: %s", exc)
         print(f"oracle failed: {exc}", file=_sys.stderr)
         return EXIT_ORACLE
     except LqLearnError as exc:

@@ -11,21 +11,29 @@ sampled Bellman residual (lqcore.y_operator). The round owns its Schedule
 and its divergence guard, DIVERGENCE_CAP on ||G_i||_F. The learner's whole
 state is the N estimates, held as one plain (N, d, d) array: initial_bank
 returns it, and distributed_round takes it with the index k of the round
-just done and returns a new array. Each step of a round runs once on the
-whole stack, the residuals included: one y_operator call per round. run_seeds
-learns S seeds (independent noise streams) at once on one (S, N, d, d)
-stack, so a round is still one y_operator call, one mixing step, one
-symmetrize and one guard; a seed that trips the guard leaves the stack and
-the others go on. Mixing takes one pass per neighbour column, so a round's
-memory is linear in the sensors. Each seed's trace and error equal those of
-its run alone, bit for bit, and run_distributed is the one-seed case. Only
-the two SVDs of each G_uu block still run block by block, inside
+just done and returns a new array.
+
+run_learners steps several learners ("kinds", each a graph, its gains and
+its options) for S seeds (independent noise streams) on one
+(S, N_1 + ... + N_K, d, d) stack. The kinds share one sensor axis: each
+sensor carries its own gains and consensus weight, and one neighbour table
+holds every kind's neighbor_columns, offset by the kind's first sensor and
+padded with the sensor itself. So a round is one y_operator call, one gain
+scaling, one mixing step, one symmetrize and one guard for all kinds and
+seeds. Mixing takes one pass per column of that table, so a round's memory
+is linear in the sensors. A seed that trips the guard leaves the stack and
+the others go on; each seed's traces and errors equal those of each kind's
+run alone, bit for bit. run_seeds is the one-kind case, run_distributed
+its one-seed case and distributed_round one round of one bank. Only the
+two SVDs of each G_uu block still run block by block, inside
 lqcore._pinv_uu. With a single sensor and L_1 = I the round is exactly the
 centralized iteration, which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,59 +96,87 @@ class Schedule:
         return self.scale * (1.0 / (k + self.offset)) ** self.exponent
 
 
-def _mix(G: np.ndarray, cons: ConsensusOperator) -> np.ndarray:
+def _mixing(conss) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, N) neighbour table and (N, 1, 1) weights of the kinds whose
+    consensus operators are conss, stacked on one sensor axis of N sensors
+    in order. A kind's columns are its graph's neighbor_columns offset by
+    its first sensor; every column is padded with the sensor itself up to
+    D, the largest degree of any kind, and each sensor has its kind's w."""
+    sizes = [cons.graph.n_sensors for cons in conss]
+    table = np.tile(np.arange(sum(sizes)),
+                    (max(len(cons.graph.neighbor_columns) for cons in conss), 1))
+    w = np.empty((sum(sizes), 1, 1))
+    first = 0
+    for cons, size in zip(conss, sizes):
+        cols = cons.graph.neighbor_columns
+        table[:len(cols), first:first + size] = cols + first
+        w[first:first + size] = cons.w
+        first += size
+    return table, w
+
+
+def _mix(G: np.ndarray, table: np.ndarray, w: np.ndarray) -> np.ndarray:
     """G - w L.G on a stack of banks G, shape S + (N, d, d), with L.G each
-    sensor's sum from +0 of G_i - G_j over its neighbours j in ascending j:
-    a padded column adds an exact +0, so these are the bits of the dense sum
-    over all pairs weighted by L, and estimates that agree stay bit-exact."""
+    sensor's sum from +0 of G_i - G_j over the j of its column of table.
+    A padded entry j = i adds G_i - G_i, an exact +0 on the finite estimates
+    the guard lets through, so these are the bits of the dense sum over all
+    pairs weighted by L, and estimates that agree stay bit-exact. A sensor
+    with no neighbours mixes to G_i - w (+0), which is G_i."""
     acc = np.zeros_like(G)
-    for col in cons.graph.neighbor_columns:
+    for col in table:
         acc += G - G.take(col, axis=-3)
-    return G - cons.w * acc
+    return G - w * acc
 
 
 def _round(
     G: np.ndarray,
     Uk: np.ndarray,
     sys: SystemModel,
-    cons: ConsensusOperator,
+    table: np.ndarray,
+    w: np.ndarray,
     gains: np.ndarray,
     alpha: float,
-    k: int,
 ) -> tuple[np.ndarray, dict]:
-    """Round k + 1 on a stack of banks G, shape S + (N, d, d), at step size
-    alpha; Uk broadcasts to S + (N, n, n+m).
+    """One round on a stack of banks G, shape S + (N, d, d), at step size
+    alpha, with the neighbour table and weights of _mixing (or one graph's
+    neighbor_columns and its scalar w) and the (N, d, 1) gain diagonals;
+    Uk broadcasts to S + (N, n, n+m).
 
     Returns the post-round stack and, for each index in S whose bank left the
-    guard, the DivergedError its bank alone raises. Every bank of the stack
-    gets the bits of a round on its own, and every temporary is a stack of
-    S + (N, ...) blocks: none is N x N.
+    guard, its first sensor outside it and that sensor's norm. Every bank of
+    the stack gets the bits of a round on its own, and every temporary is a
+    stack of S + (N, ...) blocks: none is N x N.
     """
     Y = y_operator(G, Uk, sys.Q, sys.R)
     # alpha * (gains * Y), scaled in place in that order.
-    Y *= gains[:, :, None]
+    Y *= gains
     Y *= alpha
-    Y += _mix(G, cons)
+    Y += _mix(G, table, w)
     G = symmetrize(Y)
 
     # The norms as np.linalg.norm(G, axis=(-2, -1)) takes them, minus its
     # dispatch.
     norms = np.sqrt(np.add.reduce(G * G, axis=(-2, -1)))
-    diverged = {}
+    tripped = {}
     # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
     if not norms.max() <= DIVERGENCE_CAP:
         for s in np.ndindex(norms.shape[:-1]):
             out = ~(norms[s] <= DIVERGENCE_CAP)
             if out.any():
                 i = int(out.argmax())
-                diverged[s] = DivergedError(
-                    f"sensor {i} left ||G||_F <= {DIVERGENCE_CAP:g} "
-                    f"(norm {norms[s][i]:g}) at round {k + 1}",
-                    step=k + 1,
-                    sensor=i,
-                    norm=float(norms[s][i]),
-                )
-    return G, diverged
+                tripped[s] = (i, float(norms[s][i]))
+    return G, tripped
+
+
+def _diverged(sensor: int, norm: float, k: int) -> DivergedError:
+    """The error of a bank whose sensor left the guard in round k + 1."""
+    return DivergedError(
+        f"sensor {sensor} left ||G||_F <= {DIVERGENCE_CAP:g} "
+        f"(norm {norm:g}) at round {k + 1}",
+        step=k + 1,
+        sensor=sensor,
+        norm=norm,
+    )
 
 
 def _check_gains(gains: np.ndarray, N: int, sys: SystemModel) -> None:
@@ -175,10 +211,11 @@ def distributed_round(
     if G.shape[1:] != (d, d):
         raise ValueError(f"bank must have shape {(G.shape[0], d, d)}, got {G.shape}")
     _check_gains(gains, G.shape[0], sys)
-    G, diverged = _round(G, np.asarray(Uk, dtype=float), sys, cons, gains,
-                         sched.alpha(k), k)
-    if diverged:
-        raise diverged[()]
+    G, tripped = _round(G, np.asarray(Uk, dtype=float), sys,
+                        cons.graph.neighbor_columns, cons.w,
+                        np.asarray(gains, dtype=float)[:, :, None], sched.alpha(k))
+    if tripped:
+        raise _diverged(*tripped[()], k)
     return G
 
 
@@ -218,6 +255,158 @@ def initial_bank(
     return G
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """One learner of a run_learners stack, its inputs checked."""
+
+    cons: ConsensusOperator
+    gains: np.ndarray
+    shared_noise: bool
+    init: str
+    spread_scale: float
+
+
+def _kind(sys: SystemModel, graph: Graph, gains: np.ndarray, *,
+          w: float | None = None, shared_noise: bool = True,
+          init: str = "identity", spread_scale: float = 0.1) -> _Kind:
+    _check_gains(gains, graph.n_sensors, sys)
+    return _Kind(consensus_operator(graph, w), np.asarray(gains, dtype=float),
+                 shared_noise, init, spread_scale)
+
+
+def _noise_tape(kinds: list[_Kind], noise: NoiseModel, rounds: int,
+                rngs: list[RngStream]) -> np.ndarray:
+    """The (rounds, S, 1) noise tape of S seeds whose kinds all share their
+    seed's noise, else (rounds, S, N) with one column per sensor of the
+    stack, all drawn by one draw_noise_rows call.
+
+    A shared-noise kind reads its seed's own stream from where it stands,
+    and every such kind of a seed reads that one tape; a private-noise
+    kind's sensor i reads the seed's substream (_NS_SENSOR_NOISE, i).
+    """
+    shared = int(any(kind.shared_noise for kind in kinds))  # 1 or 0 columns
+    # Column of each sensor among its seed's streams: 0 for a shared sensor.
+    columns, streams = [], []
+    for kind in kinds:
+        size = kind.cons.graph.n_sensors
+        if kind.shared_noise:
+            columns += [0] * size
+        else:
+            columns += range(shared + len(streams), shared + len(streams) + size)
+            streams += range(size)
+    rows = [stream for rng in rngs for stream in (
+        [rng] * shared + [rng.substream(_NS_SENSOR_NOISE, i) for i in streams])]
+    tape = draw_noise_rows(rows, noise, rounds).reshape(
+        len(rngs), -1, rounds).transpose(2, 0, 1)
+    if tape.shape[2] > 1 and columns != list(range(len(columns))):
+        tape = tape[:, :, columns]
+    return tape
+
+
+def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
+           G: np.ndarray, tape: np.ndarray, G_star) -> list[list]:
+    """Step the kinds from the (S, N, d, d) stack G over the noise tape
+    (see _noise_tape); returns run_learners's outcomes.
+
+    A seed leaves the stack at its first trip. The outcome of the kind
+    that tripped is its error; if an earlier kind of that seed had not
+    tripped yet, the earlier kinds are learned again alone, from the
+    seed's initial estimates and tape, and an error among them stands in
+    for it.
+    """
+    rounds, S = tape.shape[:2]
+    sizes = [kind.cons.graph.n_sensors for kind in kinds]
+    firsts = [0, *itertools.accumulate(sizes)]  # each kind's first sensor
+    table, w = _mixing([kind.cons for kind in kinds])
+    gains = np.concatenate([kind.gains for kind in kinds])[:, :, None]
+    sensors = [slice(a, b) for a, b in zip(firsts, firsts[1:])]
+    # Each kind's tape columns: its sensors', or the seed's one column.
+    columns = sensors if tape.shape[2] > 1 else [slice(0, 1)] * len(kinds)
+
+    results: list = [[RunTrace(size, G_star=G_star) for size in sizes]
+                     for _ in range(S)]
+    G0 = G
+    live = np.arange(S)  # results index of each seed on the stack
+    B = block_rounds(firsts[-1], sys.n + sys.m, S)
+    Gs = np.empty((S, min(B, rounds), *G.shape[1:]))
+    alphas = np.empty(Gs.shape[1])
+    for start in range(0, rounds, B):
+        block = tape[start:start + B]
+        b = len(block)
+        plants = realize(sys, block[:, live])
+        for j in range(b):
+            k = start + j
+            alphas[j] = alpha = sched.alpha(k)
+            G, tripped = _round(G, plants[j], sys, table, w, gains, alpha)
+            if tripped:
+                for (s,), (i, norm) in tripped.items():
+                    seed = live[s]
+                    # The first sensor out belongs to the first kind out.
+                    c = bisect.bisect_right(firsts, i) - 1
+                    earlier = _learn(sys, kinds[:c], sched, G0[[seed], :firsts[c]],
+                                     tape[:, [seed], :firsts[c]], G_star)[0] if c else []
+                    error = _diverged(i - firsts[c], norm, k)
+                    if any(isinstance(r, DivergedError) for r in earlier):
+                        error = None
+                    results[seed] = [*earlier, error, *[None] * (len(kinds) - c - 1)]
+                keep = [s for s in range(len(live)) if (s,) not in tripped]
+                if not keep:
+                    return results
+                live, G, Gs, plants = live[keep], G[keep], Gs[keep], plants[:, keep]
+            Gs[:, j] = G
+        for i, G_seed in zip(live, Gs):
+            for trace, sensor, column in zip(results[i], sensors, columns):
+                trace.record_round(
+                    alphas[:b], np.broadcast_to(block[:, i, column], (b, trace.n_sensors)),
+                    G_seed[:b, sensor])
+    return results
+
+
+def run_learners(
+    sys: SystemModel,
+    noise: NoiseModel,
+    learners,
+    sched: Schedule,
+    rounds: int,
+    rngs: list[RngStream],
+    *,
+    oracle=None,
+) -> list[list[RunTrace | DivergedError | None]]:
+    """Learn several learners ("kinds") for one seed per stream in rngs, all
+    on one (S, N_1 + ... + N_K, d, d) stack.
+
+    learners is a sequence of (graph, gains, options) triples, options a
+    dict of run_distributed's keyword arguments w, shared_noise, init and
+    spread_scale. Returns, per stream, one outcome per kind in order: its
+    trace, its DivergedError (sensor counted within the kind), or None when
+    an earlier kind of that seed diverged. Each equals bit for bit what
+    run_seeds of that kind alone on the stream returns. The S seeds draw
+    their tapes in one draw_noise_rows call (see _noise_tape), so two
+    shared-noise kinds of a seed learn on the same noise. Each round makes
+    one y_operator call for all seeds and kinds. A seed leaves the stack
+    at its first trip; only then are its earlier kinds learned again.
+    Blocks of rounds are sized so that the stack's (S, B, N, d, d)
+    estimates keep to trace.block_rounds's budget.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    kinds = [_kind(sys, graph, gains, **options) for graph, gains, options in learners]
+    if not kinds:
+        raise ValueError("run_learners needs at least one learner")
+    if not rngs:
+        return []
+    G = np.stack([
+        np.concatenate([
+            initial_bank(sys, kind.cons.graph.n_sensors, rng, init=kind.init,
+                         spread_scale=kind.spread_scale)
+            for kind in kinds])
+        for rng in rngs
+    ])
+    tape = _noise_tape(kinds, noise, rounds, rngs)
+    G_star = None if oracle is None else oracle.G_star.mat
+    return _learn(sys, kinds, sched, G, tape, G_star)
+
+
 def run_seeds(
     sys: SystemModel,
     noise: NoiseModel,
@@ -238,60 +427,17 @@ def run_seeds(
 
     Returns, per stream and in order, the trace of its run or the
     DivergedError that stopped it, each equal bit for bit to what
-    run_distributed on that stream alone returns or raises. The S seeds are
-    stepped as one (S, N, d, d) stack. Each draws its own (rounds, 1 or N)
-    noise tape from its own stream, so the tape is (rounds, S, 1 or N), all
-    of it drawn by one draw_noise_rows call. A seed that trips the guard
-    leaves the stack at that round; the rest go on. Blocks of rounds are
-    sized so that the (S, B, N, d, d) estimates keep to trace.block_rounds's
-    budget; each trace's metric pass is linear in the sensors and holds no
+    run_distributed on that stream alone returns or raises. This is
+    run_learners with the one kind (graph, gains): the S seeds step as one
+    (S, N, d, d) stack, each on its own (rounds, 1 or N) noise tape, and a
+    seed that trips the guard leaves the stack at that round while the rest
+    go on. Each trace's metric pass is linear in the sensors and holds no
     temporary larger than its seed's (B, N, d, d) block.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    N = graph.n_sensors
-    _check_gains(gains, N, sys)
-    cons = consensus_operator(graph, w)
-    if not rngs:
-        return []
-    G = np.stack([
-        initial_bank(sys, N, rng, init=init, spread_scale=spread_scale)
-        for rng in rngs
-    ])
-
-    # Each seed's own stream with shared noise, else one substream per
-    # sensor: the tape is (rounds, S, 1) or (rounds, S, N), drawn in one call.
-    streams = rngs if shared_noise else [
-        rng.substream(_NS_SENSOR_NOISE, i) for rng in rngs for i in range(N)]
-    tape = draw_noise_rows(streams, noise, rounds).reshape(
-        len(rngs), -1, rounds).transpose(2, 0, 1)
-
-    G_star = None if oracle is None else oracle.G_star.mat
-    results: list = [RunTrace(N, G_star=G_star) for _ in rngs]
-    live = np.arange(len(rngs))  # results index of each seed on the stack
-    B = block_rounds(N, sys.n + sys.m, len(rngs))
-    Gs = np.empty((len(rngs), min(B, rounds), *G.shape[1:]))
-    alphas = np.empty(Gs.shape[1])
-    for start in range(0, rounds, B):
-        block = tape[start:start + B]
-        b = len(block)
-        plants = realize(sys, block[:, live])
-        for j in range(b):
-            k = start + j
-            alphas[j] = alpha = sched.alpha(k)
-            G, diverged = _round(G, plants[j], sys, cons, gains, alpha, k)
-            if diverged:
-                for (s,), exc in diverged.items():
-                    results[live[s]] = exc
-                keep = [s for s in range(len(live)) if (s,) not in diverged]
-                if not keep:
-                    return results
-                live, G, Gs, plants = live[keep], G[keep], Gs[keep], plants[:, keep]
-            Gs[:, j] = G
-        for i, G_seed in zip(live, Gs):
-            results[i].record_round(alphas[:b], np.broadcast_to(block[:, i], (b, N)),
-                                    G_seed[:b])
-    return results
+    options = {"w": w, "shared_noise": shared_noise, "init": init,
+               "spread_scale": spread_scale}
+    return [outcome for outcome, in run_learners(
+        sys, noise, [(graph, gains, options)], sched, rounds, rngs, oracle=oracle)]
 
 
 def run_distributed(

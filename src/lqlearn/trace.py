@@ -54,7 +54,8 @@ _BLOCK_FLOATS = 2**13
 # Floats the traces of one group of seeds may hold (about 2 MB of float64
 # arrays): `lqlearn run` learns its seeds a group at a time, so its memory
 # does not grow with the seed count. At d = 3 and 200 rounds a group is 87
-# seeds on the single sensor, 54 on ring:4 and 12 on ring:32.
+# seeds on the single sensor, 54 on ring:4, 33 on both (`--mode both` on
+# ring:4) and 12 on ring:32.
 _GROUP_FLOATS = 2**18
 
 
@@ -89,14 +90,17 @@ def block_rounds(n_sensors: int, d: int, n_seeds: int = 1) -> int:
     return max(1, _BLOCK_FLOATS // (n_seeds * n_sensors * d * d))
 
 
-def group_seeds(n_sensors: int, d: int, rounds: int) -> int:
+def group_seeds(sensor_counts, d: int, rounds: int) -> int:
     """Seeds per group, at least one: as many as keep their traces within
-    the group budget. A trace keeps, per round, three floats per sensor
-    (omega, norm1 and the error to G*), the d x d averaged iterate and
-    three scalars. A round's temporaries are a few (S, N, d, d) stacks,
-    with S bounded by this trace budget; a block's (S, B, N, d, d)
-    estimates are bounded by block_rounds."""
-    return max(1, _GROUP_FLOATS // (rounds * (3 * n_sensors + d * d + 3)))
+    the group budget, with one trace per seed for each learner of
+    sensor_counts, a sequence of their sensor counts. A trace keeps, per
+    round, three floats per sensor (omega, norm1 and the error to G*), the
+    d x d averaged iterate and three scalars. A round's temporaries are a
+    few (S, N, d, d) stacks, N the learners' sensors together, with S
+    bounded by this trace budget; a block's (S, B, N, d, d) estimates are
+    bounded by block_rounds."""
+    per_round = sum(3 * n_sensors + d * d + 3 for n_sensors in sensor_counts)
+    return max(1, _GROUP_FLOATS // (rounds * per_round))
 
 
 class RunTrace:

@@ -21,12 +21,14 @@ from lqlearn import (
     realize,
     run_centralized,
     run_distributed,
+    run_learners,
     run_seeds,
     solve_oracle,
     symmetrize,
 )
 from lqlearn.qlearning import single_sensor
 from lqlearn.errors import DivergedError, SeedMismatchError
+from lqlearn.trace import RunTrace
 
 
 def gains_shape_error(shape):
@@ -594,3 +596,94 @@ class TestRunSeeds:
         gains = allocate_gains(cfg.graph, (2, 1), "uniform")
         assert run_seeds(cfg.system, cfg.noise, cfg.graph, gains, cfg.schedule,
                          10, []) == []
+
+
+class TestRunLearners:
+    """Kinds stepped together on one stack give, seed by seed, what each
+    kind's run_seeds alone gives on the seeds no earlier kind stopped."""
+
+    @pytest.fixture(scope="class")
+    def preset(self):
+        cfg = load_preset("paper_sec4")
+        return cfg, solve_oracle(cfg.system, cfg.noise)
+
+    def check_stack(self, cfg, kinds, sched, rounds, seeds, oracle=None):
+        stacked = run_learners(cfg.system, cfg.noise, kinds, sched, rounds,
+                               [RngStream(seed) for seed in seeds], oracle=oracle)
+        assert len(stacked) == len(seeds)
+        alone = {seed: [] for seed in seeds}
+        for graph, gains, options in kinds:
+            learning = [seed for seed in seeds
+                        if not any(isinstance(r, DivergedError) for r in alone[seed])]
+            results = run_seeds(cfg.system, cfg.noise, graph, gains, sched, rounds,
+                                [RngStream(seed) for seed in learning],
+                                oracle=oracle, **options)
+            for seed in seeds:
+                alone[seed].append(results[learning.index(seed)]
+                                   if seed in learning else None)
+        outcomes = {}
+        for seed, got in zip(seeds, stacked):
+            assert len(got) == len(kinds)
+            for result, solo in zip(got, alone[seed]):
+                if isinstance(solo, DivergedError):
+                    assert isinstance(result, DivergedError)
+                    assert (result.step, result.sensor, result.norm, str(result)) == (
+                        solo.step, solo.sensor, solo.norm, str(solo))
+                elif solo is None:
+                    assert result is None
+                else:
+                    assert isinstance(result, RunTrace)
+                    assert_same_trace(result, solo)
+            outcomes[seed] = tuple(
+                "ok" if isinstance(r, RunTrace) else r and (r.step, r.sensor)
+                for r in got)
+        return outcomes
+
+    @pytest.mark.parametrize("gain_mode", ["uniform", "masked"])
+    @pytest.mark.parametrize("init", ["identity", "spread"])
+    @pytest.mark.parametrize("shared_noise", [True, False])
+    def test_single_sensor_and_ring_stepped_together(self, preset, shared_noise,
+                                                     init, gain_mode):
+        cfg, oracle = preset
+        options = {"shared_noise": shared_noise, "init": init}
+        kinds = [(*single_sensor(cfg.system), {}),
+                 (cfg.graph, allocate_gains(cfg.graph, (2, 1), gain_mode), options)]
+        outcomes = self.check_stack(cfg, kinds, cfg.schedule, 40, range(4),
+                                    oracle=oracle)
+        if gain_mode == "uniform":
+            assert set(outcomes.values()) == {("ok", "ok")}
+        else:
+            # Masked ring:4 diverges within a few rounds; each centralized
+            # trace is still complete.
+            assert all(c == "ok" and d for c, d in outcomes.values())
+            assert all(d != "ok" for _, d in outcomes.values())
+
+    def test_earlier_kind_diverged_skips_the_later(self, preset):
+        cfg, oracle = preset
+        kinds = [(cfg.graph, allocate_gains(cfg.graph, (2, 1), "masked"), {}),
+                 (*single_sensor(cfg.system), {})]
+        outcomes = self.check_stack(cfg, kinds, cfg.schedule, 40, range(3),
+                                    oracle=oracle)
+        assert all(d != "ok" and c is None for d, c in outcomes.values())
+
+    def test_earlier_kinds_learned_again_after_a_later_trip(self, preset):
+        # Offset 6: masked ring:4 with private noise and spread init trips
+        # seeds 4, 5 and 14 (rounds 17, 21, 10), with shared noise seeds 2, 3,
+        # 8, 11, 14, 16 and 18. Seed 14 trips the third kind first, at round
+        # 9, and its first kind then diverges when learned again.
+        cfg, oracle = preset
+        masked = allocate_gains(cfg.graph, (2, 1), "masked")
+        kinds = [(cfg.graph, masked, {"shared_noise": False, "init": "spread"}),
+                 (*single_sensor(cfg.system), {}),
+                 (cfg.graph, masked, {})]
+        outcomes = self.check_stack(cfg, kinds, Schedule(offset=6), 60,
+                                    range(20), oracle=oracle)
+        assert outcomes[14] == ((10, 1), None, None)
+        assert outcomes[4] == ((17, 1), None, None)
+        assert outcomes[2] == ("ok", "ok", (12, 1))
+        assert outcomes[0] == ("ok", "ok", "ok")
+
+    def test_no_learners_rejected(self, preset):
+        cfg, _ = preset
+        with pytest.raises(ValueError, match="at least one learner"):
+            run_learners(cfg.system, cfg.noise, [], cfg.schedule, 10, [RngStream(0)])

@@ -346,7 +346,7 @@ def test_seed_groups_and_blocks_keep_their_budgets(n_sensors, rounds, expected):
     # (S, B, N, d, d) estimates within the block budget, unless a single
     # seed or round exceeds it.
     d = 3
-    S = group_seeds(n_sensors, d, rounds)
+    S = group_seeds([n_sensors], d, rounds)
     assert S == expected
     if S > 1:
         assert S * rounds * (3 * n_sensors + d * d + 3) <= _GROUP_FLOATS
@@ -354,3 +354,13 @@ def test_seed_groups_and_blocks_keep_their_budgets(n_sensors, rounds, expected):
     assert B <= block_rounds(n_sensors, d)
     if B > 1:
         assert S * B * n_sensors * d * d <= _BLOCK_FLOATS
+
+
+def test_seed_group_counts_every_kinds_traces():
+    # `run --mode both` keeps a centralized and a ring:4 trace per seed, so
+    # a group holds fewer seeds than for either kind alone.
+    d, rounds = 3, 200
+    S = group_seeds([1, 4], d, rounds)
+    assert S == 33
+    per_seed = rounds * ((3 * 1 + d * d + 3) + (3 * 4 + d * d + 3))
+    assert S * per_seed <= _GROUP_FLOATS < (S + 1) * per_seed

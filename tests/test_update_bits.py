@@ -25,7 +25,7 @@ from lqlearn import (
     symmetrize,
     y_operator,
 )
-from lqlearn.distributed import _NS_JITTER, _mix, _round
+from lqlearn.distributed import _NS_JITTER, _mix, _mixing, _round
 from lqlearn.sampling import draw_noise_rows
 from lqlearn.lqcore import PINV_TOL, _pinv_uu
 
@@ -236,8 +236,9 @@ def test_round_on_a_seed_stack_equals_reference_bit_for_bit(bench_sys, spec, S,
     stack = ref = _bank_stack(rng, (S, N))
     for k in range(6):
         Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=(S, N if private else 1)))
-        stack, diverged = _round(stack, Uk, bench_sys, cons, gains, sched.alpha(k), k)
-        assert not diverged
+        stack, tripped = _round(stack, Uk, bench_sys, *_mixing([cons]),
+                                gains[:, :, None], sched.alpha(k))
+        assert not tripped
         ref = np.stack([_round_reference(G, k, bench_sys, cons, gains, U, sched)
                         for G, U in zip(ref, Uk)])
         assert _same_bits(stack, ref)
@@ -264,11 +265,11 @@ def test_mixing_equals_dense_reference_bit_for_bit(spec, S):
     cons = consensus_operator(build_graph(spec))
     rng = np.random.default_rng(41)
     for G in _mixing_cases(rng, (S, cons.graph.n_sensors, 3, 3)):
-        got, ref = _mix(G, cons), _mix_reference(G, cons)
+        got, ref = _mix(G, *_mixing([cons])), _mix_reference(G, cons)
         assert _same_bits(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
         for s in range(S):  # each bank of the stack as if mixed alone
-            assert _same_bits(got[s], _mix(G[s], cons))
+            assert _same_bits(got[s], _mix(G[s], *_mixing([cons])))
 
 
 def test_one_round_on_200_sensors_stays_below_a_megabyte(bench_sys):
@@ -280,10 +281,11 @@ def test_one_round_on_200_sensors_stays_below_a_megabyte(bench_sys):
     rng = np.random.default_rng(51)
     G = _bank_stack(rng, (3, 200))
     Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=(3, 200)))
-    _round(G, Uk, bench_sys, cons, gains, 0.01, 0)  # first-call set-up
+    table, w = _mixing([cons])
+    _round(G, Uk, bench_sys, table, w, gains[:, :, None], 0.01)  # first-call set-up
     tracemalloc.start()
     try:
-        _round(G, Uk, bench_sys, cons, gains, 0.01, 0)
+        _round(G, Uk, bench_sys, table, w, gains[:, :, None], 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
