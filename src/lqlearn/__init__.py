@@ -16,7 +16,6 @@ from .distributed import (
     initial_bank,
     run_distributed,
     run_learners,
-    run_seeds,
 )
 from .errors import (
     BadSpecError,
@@ -121,7 +120,6 @@ __all__ = [
     "run_centralized",
     "run_distributed",
     "run_learners",
-    "run_seeds",
     "simulate_trajectory",
     "solve_oracle",
     "symmetrize",

@@ -271,7 +271,7 @@ def _median_over(runs: list[dict], kind: str, key: str):
     values = [
         run[kind][key]
         for run in runs
-        if run["status"] == "ok" and kind in run and run[kind].get(key) is not None
+        if kind in run and run[kind].get(key) is not None
     ]
     return statistics.median(values) if values else None
 

@@ -23,11 +23,11 @@ scaling, one mixing step, one symmetrize and one guard for all kinds and
 seeds. Mixing takes one pass per column of that table, so a round's memory
 is linear in the sensors. A seed that trips the guard leaves the stack and
 the others go on; each seed's traces and errors equal those of each kind's
-run alone, bit for bit. run_seeds is the one-kind case, run_distributed
-its one-seed case and distributed_round one round of one bank. Only the
-two SVDs of each G_uu block still run block by block, inside
-lqcore._pinv_uu. With a single sensor and L_1 = I the round is exactly the
-centralized iteration, which is how lqlearn.qlearning runs it.
+run alone, bit for bit. run_distributed is its one-kind, one-seed case
+and distributed_round one round of one bank. Only the two SVDs of each
+G_uu block still run block by block, inside lqcore._pinv_uu. With a
+single sensor and L_1 = I the round is exactly the centralized iteration,
+which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
@@ -276,15 +276,15 @@ def _kind(sys: SystemModel, graph: Graph, gains: np.ndarray, *,
 
 def _noise_tape(kinds: list[_Kind], noise: NoiseModel, rounds: int,
                 rngs: list[RngStream]) -> np.ndarray:
-    """The (rounds, S, 1) noise tape of S seeds whose kinds all share their
-    seed's noise, else (rounds, S, N) with one column per sensor of the
-    stack, all drawn by one draw_noise_rows call.
+    """The (rounds, S, N) noise tape of S seeds, one column per sensor of
+    the stack, all drawn by one draw_noise_rows call.
 
-    A shared-noise kind reads its seed's own stream from where it stands,
-    and every such kind of a seed reads that one tape; a private-noise
-    kind's sensor i reads the seed's substream (_NS_SENSOR_NOISE, i).
+    A shared-noise kind's sensors read their seed's own stream from where
+    it stands, so every shared-noise sensor of a seed repeats that one
+    stream's column; a private-noise kind's sensor i reads the seed's
+    substream (_NS_SENSOR_NOISE, i).
     """
-    shared = int(any(kind.shared_noise for kind in kinds))  # 1 or 0 columns
+    shared = int(any(kind.shared_noise for kind in kinds))  # 1 or 0 streams
     # Column of each sensor among its seed's streams: 0 for a shared sensor.
     columns, streams = [], []
     for kind in kinds:
@@ -298,9 +298,7 @@ def _noise_tape(kinds: list[_Kind], noise: NoiseModel, rounds: int,
         [rng] * shared + [rng.substream(_NS_SENSOR_NOISE, i) for i in streams])]
     tape = draw_noise_rows(rows, noise, rounds).reshape(
         len(rngs), -1, rounds).transpose(2, 0, 1)
-    if tape.shape[2] > 1 and columns != list(range(len(columns))):
-        tape = tape[:, :, columns]
-    return tape
+    return tape[:, :, columns]
 
 
 def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
@@ -320,8 +318,6 @@ def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
     table, w = _mixing([kind.cons for kind in kinds])
     gains = np.concatenate([kind.gains for kind in kinds])[:, :, None]
     sensors = [slice(a, b) for a, b in zip(firsts, firsts[1:])]
-    # Each kind's tape columns: its sensors', or the seed's one column.
-    columns = sensors if tape.shape[2] > 1 else [slice(0, 1)] * len(kinds)
 
     results: list = [[RunTrace(size, G_star=G_star) for size in sizes]
                      for _ in range(S)]
@@ -355,10 +351,8 @@ def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
                 live, G, Gs, plants = live[keep], G[keep], Gs[keep], plants[:, keep]
             Gs[:, j] = G
         for i, G_seed in zip(live, Gs):
-            for trace, sensor, column in zip(results[i], sensors, columns):
-                trace.record_round(
-                    alphas[:b], np.broadcast_to(block[:, i, column], (b, trace.n_sensors)),
-                    G_seed[:b, sensor])
+            for trace, sensor in zip(results[i], sensors):
+                trace.record_round(alphas[:b], block[:, i, sensor], G_seed[:b, sensor])
     return results
 
 
@@ -380,13 +374,13 @@ def run_learners(
     spread_scale. Returns, per stream, one outcome per kind in order: its
     trace, its DivergedError (sensor counted within the kind), or None when
     an earlier kind of that seed diverged. Each equals bit for bit what
-    run_seeds of that kind alone on the stream returns. The S seeds draw
-    their tapes in one draw_noise_rows call (see _noise_tape), so two
-    shared-noise kinds of a seed learn on the same noise. Each round makes
-    one y_operator call for all seeds and kinds. A seed leaves the stack
-    at its first trip; only then are its earlier kinds learned again.
-    Blocks of rounds are sized so that the stack's (S, B, N, d, d)
-    estimates keep to trace.block_rounds's budget.
+    run_distributed of that kind alone on the stream returns or raises.
+    The S seeds draw their tapes in one draw_noise_rows call (see
+    _noise_tape), so two shared-noise kinds of a seed learn on the same
+    noise. Each round makes one y_operator call for all seeds and kinds. A
+    seed leaves the stack at its first trip; only then are its earlier
+    kinds learned again. Blocks of rounds are sized so that the stack's
+    (S, B, N, d, d) estimates keep to trace.block_rounds's budget.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -405,39 +399,6 @@ def run_learners(
     tape = _noise_tape(kinds, noise, rounds, rngs)
     G_star = None if oracle is None else oracle.G_star.mat
     return _learn(sys, kinds, sched, G, tape, G_star)
-
-
-def run_seeds(
-    sys: SystemModel,
-    noise: NoiseModel,
-    graph: Graph,
-    gains: np.ndarray,
-    sched: Schedule,
-    rounds: int,
-    rngs: list[RngStream],
-    *,
-    oracle=None,
-    w: float | None = None,
-    shared_noise: bool = True,
-    init: str = "identity",
-    spread_scale: float = 0.1,
-) -> list[RunTrace | DivergedError]:
-    """Learn one seed per stream in rngs at once; see run_distributed for
-    the arguments.
-
-    Returns, per stream and in order, the trace of its run or the
-    DivergedError that stopped it, each equal bit for bit to what
-    run_distributed on that stream alone returns or raises. This is
-    run_learners with the one kind (graph, gains): the S seeds step as one
-    (S, N, d, d) stack, each on its own (rounds, 1 or N) noise tape, and a
-    seed that trips the guard leaves the stack at that round while the rest
-    go on. Each trace's metric pass is linear in the sensors and holds no
-    temporary larger than its seed's (B, N, d, d) block.
-    """
-    options = {"w": w, "shared_noise": shared_noise, "init": init,
-               "spread_scale": spread_scale}
-    return [outcome for outcome, in run_learners(
-        sys, noise, [(graph, gains, options)], sched, rounds, rngs, oracle=oracle)]
 
 
 def run_distributed(
@@ -463,13 +424,13 @@ def run_distributed(
     residual on the same sampled plant (one draw per round from rng);
     otherwise each sensor owns a private noise substream. When an oracle is
     supplied the trace also records the error of the averaged iterate to G*.
-    This is run_seeds on the one stream rng; a run that trips the guard
-    raises its DivergedError.
+    This is run_learners of the one kind (graph, gains) on the one stream
+    rng; a run that trips the guard raises its DivergedError.
     """
-    (result,) = run_seeds(
-        sys, noise, graph, gains, sched, rounds, [rng], oracle=oracle, w=w,
-        shared_noise=shared_noise, init=init, spread_scale=spread_scale,
-    )
+    options = {"w": w, "shared_noise": shared_noise, "init": init,
+               "spread_scale": spread_scale}
+    ((result,),) = run_learners(sys, noise, [(graph, gains, options)], sched,
+                                rounds, [rng], oracle=oracle)
     if isinstance(result, DivergedError):
         raise result
     return result

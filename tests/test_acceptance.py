@@ -34,7 +34,7 @@ from lqlearn import (
     riccati_residual,
     run_centralized,
     run_distributed,
-    run_seeds,
+    run_learners,
     solve_oracle,
     symmetrize,
     y_operator,
@@ -129,11 +129,11 @@ def test_criterion_04_centralized_convergence_trend(preset_cfg,
                    budget_s=60.0):
         # The 20 seeds learn as one batch, each with the bits of its own
         # run_centralized (tests/test_distributed.py::TestRunSeeds).
-        traces = run_seeds(
+        traces = [trace for trace, in run_learners(
             preset_cfg.system, preset_cfg.noise,
-            *single_sensor(preset_cfg.system), preset_cfg.schedule, 5000,
+            [(*single_sensor(preset_cfg.system), {})], preset_cfg.schedule, 5000,
             [RngStream(seed) for seed in range(20)], oracle=preset_oracle,
-        )
+        )]
         errs_50 = [trace.mean_err[49] for trace in traces]
         errs_5000 = [trace.mean_err[4999] for trace in traces]
         assert np.median(errs_5000) < 0.25 * np.median(errs_50)
@@ -149,11 +149,11 @@ def test_criterion_05_consensus(preset_cfg, preset_oracle):
 
         # identical-start runs keep the sensors identical, so the diameter
         # trend is probed from the spread initialization
-        traces = run_seeds(
-            preset_cfg.system, preset_cfg.noise, graph, alloc,
+        traces = [trace for trace, in run_learners(
+            preset_cfg.system, preset_cfg.noise,
+            [(graph, alloc, {"w": 1.0 / 3.0, "init": "spread"})],
             preset_cfg.schedule, 200, [RngStream(seed) for seed in range(20)],
-            w=1.0 / 3.0, init="spread",
-        )
+        )]
         shrunk = sum(trace.diameters[199] < trace.diameters[9] for trace in traces)
         assert shrunk >= 19
 

@@ -51,6 +51,25 @@ def masked_config(tmp_path, offset):
     return write_config(tmp_path, data, name=f"masked{offset}.json")
 
 
+def three_state_config(tmp_path):
+    """paper_sec4 with a three-state, two-input plant (d = 5) and masked
+    gains, so ring:4 has fewer sensors than coordinates."""
+    data = read_json(preset_file("paper_sec4"))
+    data.update(
+        system={
+            "A": [[0.5, 0.1, 0.0], [0.0, 0.4, 0.1], [0.1, 0.0, 0.3]],
+            "A_bar": [[0.2, 0.0, 0.1], [0.1, 0.2, 0.0], [0.0, 0.1, 0.2]],
+            "B": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+            "B_bar": [[0.1, 0.0], [0.0, 0.1], [0.1, 0.1]],
+            "Q": np.eye(3).tolist(),
+            "R": np.eye(2).tolist(),
+        },
+        gain_mode="masked",
+        validation={**data["validation"], "x0": [1.0, 1.0, 1.0]},
+    )
+    return write_config(tmp_path, data, name="three_state.json")
+
+
 def single_sensor_config(tmp_path):
     return write_config(
         tmp_path,
@@ -485,6 +504,46 @@ class TestCmdRun:
                     assert both.read_bytes() == single.read_bytes(), both
                     written += 1
         assert written >= 10 + 7
+
+    def test_both_mode_medians_equal_the_single_modes(self, tmp_path):
+        # Seeds 2, 3 and 8 diverge under the distributed kind only; their
+        # centralized runs finish and count in the centralized medians.
+        config = masked_config(tmp_path, 6)
+        medians = {}
+        for mode in ("both", "centralized", "distributed"):
+            run_cli("run", "--config", config, "--mode", mode, "--seeds", "10",
+                    "--out", tmp_path / mode)
+            medians[mode] = read_strict_json(tmp_path / mode / "summary.json")["medians"]
+        assert medians["both"] == {**medians["centralized"],
+                                   **medians["distributed"]}
+
+    def test_three_state_two_input_system(self, tmp_path):
+        # d = 5 on ring:4 with masked gains: each kind's traces under
+        # --mode both hold the bytes of its own mode, every seed ends below
+        # its start error, and the learned gain validates.
+        config = three_state_config(tmp_path)
+        for mode in ("both", "centralized", "distributed"):
+            assert run_cli("run", "--config", config, "--mode", mode, "--seeds",
+                           "4", "--out", tmp_path / mode) == 0
+        for kind in ("centralized", "distributed"):
+            for seed in range(4):
+                single = tmp_path / kind / f"seed_{seed:04d}" / "trace.csv"
+                both = tmp_path / "both" / f"seed_{seed:04d}" / f"trace_{kind}.csv"
+                assert both.read_bytes() == single.read_bytes(), both
+        summary = read_strict_json(tmp_path / "both" / "summary.json")
+        start_err = np.linalg.norm(np.eye(5) - np.array(summary["oracle"]["G_star"]))
+        assert start_err == pytest.approx(3.709, abs=1e-3)
+        for run in summary["runs"]:
+            assert run["status"] == "ok"
+            assert run["distributed"]["n_sensors"] == 4
+            for kind in ("centralized", "distributed"):
+                assert run[kind]["final_mean_err"] < start_err, (run["seed"], kind)
+        assert run_cli("validate-controller", "--config", config, "--out",
+                       tmp_path / "both") == 0
+        report = read_strict_json(tmp_path / "both" / "controller_report.json")
+        mc = report["monte_carlo_cost"]
+        assert report["stable"] is True
+        assert abs(mc["mean"] - report["oracle_value_x0"]) < 6 * mc["std_err"]
 
     def test_masked_offset_six_partial_divergence(self, tmp_path):
         # Unpatched: with masked gains and offset 6 on the preset's ring:4,

@@ -22,7 +22,6 @@ from lqlearn import (
     run_centralized,
     run_distributed,
     run_learners,
-    run_seeds,
     solve_oracle,
     symmetrize,
 )
@@ -384,8 +383,9 @@ class TestRunDistributed:
     def test_zero_rounds_rejected(self, bench_sys, bench_noise):
         g = build_graph("ring:4")
         with pytest.raises(ValueError, match="rounds must be >= 1"):
-            run_seeds(bench_sys, bench_noise, g, allocate_gains(g, (2, 1), "uniform"),
-                      Schedule(), 0, [RngStream(0)])
+            run_learners(bench_sys, bench_noise,
+                         [(g, allocate_gains(g, (2, 1), "uniform"), {})],
+                         Schedule(), 0, [RngStream(0)])
 
     @pytest.mark.parametrize("scale", [float("nan"), -1.0])
     def test_bad_spread_scale_rejected(self, bench_sys, bench_noise, scale):
@@ -521,23 +521,26 @@ def assert_same_trace(batch, solo):
 
 
 class TestRunSeeds:
-    """A seed learned inside a batch gives the bits of its run alone."""
+    """A seed learned inside a one-kind run_learners batch gives the bits of
+    its run alone."""
 
     @pytest.fixture(scope="class")
     def preset(self):
         cfg = load_preset("paper_sec4")
         return cfg, solve_oracle(cfg.system, cfg.noise)
 
-    def check_batch(self, cfg, graph, gains, sched, rounds, seeds, **options):
+    def check_batch(self, cfg, graph, gains, sched, rounds, seeds, oracle=None,
+                    **options):
         rngs = [RngStream(seed) for seed in seeds]
-        batch = run_seeds(cfg.system, cfg.noise, graph, gains, sched, rounds,
-                          rngs, **options)
+        batch = run_learners(cfg.system, cfg.noise, [(graph, gains, options)],
+                             sched, rounds, rngs, oracle=oracle)
         assert len(batch) == len(seeds)
         outcomes = {}
-        for seed, result in zip(seeds, batch):
+        for seed, (result,) in zip(seeds, batch):
             try:
                 solo = run_distributed(cfg.system, cfg.noise, graph, gains,
-                                       sched, rounds, RngStream(seed), **options)
+                                       sched, rounds, RngStream(seed),
+                                       oracle=oracle, **options)
             except DivergedError as exc:
                 assert isinstance(result, DivergedError)
                 assert (result.step, result.sensor, result.norm, str(result)) == (
@@ -594,13 +597,14 @@ class TestRunSeeds:
     def test_no_streams(self, preset):
         cfg, _ = preset
         gains = allocate_gains(cfg.graph, (2, 1), "uniform")
-        assert run_seeds(cfg.system, cfg.noise, cfg.graph, gains, cfg.schedule,
-                         10, []) == []
+        assert run_learners(cfg.system, cfg.noise, [(cfg.graph, gains, {})],
+                            cfg.schedule, 10, []) == []
 
 
 class TestRunLearners:
     """Kinds stepped together on one stack give, seed by seed, what each
-    kind's run_seeds alone gives on the seeds no earlier kind stopped."""
+    kind's run_distributed alone gives on the seeds no earlier kind
+    stopped."""
 
     @pytest.fixture(scope="class")
     def preset(self):
@@ -613,14 +617,16 @@ class TestRunLearners:
         assert len(stacked) == len(seeds)
         alone = {seed: [] for seed in seeds}
         for graph, gains, options in kinds:
-            learning = [seed for seed in seeds
-                        if not any(isinstance(r, DivergedError) for r in alone[seed])]
-            results = run_seeds(cfg.system, cfg.noise, graph, gains, sched, rounds,
-                                [RngStream(seed) for seed in learning],
-                                oracle=oracle, **options)
             for seed in seeds:
-                alone[seed].append(results[learning.index(seed)]
-                                   if seed in learning else None)
+                if any(isinstance(r, DivergedError) for r in alone[seed]):
+                    alone[seed].append(None)
+                    continue
+                try:
+                    alone[seed].append(run_distributed(
+                        cfg.system, cfg.noise, graph, gains, sched, rounds,
+                        RngStream(seed), oracle=oracle, **options))
+                except DivergedError as exc:
+                    alone[seed].append(exc)
         outcomes = {}
         for seed, got in zip(seeds, stacked):
             assert len(got) == len(kinds)

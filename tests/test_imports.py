@@ -107,3 +107,14 @@ def test_distributed_imports_nothing_from_qlearning():
                for target, node in intra_package_imports(parse("distributed"))]
     assert imports, "no package import read from distributed.py"
     assert not [line for target, line in imports if target == "qlearning"]
+
+
+def test_all_lists_every_name_init_imports():
+    tree = parse("__init__")
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    (listed,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["__all__"]]
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == sorted(imported)
