@@ -3,17 +3,16 @@
 All randomness flows through RngStream, a counter-based Philox stream keyed
 by (seed, stream_id). Gaussian draws use inverse-CDF over 53-bit uniforms, so
 a (seed, stream_id) pair yields bit-identical sequences across runs and
-platforms. Substreams (Monte Carlo runs, per-sensor noise) are derived
-through SeedSequence spawn keys and can never collide with each other.
+platforms. Substreams (Monte Carlo runs, per-sensor noise) are addressed by
+their spawn path and can never collide with each other.
 
-A stream's Philox key is SeedSequence(seed, spawn_key=(stream_id,
-*indices)).generate_state(2, np.uint64), but no SeedSequence is built:
-_stream_keys runs SeedSequence's hash, which NEP 19 keeps stable, as uint64
-array steps over many streams at once. Philox is counter-based (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): word i of a key
-depends only on the key and i. So a stream is its key and the count of words
-it has drawn, and a draw call sets one Philox generator to each stream's key
-and counter in turn, instead of keeping a generator object per stream.
+Philox is counter-based (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11): word i of a stream depends only on its key and the
+counter of its 4-word block, so streams need no hash. A stream's key is
+[seed, stream_id]; its counter is (block, depth, i1, i2), its spawn path of
+at most two indices in the upper words (unused ones 0). Distinct paths never
+share a counter, so streams of fewer than 2**66 words are disjoint. A draw
+call sets one Philox generator to each stream's key and counter in turn.
 
 The inverse normal CDF is a numpy port of Moshier's Cephes ndtri (Methods
 and Programs for Mathematical Functions, 1989): a rational approximation in
@@ -35,7 +34,6 @@ rollout builds it once per batch and replaces that.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
@@ -67,6 +65,10 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 # rest the transform's temporaries, each an array of 64 KB or less. The
 # chunking never changes a draw: each row has draw_noise's bits.
 _CHUNK_DRAWS = 2**13
+
+# Spawn indices a stream's counter has room for beside its depth: Philox's
+# counter has four words, and the lowest counts blocks.
+_MAX_DEPTH = 2
 
 # Cephes ndtri: sqrt(2 pi), e^-2, and the coefficients, highest degree
 # first. The Q polynomials are monic; their leading 1 is left out.
@@ -159,22 +161,28 @@ class RngStream:
     """One logical random stream per experiment component.
 
     Identical (seed, stream_id) always reproduce the same draws. A stream is
-    its Philox key, derived once from (seed, stream_id, substream indices),
-    and the count of raw words it has drawn; it holds no generator.
+    its Philox key [seed, stream_id], its spawn path of at most _MAX_DEPTH = 2
+    indices as upper counter words (depth, i1, i2), and the count of raw
+    words it has drawn; it holds no generator.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _spawn: tuple[int, ...] = ()):
         _check_word(seed, "seed")
         _check_word(stream_id, "stream_id")
+        if len(_spawn) > _MAX_DEPTH:
+            raise ValueError(f"a substream path has at most {_MAX_DEPTH} indices, "
+                             f"got {len(_spawn)}")
         self.seed = seed
         self.stream_id = stream_id
         self._spawn = _spawn
-        self._key: list[int] | None = None  # set by _key_streams
+        self._key = (int(seed), int(stream_id))
+        self._path = (len(_spawn), *map(int, _spawn), 0, 0)[:_MAX_DEPTH + 1]
         self._pos = 0  # raw words drawn
 
     def substream(self, *indices: int) -> "RngStream":
         """Fresh derived stream; disjoint from this one and all siblings. It
-        needs an index: with none, it would draw this stream's own tape."""
+        needs an index: with none, it would draw this stream's own tape.
+        substream(a, b) is substream(a).substream(b)."""
         if not indices:
             raise ValueError("substream needs at least one index")
         for index in indices:
@@ -197,7 +205,6 @@ class RngStream:
         reaches it, so every other draw keeps its bits.
         """
         out = np.empty(1 if size is None else size)
-        _key_streams([self])
         _uniform_rows(out.reshape(1, -1), [self], np.random.Philox(0))
         return out[0] if size is None else out
 
@@ -206,143 +213,26 @@ class RngStream:
 
 
 def _check_word(value, name: str) -> None:
-    """value must be an integer (not a bool) in [0, 2**64), as SeedSequence
-    takes each entry of a key; else ValueError naming it."""
+    """value must be an integer (not a bool) in [0, 2**64), one 64-bit word
+    of a Philox key or counter; else ValueError naming it."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or not 0 <= value < 2**64):
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
-# Streams keyed per _stream_keys pass, and held at a time by _noise_paths.
-# A pass over this many streams peaks near 0.5 MB under
-# tracemalloc (numpy 2.4), its key entries and (streams, words) uint64
-# temporaries; about 0.2 ms of each pass is fixed cost, so fewer, larger
-# passes are cheaper per stream.
-_KEY_BLOCK = 2**10
-
-# SeedSequence's hash (numpy/random/bit_generator.pyx), which NEP 19 keeps
-# stable: hashmix constants, the mix multipliers, and the 4-word pool.
-_M32 = np.uint64(0xFFFFFFFF)
-_XSHIFT = np.uint64(16)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
-_POOL = 4
-
-
-@functools.lru_cache
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult^k mod 2^32 for k = 0 .. count-1: the hash constant that
-    the k-th hashmix call starts from. Read-only, as it is cached."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    consts = np.array(out, dtype=np.uint64)
-    consts.flags.writeable = False
-    return consts
-
-
-def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix on 32-bit words held in uint64, for calls that
-    start from the hash constants xor and end on mul (the next constants)."""
-    x = x ^ xor
-    x *= mul
-    x &= _M32
-    x ^= x >> _XSHIFT
-    return x
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix(x, y), in place on x; the uint64 difference wraps
-    modulo 2^64, so its low 32 bits are the uint32 result."""
-    x *= _MIX_L
-    x -= y * _MIX_R
-    x &= _M32
-    x ^= x >> _XSHIFT
-    return x
-
-
-def _pool_keys(words: np.ndarray) -> np.ndarray:
-    """Philox keys of n streams from their (n, 4 + L) assembled entropy
-    words: mix_entropy, then generate_state(2, np.uint64)."""
-    L = words.shape[1] - _POOL
-    # hashmix calls: the pool's words, then 3 per pool word mixed into the
-    # others, then 4 per word past the pool.
-    ca = _hash_consts(_INIT_A, _MULT_A, _POOL + 12 + 4 * L + 1)
-    pool = _hashmix(words[:, :_POOL], ca[:_POOL], ca[1:_POOL + 1])
-    k = _POOL
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst],
-                            _hashmix(pool[:, src, None], ca[k:k + 3], ca[k + 1:k + 4]))
-        k += 3
-    # A word past the pool is hashed once per pool word with constants that
-    # do not depend on the data, so all those hashes are one step; the mixes
-    # into the pool then go word by word.
-    extra = _hashmix(words[:, _POOL:, None], ca[k:k + 4 * L].reshape(L, 4),
-                     ca[k + 1:k + 4 * L + 1].reshape(L, 4))
-    for j in range(L):
-        _mix(pool, extra[:, j])
-    cb = _hash_consts(_INIT_B, _MULT_B, _POOL + 1)
-    state = _hashmix(pool, cb[:_POOL], cb[1:])
-    # generate_state's uint32 words, read as little-endian uint64 pairs.
-    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
-
-
-def _stream_keys(rngs: Sequence[RngStream]) -> np.ndarray:
-    """The (len(rngs), 2) uint64 Philox keys of the streams,
-    SeedSequence(seed, spawn_key=(stream_id, *spawn)).generate_state(2,
-    np.uint64) bit for bit, in one array pass per group of equal word count.
-
-    The spawn key is never empty, so SeedSequence pads the seed's one or two
-    32-bit words to the 4-word pool; each spawn entry adds one word, or two
-    from 2^32 on. Streams are grouped by the number of entries, then by the
-    number of words.
-    """
-    keys = np.empty((len(rngs), 2), dtype=np.uint64)
-    groups: dict[int, list[int]] = {}
-    for i, rng in enumerate(rngs):
-        groups.setdefault(len(rng._spawn), []).append(i)
-    for rows in groups.values():
-        ints = np.array([(rngs[i].seed, rngs[i].stream_id, *rngs[i]._spawn)
-                         for i in rows], dtype=np.uint64)
-        lo, hi = ints & _M32, ints >> np.uint64(32)
-        seed_words = np.zeros((len(rows), _POOL), dtype=np.uint64)
-        seed_words[:, 0], seed_words[:, 1] = lo[:, 0], hi[:, 0]
-        # Each entry's (low, high) words, the high one kept only if nonzero.
-        spawn = np.stack([lo[:, 1:], hi[:, 1:]], axis=2).reshape(len(rows), -1)
-        kept = np.ones(spawn.shape, dtype=bool)
-        kept[:, 1::2] = hi[:, 1:] > 0
-        counts = kept.sum(axis=1)
-        rows = np.array(rows)
-        for count in set(counts.tolist()):
-            same = counts == count
-            words = np.concatenate(
-                [seed_words[same], spawn[same][kept[same]].reshape(-1, count)], axis=1)
-            keys[rows[same]] = _pool_keys(words)
-    return keys
-
-
-def _key_streams(rngs: Sequence[RngStream]) -> None:
-    """Key every stream of rngs that has no key yet, in one _stream_keys pass."""
-    todo = [rng for rng in rngs if rng._key is None]
-    for rng, key in zip(todo, _stream_keys(todo).tolist()):
-        rng._key = key
-
-
 def _raw_words(bits: np.random.Philox, rng: RngStream, size: int) -> np.ndarray:
-    """The next size raw 64-bit words of the keyed stream rng, drawn by the
-    Philox generator bits after re-keying it; advances rng. Each draw call
+    """The next size raw 64-bit words of the stream rng, drawn by the Philox
+    generator bits set to rng's key and counter; advances rng. Each draw call
     makes its own bits, so streams drawn on different threads share none.
 
-    Philox draws word i of a key from block i // 4 of four words, which it
-    makes after advancing its counter. So the state (key, counter = pos // 4,
-    buffer spent) followed by pos % 4 discarded words resumes at word pos.
+    Philox makes block b, words 4b .. 4b + 3, after advancing its lowest
+    counter word to b + 1. So the state (key, counter (pos // 4, depth, i1,
+    i2), buffer spent) and pos % 4 discarded words resume at word pos.
     """
     pos = rng._pos
     bits.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (pos >> 2, 0, 0, 0), "key": rng._key},
+        "state": {"counter": (pos >> 2, *rng._path), "key": rng._key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -356,7 +246,7 @@ def _raw_words(bits: np.random.Philox, rng: RngStream, size: int) -> np.ndarray:
 
 def _uniform_rows(out: np.ndarray, rngs: Sequence[RngStream],
                   bits: np.random.Philox) -> None:
-    """Fill row i of the float array out with uniform_open draws of the keyed
+    """Fill row i of the float array out with uniform_open draws of the
     stream rngs[i]: each row's raw words go into out's memory, then all rows
     become uniforms in one in-place step."""
     raw = out.view(np.uint64)
@@ -384,28 +274,25 @@ def draw_noise(rng: RngStream, noise: NoiseModel, size: int | None = None):
 
 def _noise_paths(rngs: Iterable[RngStream], noise: NoiseModel,
                  size: int) -> Iterator[np.ndarray]:
-    """Yield draw_noise(rng, noise, size) for each stream of rngs, in order
-    and bit for bit, as a view of one buffer that the next chunk overwrites.
+    """Yield the draw_noise(rng, noise, size) paths of the streams of rngs,
+    in order and bit for bit, a chunk at a time: each chunk is a (rows, size)
+    view of one buffer that the next chunk overwrites.
 
-    Streams are taken and keyed _KEY_BLOCK at a time. The buffer holds at
-    most about _CHUNK_DRAWS draws (one row if a row is longer) and no more
-    rows than the first block has streams; each chunk of rows is drawn by
-    one Philox, re-keyed per row, and transformed in one inverse-CDF call.
+    A chunk holds at most about _CHUNK_DRAWS draws (one row if a row is
+    longer) and takes its streams from rngs as it is drawn: one Philox, set
+    to each row's stream in turn, and one inverse-CDF call.
     """
     streams = iter(rngs)
     rows = max(1, _CHUNK_DRAWS // max(size, 1))
     bits = np.random.Philox(0)
     buf = None
-    while block := list(itertools.islice(streams, _KEY_BLOCK)):
-        _key_streams(block)
+    while chunk := list(itertools.islice(streams, rows)):
         if buf is None:
-            buf = np.empty((min(rows, len(block)), size))
-        for start in range(0, len(block), len(buf)):
-            chunk = block[start:start + len(buf)]
-            paths = buf[:len(chunk)]
-            _uniform_rows(paths, chunk, bits)
-            paths[:] = _gaussian(paths, noise)
-            yield from paths
+            buf = np.empty((len(chunk), size))
+        paths = buf[:len(chunk)]
+        _uniform_rows(paths, chunk, bits)
+        paths[:] = _gaussian(paths, noise)
+        yield paths
 
 
 def draw_noise_rows(
@@ -415,11 +302,14 @@ def draw_noise_rows(
     size), bit for bit; advances each stream by size draws.
 
     The rows come from _noise_paths, as monte_carlo_cost's paths do, so a
-    draw over many streams makes few inverse-CDF calls and stays small.
+    draw over many streams makes few inverse-CDF calls and stays small; each
+    chunk is copied into the output once.
     """
     out = np.empty((len(rngs), size))
-    for row, path in zip(out, _noise_paths(rngs, noise, size)):
-        row[:] = path
+    start = 0
+    for paths in _noise_paths(rngs, noise, size):
+        out[start:start + len(paths)] = paths
+        start += len(paths)
     return out
 
 
@@ -553,7 +443,7 @@ def monte_carlo_cost(
     Each run owns the private substream rng.substream(run_index), so results
     do not depend on execution order; the reduction is by run index. The
     runs' paths come from _noise_paths, as draw_noise_rows's rows do, so one
-    key block of streams and one chunk of paths are held at a time. The
+    chunk of streams and their paths is held at a time. The
     stability check builds K's closed loop on sys, and every run's rollout
     reuses it. Requires a mean-square stabilizing K (the infinite-horizon
     cost diverges otherwise) and raises DivergedError if any rollout
@@ -570,7 +460,8 @@ def monte_carlo_cost(
 
     totals = np.empty(n_runs)
     streams = (rng.substream(run) for run in range(n_runs))
-    for run, w in enumerate(_noise_paths(streams, noise, horizon)):
+    paths = itertools.chain.from_iterable(_noise_paths(streams, noise, horizon))
+    for run, w in enumerate(paths):
         traj = simulate_trajectory(sys, K, x0, w)
         if traj.overflow:
             raise DivergedError(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from lqlearn import (
     NoiseModel,
@@ -152,15 +153,20 @@ class TestCentralizedStep:
 
         rng = RngStream(0)
         omega = draw_noise(rng, bench_noise)
-        assert omega == pytest.approx(1.1854360793774206, abs=1e-15)
+        assert omega == pytest.approx(0.2815671511262472, abs=1e-15)
+        # The literal is also NumPy's own Philox at key [0, 0] and counter 0,
+        # through scipy's inverse normal CDF.
+        philox = np.random.Philox(key=[0, 0], counter=[0, 0, 0, 0])
+        u = (np.random.Generator(philox).integers(0, 2**53) + 0.5) / 2.0**53
+        assert 1.0 + np.sqrt(0.1) * scipy.special.ndtri(u) == 0.2815671511262472
         state = bench_sys.cost_block()[None]
         nxt = centralized_step(state, 0, bench_sys, realize(bench_sys, omega),
                                Schedule())
         expected = np.array(
             [
-                [0.6798673281850312, 0.0, 0.22245333408302007],
-                [0.0, 1.8071785974069208, 0.8078904100264277],
-                [0.22245333408302007, 0.8078904100264277, 1.7663222938591916],
+                [0.44161359333008504, 0.0, 0.07630683934045053],
+                [0.0, 1.0145248941893046, 0.1894561383821556],
+                [0.07630683934045053, 0.1894561383821556, 1.254043989772172],
             ]
         )
         assert nxt[0] == pytest.approx(expected, abs=1e-14)

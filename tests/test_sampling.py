@@ -121,20 +121,12 @@ class TestRngStream:
         # The top 53 bits of each raw Philox word are what
         # Generator.integers(0, 2**53) returns for it, draw by draw, for
         # keys below and above 2^32 in every position.
-        rng = RngStream(seed, stream_id)
-        if spawn:
-            rng = rng.substream(*spawn)
-        seq = np.random.SeedSequence(seed, spawn_key=(stream_id, *spawn))
-        gen = np.random.Generator(np.random.Philox(seq))
-
-        def expected(size=None):
-            raw = gen.integers(0, 2**53, size=size)
-            return np.minimum((raw + 0.5) / 2.0**53, np.nextafter(1.0, 0.0))
-
-        assert rng.uniform_open() == expected()
-        assert np.array_equal(rng.uniform_open(1000), expected(1000))
+        rng = stream(seed, stream_id, spawn)
+        gen = philox_generator(seed, stream_id, spawn)
+        assert rng.uniform_open() == reference_uniforms(gen)
+        assert np.array_equal(rng.uniform_open(1000), reference_uniforms(gen, 1000))
         assert rng.uniform_open(0).shape == (0,)
-        assert rng.uniform_open() == expected()
+        assert rng.uniform_open() == reference_uniforms(gen)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -152,14 +144,34 @@ class TestRngStream:
         (lambda: RngStream(0).substream(3).substream(0, -1),
          "substream index must be an integer in"),
         (lambda: RngStream(5, 1).substream(), "substream needs at least one index"),
+        (lambda: RngStream(0).substream(1, 2, 3),
+         "a substream path has at most 2 indices, got 3"),
+        (lambda: RngStream(0).substream(1).substream(2).substream(3),
+         "a substream path has at most 2 indices, got 3"),
     ], ids=["id-negative", "id-2^64", "seed-float", "seed-bool", "index-negative",
-            "index-float", "index-bool", "index-2^64", "nested-negative", "index-none"])
+            "index-float", "index-bool", "index-2^64", "nested-negative", "index-none",
+            "depth-3", "chained-depth-3"])
     def test_rejects_bad_key_entry_where_it_is_given(self, make, message):
         # A negative index would otherwise be built and fail at the first
-        # draw, a float fail naming the seed, True alias index 1, and no
-        # index at all give the parent's own key and tape.
+        # draw, a float fail naming the seed, True alias index 1, no index
+        # at all give the parent's own key and tape, and a third index find
+        # no counter word to go in.
         with pytest.raises(ValueError, match=message):
             make()
+
+    def test_root_and_zero_paths_draw_distinct_tapes(self):
+        # All three have index words 0; only the depth word tells them apart.
+        root = RngStream(4, 2)
+        tapes = [rng.uniform_open(8).tobytes()
+                 for rng in (root, root.substream(0), root.substream(0, 0))]
+        assert len(set(tapes)) == 3
+
+    def test_two_indices_at_once_equal_two_calls(self):
+        noise = NoiseModel(0.0, 1.0)
+        for i, j in [(0, 0), (3, 2**64 - 1)]:
+            assert same_bits(draw_noise(RngStream(6, 1).substream(i, j), noise, 9),
+                             draw_noise(RngStream(6, 1).substream(i).substream(j),
+                                        noise, 9))
 
     def test_numpy_integer_entries_accepted(self):
         noise = NoiseModel(0.0, 1.0)
@@ -168,55 +180,63 @@ class TestRngStream:
                          draw_noise(RngStream(5, 2).substream(7), noise, 8))
 
 
-# Key entries at the edges of one and two 32-bit words.
+# Key and index words at the edges of one and two 32-bit words.
 EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1]
 
 
-def seed_sequence_key(seed, stream_id, spawn=()):
-    return np.random.SeedSequence(seed, spawn_key=(stream_id, *spawn)).generate_state(
-        2, np.uint64)
+def stream(seed, stream_id, spawn=()):
+    """RngStream(seed, stream_id), spawned along the path spawn if any."""
+    rng = RngStream(seed, stream_id)
+    return rng.substream(*spawn) if spawn else rng
+
+
+def philox_generator(seed, stream_id, spawn=()):
+    """NumPy's own Philox at a stream's key [seed, stream_id] and counter
+    [0, depth, i1, i2], unused index words 0, as a Generator."""
+    counter = (0, len(spawn), *spawn, 0, 0)[:4]
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream_id], dtype=np.uint64),
+        counter=np.array(counter, dtype=np.uint64)))
+
+
+def reference_uniforms(gen, size=None):
+    """uniform_open's uniforms from Generator.integers(0, 2**53)."""
+    raw = gen.integers(0, 2**53, size=size)
+    return np.minimum((raw + 0.5) / 2.0**53, np.nextafter(1.0, 0.0))
+
+
+def reference_noise(seed, stream_id, spawn, noise, size):
+    """draw_noise's path of a stream, from NumPy's Philox and scipy's ndtri."""
+    u = reference_uniforms(philox_generator(seed, stream_id, spawn), size)
+    return noise.mu + np.sqrt(noise.sigma2) * scipy.special.ndtri(u)
 
 
 class TestStreamKeys:
     @pytest.mark.parametrize("seed", EDGES)
     @pytest.mark.parametrize("stream_id", EDGES)
-    def test_key_is_the_seed_sequence_state(self, seed, stream_id):
-        for spawn in [(), *((i,) for i in EDGES), (2**64 - 1, 0, 2**32)]:
-            rng = RngStream(seed, stream_id)
-            if spawn:
-                rng = rng.substream(*spawn)
-            key = sampling._stream_keys([rng])
-            assert key.dtype == np.uint64 and key.shape == (1, 2)
-            assert np.array_equal(key[0], seed_sequence_key(seed, stream_id, spawn)), spawn
+    def test_stream_is_numpys_philox(self, seed, stream_id):
+        # Depths 0, 1 and 2, every index word at the edges; 9 draws cross a
+        # 4-word block.
+        for spawn in [(), *((i,) for i in EDGES),
+                      *((i, j) for i in EDGES for j in EDGES)]:
+            gen = philox_generator(seed, stream_id, spawn)
+            assert np.array_equal(stream(seed, stream_id, spawn).uniform_open(9),
+                                  reference_uniforms(gen, 9)), spawn
 
-    def test_batch_of_mixed_word_counts(self):
-        # One pass over streams whose keys have 1 to 3 spawn entries of one
-        # or two words each, in shuffled order.
+    def test_batch_of_mixed_depths(self, monkeypatch):
+        # One draw_noise_rows call over streams of depths 0 to 2, in shuffled
+        # order and 12-row chunks, each row checked against the reference.
+        monkeypatch.setattr(sampling, "_CHUNK_DRAWS", 60)
         g = np.random.default_rng(5)
         pick = [*EDGES, 1, 2**31, 2**40 + 3, 2**63]
-        entries = [tuple(pick[i] for i in g.integers(len(pick), size=g.integers(3, 6)))
+        entries = [tuple(pick[i] for i in g.integers(len(pick), size=g.integers(2, 5)))
                    for _ in range(300)]
-        rngs = [RngStream(e[0], e[1]).substream(*e[2:]) for e in entries]
-        keys = sampling._stream_keys(rngs)
-        assert keys.shape == (300, 2)
-        for key, e in zip(keys, entries):
-            assert np.array_equal(key, seed_sequence_key(e[0], e[1], e[2:]))
-
-    def test_no_streams(self):
-        assert sampling._stream_keys([]).shape == (0, 2)
-
-    def test_keys_passes_of_at_most_a_block(self, monkeypatch):
-        passes = []
-        stream_keys = sampling._stream_keys
-        monkeypatch.setattr(sampling, "_KEY_BLOCK", 4)
-        monkeypatch.setattr(sampling, "_stream_keys",
-                            lambda rngs: passes.append(len(rngs)) or stream_keys(rngs))
-        rngs = [RngStream(3, 1).substream(i) for i in range(10)]
-        rows = draw_noise_rows(rngs, NoiseModel(0.0, 1.0), 6)
-        assert passes == [4, 4, 2]
-        for i, row in enumerate(rows):
-            assert same_bits(row, draw_noise(RngStream(3, 1).substream(i),
-                                             NoiseModel(0.0, 1.0), 6))
+        assert {len(e) - 2 for e in entries} == {0, 1, 2}
+        noise = NoiseModel(1.0, 0.1)
+        rows = draw_noise_rows([stream(e[0], e[1], e[2:]) for e in entries], noise, 5)
+        assert rows.shape == (300, 5)
+        for row, e in zip(rows, entries):
+            assert same_bits(row, reference_noise(e[0], e[1], e[2:], noise, 5)), e
 
     def test_drawing_in_pieces_equals_one_draw(self):
         # Pieces end at every offset within Philox's 4-word blocks.
@@ -227,21 +247,13 @@ class TestStreamKeys:
 
     def test_monte_carlo_builds_no_generator_per_run(self, monkeypatch, bench_sys,
                                                      bench_noise, bench_oracle):
-        built = {"SeedSequence": 0, "Philox": 0}
-
-        def counting(name):
-            cls = getattr(np.random, name)
-
-            def make(*args, **kwargs):
-                built[name] += 1
-                return cls(*args, **kwargs)
-            return make
-
-        for name in built:
-            monkeypatch.setattr(np.random, name, counting(name))
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *args, **kwargs: built.append(1) or philox(*args, **kwargs))
         monte_carlo_cost(bench_sys, bench_noise, bench_oracle.K_star, [1.0, 1.0],
                          400, 250, RngStream(0, 1))
-        assert built["SeedSequence"] + built["Philox"] <= 2, built
+        assert len(built) <= 2, built
 
 
 class TestDrawNoise:
@@ -364,8 +376,6 @@ class TestDrawNoiseRows:
         # 0.4 MB at 2**13 draws a chunk, 2.9 MB at 2**16).
         noise = NoiseModel(1.0, 0.1)
         rngs = [RngStream(7, 1).substream(run) for run in range(250)]
-        for rng in rngs:
-            rng.uniform_open(0)  # keys each stream before tracing
         tracemalloc.start()
         try:
             rows = draw_noise_rows(rngs, noise, 400)
@@ -773,10 +783,9 @@ class TestMonteCarloCost:
         assert est.mean == float(totals.mean())
         assert est.std_err == float(totals.std(ddof=1) / np.sqrt(5))
 
-        # 3-stream key blocks of 7 runs: chunks of 2, 1 | 2, 1 | 1, so a chunk
-        # ends inside a key block as well as at its edge. Each rollout gets
-        # its own run's path, bit for bit.
-        monkeypatch.setattr(sampling, "_KEY_BLOCK", 3)
+        # 7 runs: chunks of 2, 2, 2 and 1, so the last chunk ends halfway
+        # through the buffer. Each rollout gets its own run's path, bit for
+        # bit.
         paths = []
         simulate = sampling.simulate_trajectory
         monkeypatch.setattr(sampling, "simulate_trajectory",
@@ -804,10 +813,9 @@ class TestMonteCarloCost:
                                        [1.0, 1.0], 50, 20, RngStream(5))
 
     def test_memory_stays_bounded(self, bench_sys, bench_noise, bench_oracle):
-        # 2000 runs of 400 steps cross a 1024-stream key block. One key block
-        # of streams and one chunk of paths are held at a time: about 0.9 MB
-        # under tracemalloc (numpy 2.4), where all 2000 paths at once would
-        # be 6.4 MB.
+        # 2000 runs of 400 steps. One chunk of streams and their paths is
+        # held at a time: about 0.5 MB under tracemalloc (numpy 2.4), where
+        # all 2000 paths at once would be 6.4 MB.
         args = bench_sys, bench_noise, bench_oracle.K_star, [1.0, 1.0], 400
         monte_carlo_cost(*args, 2, RngStream(8))  # fills caches built on first use
         tracemalloc.start()
