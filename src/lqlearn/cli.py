@@ -11,9 +11,10 @@ counts every kind's traces, bounds the floats a group's traces hold, and so
 a round's (S, N, d, d) temporaries). Each group is one
 distributed.run_learners call that steps all kinds together, the
 centralized first; then each seed writes its traces, plots and summary
-entry, kind by kind, and a seed that diverged under one kind has no
-outcome for the later ones. Every output file and log line is the same as
-when each kind and seed runs alone, in seed order.
+entry, kind by kind. run_learners gives every kind its own outcome; the
+rule that a seed which diverged under one kind has no outcome for the
+later ones lives in _run_group alone. Every output file and log line is
+the same as when each kind and seed runs alone, in seed order.
 
 `validate-controller` takes the oracle from the G* that the run stored in
 summary.json once one Picard step certifies it under the given config (the
@@ -232,9 +233,10 @@ def _run_group(
     out_dir: Path,
 ) -> list[dict]:
     """Learn a group of seeds, all kinds in one run_learners call, and write
-    each seed's traces, plots and summary entry; a seed that diverges under
-    one kind has no outcome for the next. Logs each seed's outcome in seed
-    order."""
+    each seed's traces, plots and summary entry, kind by kind, up to the
+    seed's first DivergedError: the later kinds' outcomes, which
+    run_learners still returns, are skipped. Logs each seed's outcome in
+    seed order."""
     entries = {seed: {"seed": seed, "status": "ok"} for seed in seeds}
     errors = {}
     for seed in seeds:
@@ -255,10 +257,10 @@ def _run_group(
             if isinstance(trace, DivergedError):
                 errors[seed] = trace
                 _diverged_entry(entries[seed], kind, trace)
-            elif trace is not None:
-                trace.write_csv(seed_dir / name.format(kind))
-                _plot_trace(trace, seed_dir / "plots", kind)
-                entries[seed][kind] = _trace_stats(trace)
+                break
+            trace.write_csv(seed_dir / name.format(kind))
+            _plot_trace(trace, seed_dir / "plots", kind)
+            entries[seed][kind] = _trace_stats(trace)
     for seed in seeds:
         if seed in errors:
             log.warning("seed %d %s learner diverged: %s", seed,

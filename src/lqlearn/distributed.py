@@ -21,18 +21,19 @@ holds every kind's neighbor_columns, offset by the kind's first sensor and
 padded with the sensor itself. So a round is one y_operator call, one gain
 scaling, one mixing step, one symmetrize and one guard for all kinds and
 seeds. Mixing takes one pass per column of that table, so a round's memory
-is linear in the sensors. A seed that trips the guard leaves the stack and
-the others go on; each seed's traces and errors equal those of each kind's
-run alone, bit for bit. run_distributed is its one-kind, one-seed case
-and distributed_round one round of one bank. Only the two SVDs of each
-G_uu block still run block by block, inside lqcore._pinv_uu. With a
-single sensor and L_1 = I the round is exactly the centralized iteration,
-which is how lqlearn.qlearning runs it.
+is linear in the sensors. A kind that trips the guard for a seed settles:
+its sensors restart from their initial estimates every round, unguarded
+and unrecorded, while the seed's other kinds learn on. A seed leaves the
+stack once all its kinds have settled. Each seed's traces and errors equal
+those of each kind's run alone, bit for bit. run_distributed is its
+one-kind, one-seed case and distributed_round one round of one bank. Only
+the two SVDs of each G_uu block still run block by block, inside
+lqcore._pinv_uu. With a single sensor and L_1 = I the round is exactly the
+centralized iteration, which is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -136,16 +137,16 @@ def _round(
     w: np.ndarray,
     gains: np.ndarray,
     alpha: float,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One round on a stack of banks G, shape S + (N, d, d), at step size
     alpha, with the neighbour table and weights of _mixing (or one graph's
     neighbor_columns and its scalar w) and the (N, d, 1) gain diagonals;
     Uk broadcasts to S + (N, n, n+m).
 
-    Returns the post-round stack and, for each index in S whose bank left the
-    guard, its first sensor outside it and that sensor's norm. Every bank of
-    the stack gets the bits of a round on its own, and every temporary is a
-    stack of S + (N, ...) blocks: none is N x N.
+    Returns the post-round stack and its S + (N,) Frobenius norms, which
+    the callers hold to the guard. Every bank of the stack gets the bits of
+    a round on its own, and every temporary is a stack of S + (N, ...)
+    blocks: none is N x N.
     """
     Y = y_operator(G, Uk, sys.Q, sys.R)
     # alpha * (gains * Y), scaled in place in that order.
@@ -156,20 +157,14 @@ def _round(
 
     # The norms as np.linalg.norm(G, axis=(-2, -1)) takes them, minus its
     # dispatch.
-    norms = np.sqrt(np.add.reduce(G * G, axis=(-2, -1)))
-    tripped = {}
-    # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
-    if not norms.max() <= DIVERGENCE_CAP:
-        for s in np.ndindex(norms.shape[:-1]):
-            out = ~(norms[s] <= DIVERGENCE_CAP)
-            if out.any():
-                i = int(out.argmax())
-                tripped[s] = (i, float(norms[s][i]))
-    return G, tripped
+    return G, np.sqrt(np.add.reduce(G * G, axis=(-2, -1)))
 
 
-def _diverged(sensor: int, norm: float, k: int) -> DivergedError:
-    """The error of a bank whose sensor left the guard in round k + 1."""
+def _diverged(norms: np.ndarray, k: int) -> DivergedError:
+    """The error of a bank whose sensors' norms after round k + 1 are norms,
+    naming the first sensor outside the guard."""
+    sensor = int((~(norms <= DIVERGENCE_CAP)).argmax())
+    norm = float(norms[sensor])
     return DivergedError(
         f"sensor {sensor} left ||G||_F <= {DIVERGENCE_CAP:g} "
         f"(norm {norm:g}) at round {k + 1}",
@@ -211,11 +206,12 @@ def distributed_round(
     if G.shape[1:] != (d, d):
         raise ValueError(f"bank must have shape {(G.shape[0], d, d)}, got {G.shape}")
     _check_gains(gains, G.shape[0], sys)
-    G, tripped = _round(G, np.asarray(Uk, dtype=float), sys,
-                        cons.graph.neighbor_columns, cons.w,
-                        np.asarray(gains, dtype=float)[:, :, None], sched.alpha(k))
-    if tripped:
-        raise _diverged(*tripped[()], k)
+    G, norms = _round(G, np.asarray(Uk, dtype=float), sys,
+                      cons.graph.neighbor_columns, cons.w,
+                      np.asarray(gains, dtype=float)[:, :, None], sched.alpha(k))
+    # max() propagates NaN, and "not <=" is true for NaN as well as overflow.
+    if not norms.max() <= DIVERGENCE_CAP:
+        raise _diverged(norms, k)
     return G
 
 
@@ -306,11 +302,12 @@ def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
     """Step the kinds from the (S, N, d, d) stack G over the noise tape
     (see _noise_tape); returns run_learners's outcomes.
 
-    A seed leaves the stack at its first trip. The outcome of the kind
-    that tripped is its error; if an earlier kind of that seed had not
-    tripped yet, the earlier kinds are learned again alone, from the
-    seed's initial estimates and tape, and an error among them stands in
-    for it.
+    A kind that trips the guard for a seed settles: its outcome is its
+    error, and from then on its sensors restart from their initial
+    estimates in G every round, so they stay finite, and are neither
+    guarded nor recorded. Kinds share no sensor, so the seed's other kinds
+    learn on with the bits of their runs alone. A seed leaves the stack
+    once all its kinds have settled.
     """
     rounds, S = tape.shape[:2]
     sizes = [kind.cons.graph.n_sensors for kind in kinds]
@@ -323,6 +320,8 @@ def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
                      for _ in range(S)]
     G0 = G
     live = np.arange(S)  # results index of each seed on the stack
+    settled = np.zeros((S, len(kinds)), dtype=bool)  # per seed on the stack
+    restarting = False  # whether any sensor on the stack has settled
     B = block_rounds(firsts[-1], sys.n + sys.m, S)
     Gs = np.empty((S, min(B, rounds), *G.shape[1:]))
     alphas = np.empty(Gs.shape[1])
@@ -333,26 +332,30 @@ def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
         for j in range(b):
             k = start + j
             alphas[j] = alpha = sched.alpha(k)
-            G, tripped = _round(G, plants[j], sys, table, w, gains, alpha)
-            if tripped:
-                for (s,), (i, norm) in tripped.items():
-                    seed = live[s]
-                    # The first sensor out belongs to the first kind out.
-                    c = bisect.bisect_right(firsts, i) - 1
-                    earlier = _learn(sys, kinds[:c], sched, G0[[seed], :firsts[c]],
-                                     tape[:, [seed], :firsts[c]], G_star)[0] if c else []
-                    error = _diverged(i - firsts[c], norm, k)
-                    if any(isinstance(r, DivergedError) for r in earlier):
-                        error = None
-                    results[seed] = [*earlier, error, *[None] * (len(kinds) - c - 1)]
-                keep = [s for s in range(len(live)) if (s,) not in tripped]
-                if not keep:
+            G, norms = _round(G, plants[j], sys, table, w, gains, alpha)
+            # max() propagates NaN; "not <=" is true for NaN and overflow.
+            if restarting or not norms.max() <= DIVERGENCE_CAP:
+                # Whether each kind of each seed has a sensor out.
+                out = np.logical_or.reduceat(~(norms <= DIVERGENCE_CAP),
+                                             firsts[:-1], axis=1)
+                for s, c in np.argwhere(out & ~settled).tolist():
+                    results[live[s]][c] = _diverged(norms[s, sensors[c]], k)
+                settled |= out
+                keep = ~settled.all(axis=1)
+                if not keep.any():
                     return results
-                live, G, Gs, plants = live[keep], G[keep], Gs[keep], plants[:, keep]
+                live, G, G0, Gs, plants, settled = (
+                    live[keep], G[keep], G0[keep], Gs[keep], plants[:, keep],
+                    settled[keep])
+                restart = np.repeat(settled, sizes, axis=1)
+                G[restart] = G0[restart]
+                restarting = bool(restart.any())
             Gs[:, j] = G
         for i, G_seed in zip(live, Gs):
             for trace, sensor in zip(results[i], sensors):
-                trace.record_round(alphas[:b], block[:, i, sensor], G_seed[:b, sensor])
+                if isinstance(trace, RunTrace):
+                    trace.record_round(alphas[:b], block[:, i, sensor],
+                                       G_seed[:b, sensor])
     return results
 
 
@@ -365,22 +368,22 @@ def run_learners(
     rngs: list[RngStream],
     *,
     oracle=None,
-) -> list[list[RunTrace | DivergedError | None]]:
+) -> list[list[RunTrace | DivergedError]]:
     """Learn several learners ("kinds") for one seed per stream in rngs, all
     on one (S, N_1 + ... + N_K, d, d) stack.
 
     learners is a sequence of (graph, gains, options) triples, options a
     dict of run_distributed's keyword arguments w, shared_noise, init and
     spread_scale. Returns, per stream, one outcome per kind in order: its
-    trace, its DivergedError (sensor counted within the kind), or None when
-    an earlier kind of that seed diverged. Each equals bit for bit what
-    run_distributed of that kind alone on the stream returns or raises.
-    The S seeds draw their tapes in one draw_noise_rows call (see
-    _noise_tape), so two shared-noise kinds of a seed learn on the same
-    noise. Each round makes one y_operator call for all seeds and kinds. A
-    seed leaves the stack at its first trip; only then are its earlier
-    kinds learned again. Blocks of rounds are sized so that the stack's
-    (S, B, N, d, d) estimates keep to trace.block_rounds's budget.
+    trace or its DivergedError (sensor counted within the kind), each equal
+    bit for bit to what run_distributed of that kind alone on the stream
+    returns or raises. The S seeds draw their tapes in one draw_noise_rows
+    call (see _noise_tape), so two shared-noise kinds of a seed learn on
+    the same noise. Each round makes one y_operator call for all seeds and
+    kinds. A kind that trips settles, and a seed leaves the stack once all
+    its kinds have settled (see _learn). Blocks of rounds are sized so that
+    the stack's (S, B, N, d, d) estimates keep to trace.block_rounds's
+    budget.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -463,8 +463,12 @@ class TestCmdRun:
                                            rngs, **kwargs):
             batches.append(([graph.n_sensors for graph, _, _ in learners],
                             [rng.seed for rng in rngs]))
+            # What the library gives when only the centralized kind trips:
+            # the distributed kind's own complete trace, which the CLI must
+            # still skip.
             results = real(sys, noise, learners, sched, rounds, rngs, **kwargs)
-            return [[DivergedError("boom", step=4), None] if rng.seed == 0
+            assert all(isinstance(d, trace.RunTrace) for _, d in results)
+            return [[DivergedError("boom", step=4), result[1]] if rng.seed == 0
                     else result for rng, result in zip(rngs, results)]
 
         monkeypatch.setattr(cli, "run_learners", centralized_seed_zero_explodes)

@@ -25,6 +25,7 @@ from lqlearn import (
     solve_oracle,
     symmetrize,
 )
+from lqlearn import distributed
 from lqlearn.qlearning import single_sensor
 from lqlearn.errors import DivergedError, SeedMismatchError
 from lqlearn.trace import RunTrace
@@ -520,7 +521,40 @@ def assert_same_trace(batch, solo):
     assert np.array_equal(batch.final_mean(), solo.final_mean())
 
 
-class TestRunSeeds:
+def check_outcomes(cfg, kinds, sched, rounds, seeds, stacked, oracle=None):
+    """Check that each seed's outcome of each kind in stacked, what
+    run_learners returned for them, equals bit for bit what that kind's
+    run_distributed alone gives on the seed; returns the outcomes by seed,
+    each "ok" or (round, sensor) of its DivergedError."""
+    assert len(stacked) == len(seeds)
+    outcomes = {}
+    for seed, got in zip(seeds, stacked):
+        assert len(got) == len(kinds)
+        for result, (graph, gains, options) in zip(got, kinds):
+            try:
+                solo = run_distributed(cfg.system, cfg.noise, graph, gains, sched,
+                                       rounds, RngStream(seed), oracle=oracle,
+                                       **options)
+            except DivergedError as exc:
+                assert isinstance(result, DivergedError)
+                assert (result.step, result.sensor, result.norm, str(result)) == (
+                    exc.step, exc.sensor, exc.norm, str(exc))
+            else:
+                assert isinstance(result, RunTrace)
+                assert_same_trace(result, solo)
+        outcomes[seed] = tuple("ok" if isinstance(r, RunTrace) else (r.step, r.sensor)
+                               for r in got)
+    return outcomes
+
+
+def check_stack(cfg, kinds, sched, rounds, seeds, oracle=None):
+    """check_outcomes of the kinds learned together on the seeds."""
+    stacked = run_learners(cfg.system, cfg.noise, kinds, sched, rounds,
+                           [RngStream(seed) for seed in seeds], oracle=oracle)
+    return check_outcomes(cfg, kinds, sched, rounds, seeds, stacked, oracle)
+
+
+class TestOneKindBatch:
     """A seed learned inside a one-kind run_learners batch gives the bits of
     its run alone."""
 
@@ -531,25 +565,9 @@ class TestRunSeeds:
 
     def check_batch(self, cfg, graph, gains, sched, rounds, seeds, oracle=None,
                     **options):
-        rngs = [RngStream(seed) for seed in seeds]
-        batch = run_learners(cfg.system, cfg.noise, [(graph, gains, options)],
-                             sched, rounds, rngs, oracle=oracle)
-        assert len(batch) == len(seeds)
-        outcomes = {}
-        for seed, (result,) in zip(seeds, batch):
-            try:
-                solo = run_distributed(cfg.system, cfg.noise, graph, gains,
-                                       sched, rounds, RngStream(seed),
-                                       oracle=oracle, **options)
-            except DivergedError as exc:
-                assert isinstance(result, DivergedError)
-                assert (result.step, result.sensor, result.norm, str(result)) == (
-                    exc.step, exc.sensor, exc.norm, str(exc))
-                outcomes[seed] = (result.step, result.sensor)
-            else:
-                assert_same_trace(result, solo)
-                outcomes[seed] = "ok"
-        return outcomes
+        outcomes = check_stack(cfg, [(graph, gains, options)], sched, rounds,
+                               seeds, oracle=oracle)
+        return {seed: outcome for seed, (outcome,) in outcomes.items()}
 
     def test_paper_preset_shared_noise(self, preset):
         cfg, oracle = preset
@@ -602,48 +620,13 @@ class TestRunSeeds:
 
 
 class TestRunLearners:
-    """Kinds stepped together on one stack give, seed by seed, what each
-    kind's run_distributed alone gives on the seeds no earlier kind
-    stopped."""
+    """Kinds stepped together on one stack give, seed by seed and kind by
+    kind, what each kind's run_distributed alone gives."""
 
     @pytest.fixture(scope="class")
     def preset(self):
         cfg = load_preset("paper_sec4")
         return cfg, solve_oracle(cfg.system, cfg.noise)
-
-    def check_stack(self, cfg, kinds, sched, rounds, seeds, oracle=None):
-        stacked = run_learners(cfg.system, cfg.noise, kinds, sched, rounds,
-                               [RngStream(seed) for seed in seeds], oracle=oracle)
-        assert len(stacked) == len(seeds)
-        alone = {seed: [] for seed in seeds}
-        for graph, gains, options in kinds:
-            for seed in seeds:
-                if any(isinstance(r, DivergedError) for r in alone[seed]):
-                    alone[seed].append(None)
-                    continue
-                try:
-                    alone[seed].append(run_distributed(
-                        cfg.system, cfg.noise, graph, gains, sched, rounds,
-                        RngStream(seed), oracle=oracle, **options))
-                except DivergedError as exc:
-                    alone[seed].append(exc)
-        outcomes = {}
-        for seed, got in zip(seeds, stacked):
-            assert len(got) == len(kinds)
-            for result, solo in zip(got, alone[seed]):
-                if isinstance(solo, DivergedError):
-                    assert isinstance(result, DivergedError)
-                    assert (result.step, result.sensor, result.norm, str(result)) == (
-                        solo.step, solo.sensor, solo.norm, str(solo))
-                elif solo is None:
-                    assert result is None
-                else:
-                    assert isinstance(result, RunTrace)
-                    assert_same_trace(result, solo)
-            outcomes[seed] = tuple(
-                "ok" if isinstance(r, RunTrace) else r and (r.step, r.sensor)
-                for r in got)
-        return outcomes
 
     @pytest.mark.parametrize("gain_mode", ["uniform", "masked"])
     @pytest.mark.parametrize("init", ["identity", "spread"])
@@ -654,8 +637,8 @@ class TestRunLearners:
         options = {"shared_noise": shared_noise, "init": init}
         kinds = [(*single_sensor(cfg.system), {}),
                  (cfg.graph, allocate_gains(cfg.graph, (2, 1), gain_mode), options)]
-        outcomes = self.check_stack(cfg, kinds, cfg.schedule, 40, range(4),
-                                    oracle=oracle)
+        outcomes = check_stack(cfg, kinds, cfg.schedule, 40, range(4),
+                               oracle=oracle)
         if gain_mode == "uniform":
             assert set(outcomes.values()) == {("ok", "ok")}
         else:
@@ -665,30 +648,58 @@ class TestRunLearners:
             assert all(d != "ok" for _, d in outcomes.values())
 
     def test_earlier_kind_diverged_skips_the_later(self, preset):
+        # Skipping a diverged seed's later kinds is lqlearn run's rule
+        # (cli._run_group); the library learns the later kind on, and "ok"
+        # is the complete trace of its run alone.
         cfg, oracle = preset
         kinds = [(cfg.graph, allocate_gains(cfg.graph, (2, 1), "masked"), {}),
                  (*single_sensor(cfg.system), {})]
-        outcomes = self.check_stack(cfg, kinds, cfg.schedule, 40, range(3),
-                                    oracle=oracle)
-        assert all(d != "ok" and c is None for d, c in outcomes.values())
+        outcomes = check_stack(cfg, kinds, cfg.schedule, 40, range(3),
+                               oracle=oracle)
+        assert outcomes == {0: ((14, 1), "ok"), 1: ((7, 1), "ok"), 2: ((7, 1), "ok")}
 
-    def test_earlier_kinds_learned_again_after_a_later_trip(self, preset):
+    def test_earlier_kinds_learn_on_after_a_later_trip(self, preset):
         # Offset 6: masked ring:4 with private noise and spread init trips
         # seeds 2, 5, 12, 15, 24 and 28 (rounds 10, 8, 18, 13, 21, 11), with
-        # shared noise seeds 2, 3, 8, 15, 20, 23 and 28. Seed 28 trips the
-        # third kind first, at round 8, and its first kind then diverges when
-        # learned again.
+        # shared noise seeds 2, 3, 8, 15, 20, 23 and 28 (rounds 18, 29, 12,
+        # 18, 14, 32, 8). Seed 28 trips the third kind first, at round 8;
+        # its first kind learns on and trips at round 11, as it does alone.
         cfg, oracle = preset
         masked = allocate_gains(cfg.graph, (2, 1), "masked")
         kinds = [(cfg.graph, masked, {"shared_noise": False, "init": "spread"}),
                  (*single_sensor(cfg.system), {}),
                  (cfg.graph, masked, {})]
-        outcomes = self.check_stack(cfg, kinds, Schedule(offset=6), 60,
-                                    range(30), oracle=oracle)
-        assert outcomes[28] == ((11, 1), None, None)
-        assert outcomes[5] == ((8, 1), None, None)
+        outcomes = check_stack(cfg, kinds, Schedule(offset=6), 60,
+                               range(30), oracle=oracle)
+        assert outcomes[28] == ((11, 1), "ok", (8, 1))
+        assert outcomes[5] == ((8, 1), "ok", "ok")
         assert outcomes[3] == ("ok", "ok", (29, 1))
         assert outcomes[0] == ("ok", "ok", "ok")
+
+    def test_one_y_operator_call_per_round_when_a_kind_trips(self, preset,
+                                                             monkeypatch):
+        # Masked ring:4 at offset 6 trips seeds 2, 3 and 8 while the
+        # centralized kind learns on: no round is learned twice.
+        cfg, oracle = preset
+        kinds = [(*single_sensor(cfg.system), {}),
+                 (cfg.graph, allocate_gains(cfg.graph, (2, 1), "masked"), {})]
+        calls = []
+        real = distributed.y_operator
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(distributed, "y_operator", counted)
+        stacked = run_learners(cfg.system, cfg.noise, kinds, Schedule(offset=6),
+                               200, [RngStream(seed) for seed in range(10)],
+                               oracle=oracle)
+        monkeypatch.undo()
+        assert len(calls) == 200
+        outcomes = check_outcomes(cfg, kinds, Schedule(offset=6), 200, range(10),
+                                  stacked, oracle=oracle)
+        assert outcomes == {seed: ("ok", {2: (18, 1), 3: (29, 1), 8: (12, 1)}.get(
+            seed, "ok")) for seed in range(10)}
 
     def test_no_learners_rejected(self, preset):
         cfg, _ = preset

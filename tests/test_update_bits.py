@@ -25,7 +25,8 @@ from lqlearn import (
     symmetrize,
     y_operator,
 )
-from lqlearn.distributed import _NS_JITTER, _mix, _mixing, _round
+from lqlearn.distributed import (DIVERGENCE_CAP, _NS_JITTER, _mix, _mixing,
+                                 _round)
 from lqlearn.sampling import draw_noise_rows
 from lqlearn.lqcore import PINV_TOL, _pinv_uu
 
@@ -236,9 +237,10 @@ def test_round_on_a_seed_stack_equals_reference_bit_for_bit(bench_sys, spec, S,
     stack = ref = _bank_stack(rng, (S, N))
     for k in range(6):
         Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=(S, N if private else 1)))
-        stack, tripped = _round(stack, Uk, bench_sys, *_mixing([cons]),
-                                gains[:, :, None], sched.alpha(k))
-        assert not tripped
+        stack, norms = _round(stack, Uk, bench_sys, *_mixing([cons]),
+                              gains[:, :, None], sched.alpha(k))
+        assert (norms <= DIVERGENCE_CAP).all()
+        assert _same_bits(norms, np.linalg.norm(stack, axis=(-2, -1)))
         ref = np.stack([_round_reference(G, k, bench_sys, cons, gains, U, sched)
                         for G, U in zip(ref, Uk)])
         assert _same_bits(stack, ref)
