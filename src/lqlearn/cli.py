@@ -8,8 +8,8 @@ Subcommands:
 `run` builds its learners once, keeping only --mode's kind unless it is
 "both", and learns its seeds a group at a time (trace.group_seeds, which
 counts every kind's traces, bounds the floats a group's traces hold, and so
-a round's (S, N, d, d) temporaries). Each group is one
-distributed.run_learners call that steps all kinds together, the
+the (S*N, d, d) temporaries of a round on the flat sensor axis). Each group
+is one distributed.run_learners call that steps all kinds together, the
 centralized first; then each seed writes its traces, plots and summary
 entry, kind by kind. run_learners gives every kind its own outcome; the
 rule that a seed which diverged under one kind has no outcome for the

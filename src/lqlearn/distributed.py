@@ -14,27 +14,26 @@ returns it, and distributed_round takes it with the index k of the round
 just done and returns a new array.
 
 run_learners steps several learners ("kinds", each a graph, its gains and
-its options) for S seeds (independent noise streams) on one
-(S, N_1 + ... + N_K, d, d) stack. The kinds share one sensor axis: each
+its options) for S seeds (independent noise streams) on one flat
+(M, d, d) sensor axis. A bank is one kind's sensors for one seed, and bank
+b = s*K + c, kind c of seed s, holds a contiguous run of the axis. Each
 sensor carries its own gains and consensus weight, and one neighbour table
-holds every kind's neighbor_columns, offset by the kind's first sensor and
+holds every bank's neighbor_columns, offset by the bank's first sensor and
 padded with the sensor itself. So a round is one y_operator call, one gain
 scaling, one mixing step, one symmetrize and one guard for all kinds and
 seeds. Mixing takes one pass per column of that table, so a round's memory
-is linear in the sensors. A kind that trips the guard for a seed settles:
-its sensors restart from their initial estimates every round, unguarded
-and unrecorded, while the seed's other kinds learn on. A seed leaves the
-stack once all its kinds have settled. Each seed's traces and errors equal
-those of each kind's run alone, bit for bit. run_distributed is its
-one-kind, one-seed case and distributed_round one round of one bank. Only
-the two SVDs of each G_uu block still run block by block, inside
-lqcore._pinv_uu. With a single sensor and L_1 = I the round is exactly the
-centralized iteration, which is how lqlearn.qlearning runs it.
+is linear in the sensors. Banks share no sensor and no neighbour, so a
+bank that trips the guard simply leaves the axis, while every other bank
+learns on. Each seed's traces and errors equal those of each kind's run
+alone, bit for bit. run_distributed is its one-kind, one-seed case and
+distributed_round one round of one bank. Only the two SVDs of each G_uu
+block still run block by block, inside lqcore._pinv_uu. With a single
+sensor and L_1 = I the round is exactly the centralized iteration, which
+is how lqlearn.qlearning runs it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +97,12 @@ class Schedule:
 
 
 def _mixing(conss) -> tuple[np.ndarray, np.ndarray]:
-    """The (D, N) neighbour table and (N, 1, 1) weights of the kinds whose
-    consensus operators are conss, stacked on one sensor axis of N sensors
-    in order. A kind's columns are its graph's neighbor_columns offset by
-    its first sensor; every column is padded with the sensor itself up to
-    D, the largest degree of any kind, and each sensor has its kind's w."""
+    """The (D, M) neighbour table and (M, 1, 1) weights of the banks whose
+    consensus operators are conss, laid on one sensor axis of M sensors in
+    order. A bank's columns are its graph's neighbor_columns offset by its
+    first sensor; every column is padded with the sensor itself up to D,
+    the largest degree of any bank, and each sensor has its bank's w. A
+    sensor's neighbours all lie in its own bank."""
     sizes = [cons.graph.n_sensors for cons in conss]
     table = np.tile(np.arange(sum(sizes)),
                     (max(len(cons.graph.neighbor_columns) for cons in conss), 1))
@@ -117,8 +117,8 @@ def _mixing(conss) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mix(G: np.ndarray, table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """G - w L.G on a stack of banks G, shape S + (N, d, d), with L.G each
-    sensor's sum from +0 of G_i - G_j over the j of its column of table.
+    """G - w L.G on the (M, d, d) estimates G of a sensor axis, with L.G
+    each sensor's sum from +0 of G_i - G_j over the j of its column of table.
     A padded entry j = i adds G_i - G_i, an exact +0 on the finite estimates
     the guard lets through, so these are the bits of the dense sum over all
     pairs weighted by L, and estimates that agree stay bit-exact. A sensor
@@ -138,15 +138,15 @@ def _round(
     gains: np.ndarray,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One round on a stack of banks G, shape S + (N, d, d), at step size
+    """One round on the (M, d, d) estimates G of a sensor axis at step size
     alpha, with the neighbour table and weights of _mixing (or one graph's
-    neighbor_columns and its scalar w) and the (N, d, 1) gain diagonals;
-    Uk broadcasts to S + (N, n, n+m).
+    neighbor_columns and its scalar w) and the (M, d, 1) gain diagonals;
+    Uk broadcasts to (M, n, n+m).
 
-    Returns the post-round stack and its S + (N,) Frobenius norms, which
-    the callers hold to the guard. Every bank of the stack gets the bits of
-    a round on its own, and every temporary is a stack of S + (N, ...)
-    blocks: none is N x N.
+    Returns the post-round estimates and their (M,) Frobenius norms, which
+    the callers hold to the guard. Every bank of the axis gets the bits of
+    a round on its own, and every temporary is a stack of M blocks: none
+    is M x M.
     """
     Y = y_operator(G, Uk, sys.Q, sys.R)
     # alpha * (gains * Y), scaled in place in that order.
@@ -236,8 +236,9 @@ def initial_bank(
     visible from round one. Sensor i's jitter comes from d x d standard
     normals of its own substream of rng; the N draws are one
     draw_noise_rows call."""
-    if not spread_scale >= 0.0:  # NaN fails too
-        raise ValueError(f"spread_scale must be >= 0, got {spread_scale}")
+    if not 0.0 <= spread_scale <= _FLOAT_MAX:  # NaN and infinities fail too
+        raise ValueError(
+            f"spread_scale must be >= 0 and finite, got {spread_scale}")
     base = sys.cost_block()
     d = sys.n + sys.m
     if init == "identity":
@@ -299,63 +300,58 @@ def _noise_tape(kinds: list[_Kind], noise: NoiseModel, rounds: int,
 
 def _learn(sys: SystemModel, kinds: list[_Kind], sched: Schedule,
            G: np.ndarray, tape: np.ndarray, G_star) -> list[list]:
-    """Step the kinds from the (S, N, d, d) stack G over the noise tape
-    (see _noise_tape); returns run_learners's outcomes.
+    """Step the kinds from the (S*N, d, d) estimates G over the
+    (rounds, S, N) noise tape (see _noise_tape); returns run_learners's
+    outcomes.
 
-    A kind that trips the guard for a seed settles: its outcome is its
-    error, and from then on its sensors restart from their initial
-    estimates in G every round, so they stay finite, and are neither
-    guarded nor recorded. Kinds share no sensor, so the seed's other kinds
-    learn on with the bits of their runs alone. A seed leaves the stack
-    once all its kinds have settled.
+    G holds the S seeds in order, each seed's kinds in order, so bank
+    b = s*K + c, kind c of seed s, is a contiguous run of the axis. A bank
+    that trips the guard gets its error as its outcome and leaves the
+    axis: its sensors are dropped from every per-sensor array, and the
+    neighbour table is renumbered, which holds because a sensor's
+    neighbours all lie in its own bank. The other banks learn on with the
+    bits of their runs alone; the run ends once no bank is left.
     """
-    rounds, S = tape.shape[:2]
-    sizes = [kind.cons.graph.n_sensors for kind in kinds]
-    firsts = [0, *itertools.accumulate(sizes)]  # each kind's first sensor
-    table, w = _mixing([kind.cons for kind in kinds])
-    gains = np.concatenate([kind.gains for kind in kinds])[:, :, None]
-    sensors = [slice(a, b) for a, b in zip(firsts, firsts[1:])]
+    rounds, S, N = tape.shape
+    tape = tape.reshape(rounds, S * N)
+    K = len(kinds)
+    banks = [kind for _ in range(S) for kind in kinds]
+    table, w = _mixing([kind.cons for kind in banks])
+    gains = np.concatenate([kind.gains for kind in banks])[:, :, None]
+    bank = np.repeat(np.arange(len(banks)),
+                     [kind.cons.graph.n_sensors for kind in banks])
+    cols = np.arange(S * N)  # tape column of each sensor on the axis
 
-    results: list = [[RunTrace(size, G_star=G_star) for size in sizes]
-                     for _ in range(S)]
-    G0 = G
-    live = np.arange(S)  # results index of each seed on the stack
-    settled = np.zeros((S, len(kinds)), dtype=bool)  # per seed on the stack
-    restarting = False  # whether any sensor on the stack has settled
-    B = block_rounds(firsts[-1], sys.n + sys.m, S)
-    Gs = np.empty((S, min(B, rounds), *G.shape[1:]))
-    alphas = np.empty(Gs.shape[1])
+    results: list = [[RunTrace(kind.cons.graph.n_sensors, G_star=G_star)
+                      for kind in kinds] for _ in range(S)]
+    B = block_rounds(S * N, sys.n + sys.m)
+    Gs = np.empty((min(B, rounds), *G.shape))
+    alphas = np.empty(len(Gs))
     for start in range(0, rounds, B):
         block = tape[start:start + B]
-        b = len(block)
-        plants = realize(sys, block[:, live])
-        for j in range(b):
+        plants = realize(sys, block[:, cols])
+        for j in range(len(block)):
             k = start + j
             alphas[j] = alpha = sched.alpha(k)
             G, norms = _round(G, plants[j], sys, table, w, gains, alpha)
             # max() propagates NaN; "not <=" is true for NaN and overflow.
-            if restarting or not norms.max() <= DIVERGENCE_CAP:
-                # Whether each kind of each seed has a sensor out.
-                out = np.logical_or.reduceat(~(norms <= DIVERGENCE_CAP),
-                                             firsts[:-1], axis=1)
-                for s, c in np.argwhere(out & ~settled).tolist():
-                    results[live[s]][c] = _diverged(norms[s, sensors[c]], k)
-                settled |= out
-                keep = ~settled.all(axis=1)
+            if not norms.max() <= DIVERGENCE_CAP:
+                tripped = np.unique(bank[~(norms <= DIVERGENCE_CAP)])
+                for b in tripped.tolist():
+                    results[b // K][b % K] = _diverged(norms[bank == b], k)
+                keep = ~np.isin(bank, tripped)
                 if not keep.any():
                     return results
-                live, G, G0, Gs, plants, settled = (
-                    live[keep], G[keep], G0[keep], Gs[keep], plants[:, keep],
-                    settled[keep])
-                restart = np.repeat(settled, sizes, axis=1)
-                G[restart] = G0[restart]
-                restarting = bool(restart.any())
-            Gs[:, j] = G
-        for i, G_seed in zip(live, Gs):
-            for trace, sensor in zip(results[i], sensors):
-                if isinstance(trace, RunTrace):
-                    trace.record_round(alphas[:b], block[:, i, sensor],
-                                       G_seed[:b, sensor])
+                table = (np.cumsum(keep) - 1)[table[:, keep]]
+                G, w, gains, plants, Gs, bank, cols = (
+                    G[keep], w[keep], gains[keep], plants[:, keep], Gs[:, keep],
+                    bank[keep], cols[keep])
+            Gs[j] = G
+        for b, first, size in zip(*np.unique(bank, return_index=True,
+                                             return_counts=True)):
+            run = slice(first, first + size)
+            results[b // K][b % K].record_round(
+                alphas[:len(block)], block[:, cols[run]], Gs[:len(block), run])
     return results
 
 
@@ -370,7 +366,7 @@ def run_learners(
     oracle=None,
 ) -> list[list[RunTrace | DivergedError]]:
     """Learn several learners ("kinds") for one seed per stream in rngs, all
-    on one (S, N_1 + ... + N_K, d, d) stack.
+    on one flat (S*(N_1 + ... + N_K), d, d) sensor axis.
 
     learners is a sequence of (graph, gains, options) triples, options a
     dict of run_distributed's keyword arguments w, shared_noise, init and
@@ -380,10 +376,9 @@ def run_learners(
     returns or raises. The S seeds draw their tapes in one draw_noise_rows
     call (see _noise_tape), so two shared-noise kinds of a seed learn on
     the same noise. Each round makes one y_operator call for all seeds and
-    kinds. A kind that trips settles, and a seed leaves the stack once all
-    its kinds have settled (see _learn). Blocks of rounds are sized so that
-    the stack's (S, B, N, d, d) estimates keep to trace.block_rounds's
-    budget.
+    kinds. A kind that trips for a seed leaves the axis, and the others
+    learn on (see _learn). Blocks of rounds are sized so that the axis's
+    (B, S*N, d, d) estimates keep to trace.block_rounds's budget.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -392,13 +387,10 @@ def run_learners(
         raise ValueError("run_learners needs at least one learner")
     if not rngs:
         return []
-    G = np.stack([
-        np.concatenate([
-            initial_bank(sys, kind.cons.graph.n_sensors, rng, init=kind.init,
-                         spread_scale=kind.spread_scale)
-            for kind in kinds])
-        for rng in rngs
-    ])
+    G = np.concatenate([
+        initial_bank(sys, kind.cons.graph.n_sensors, rng, init=kind.init,
+                     spread_scale=kind.spread_scale)
+        for rng in rngs for kind in kinds])
     tape = _noise_tape(kinds, noise, rounds, rngs)
     G_star = None if oracle is None else oracle.G_star.mat
     return _learn(sys, kinds, sched, G, tape, G_star)

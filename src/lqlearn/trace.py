@@ -44,11 +44,12 @@ CSV_COLUMNS = (
 )
 
 # Floats (64 KB) of the post-round estimates one block holds: the
-# (S, B, N, d, d) stack of a learner stepping S seeds at once. A metrics
-# pass over one seed's (B, N, d, d) block holds a few temporaries of at most
-# that size, the largest the (B, N - 1, d, d) differences of one sensor
-# offset. At d = 3 and one seed a block is 28 rounds on ring:32 and 227 on
-# ring:4; above 910 sensors it is a single round, which exceeds the budget.
+# (B, M, d, d) estimates of a learner's sensor axis, M the sensors of every
+# seed it steps at once. A metrics pass over one bank's (B, N, d, d) block
+# holds a few temporaries of at most that size, the largest the
+# (B, N - 1, d, d) differences of one sensor offset. At d = 3 a block is 28
+# rounds on ring:32 and 227 on ring:4; above 910 sensors it is a single
+# round, which exceeds the budget.
 _BLOCK_FLOATS = 2**13
 
 # Floats the traces of one group of seeds may hold (about 2 MB of float64
@@ -82,12 +83,12 @@ def _cells(column: np.ndarray) -> list[str]:
     return list(map(reprs.__getitem__, (np.cumsum(fresh) - 1).tolist()))
 
 
-def block_rounds(n_sensors: int, d: int, n_seeds: int = 1) -> int:
-    """Rounds per block, at least one: as many as keep the (S, B, N, d, d)
-    estimates of S seeds within the float budget. The metrics pass of one
-    seed's block holds a few temporaries of at most its (B, N, d, d) size,
-    so its memory is linear in the sensors too."""
-    return max(1, _BLOCK_FLOATS // (n_seeds * n_sensors * d * d))
+def block_rounds(n_sensors: int, d: int) -> int:
+    """Rounds per block, at least one: as many as keep the (B, M, d, d)
+    estimates of a sensor axis of M = n_sensors within the float budget.
+    The metrics pass of one bank's block holds a few temporaries of at most
+    its (B, N, d, d) size, so its memory is linear in the sensors too."""
+    return max(1, _BLOCK_FLOATS // (n_sensors * d * d))
 
 
 def group_seeds(sensor_counts, d: int, rounds: int) -> int:
@@ -96,8 +97,8 @@ def group_seeds(sensor_counts, d: int, rounds: int) -> int:
     sensor_counts, a sequence of their sensor counts. A trace keeps, per
     round, three floats per sensor (omega, norm1 and the error to G*), the
     d x d averaged iterate and three scalars. A round's temporaries are a
-    few (S, N, d, d) stacks, N the learners' sensors together, with S
-    bounded by this trace budget; a block's (S, B, N, d, d) estimates are
+    few (S*N, d, d) stacks, N the learners' sensors together, with S
+    bounded by this trace budget; a block's (B, S*N, d, d) estimates are
     bounded by block_rounds."""
     per_round = sum(3 * n_sensors + d * d + 3 for n_sensors in sensor_counts)
     return max(1, _GROUP_FLOATS // (rounds * per_round))

@@ -388,7 +388,7 @@ class TestRunDistributed:
                          [(g, allocate_gains(g, (2, 1), "uniform"), {})],
                          Schedule(), 0, [RngStream(0)])
 
-    @pytest.mark.parametrize("scale", [float("nan"), -1.0])
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0, float("inf")])
     def test_bad_spread_scale_rejected(self, bench_sys, bench_noise, scale):
         g = build_graph("ring:4")
         with pytest.raises(ValueError, match="spread_scale must be >= 0"):
@@ -676,30 +676,48 @@ class TestRunLearners:
         assert outcomes[3] == ("ok", "ok", (29, 1))
         assert outcomes[0] == ("ok", "ok", "ok")
 
-    def test_one_y_operator_call_per_round_when_a_kind_trips(self, preset,
-                                                             monkeypatch):
-        # Masked ring:4 at offset 6 trips seeds 2, 3 and 8 while the
-        # centralized kind learns on: no round is learned twice.
-        cfg, oracle = preset
+    def learn_masked_with_centralized(self, cfg, oracle, monkeypatch):
+        """The centralized and masked ring:4 kinds on seeds 0-9, 200 rounds
+        at offset 6, their outcomes checked against each kind alone; returns
+        the outcomes and the number of estimates each y_operator call took.
+        Masked ring:4 trips seeds 2, 3 and 8 at rounds 18, 29 and 12."""
         kinds = [(*single_sensor(cfg.system), {}),
                  (cfg.graph, allocate_gains(cfg.graph, (2, 1), "masked"), {})]
-        calls = []
+        sizes = []
         real = distributed.y_operator
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
+        def counted(G, *args, **kwargs):
+            sizes.append(G[..., 0, 0].size)
+            return real(G, *args, **kwargs)
 
         monkeypatch.setattr(distributed, "y_operator", counted)
         stacked = run_learners(cfg.system, cfg.noise, kinds, Schedule(offset=6),
                                200, [RngStream(seed) for seed in range(10)],
                                oracle=oracle)
         monkeypatch.undo()
-        assert len(calls) == 200
         outcomes = check_outcomes(cfg, kinds, Schedule(offset=6), 200, range(10),
                                   stacked, oracle=oracle)
         assert outcomes == {seed: ("ok", {2: (18, 1), 3: (29, 1), 8: (12, 1)}.get(
             seed, "ok")) for seed in range(10)}
+        return outcomes, sizes
+
+    def test_one_y_operator_call_per_round_when_a_kind_trips(self, preset,
+                                                             monkeypatch):
+        # The centralized kind learns on beside the tripped banks: no round
+        # is learned twice.
+        _, sizes = self.learn_masked_with_centralized(*preset, monkeypatch)
+        assert len(sizes) == 200
+
+    def test_tripped_bank_leaves_the_stack(self, preset, monkeypatch):
+        # A bank (one kind of one seed) that trips the guard is stepped no
+        # further: the estimates the rounds step sum, over every seed and
+        # kind, to N_c times the trip round, or the run's 200 rounds.
+        outcomes, sizes = self.learn_masked_with_centralized(*preset, monkeypatch)
+        stepped = sum(n_sensors * (200 if outcome == "ok" else outcome[0])
+                      for seed_outcomes in outcomes.values()
+                      for outcome, n_sensors in zip(seed_outcomes, (1, 4)))
+        assert stepped == 10 * 200 + 4 * (7 * 200 + 18 + 29 + 12)
+        assert sum(sizes) == stepped
 
     def test_no_learners_rejected(self, preset):
         cfg, _ = preset

@@ -343,14 +343,14 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path, n_sensors,
 )
 def test_seed_groups_and_blocks_keep_their_budgets(n_sensors, rounds, expected):
     # A group's traces stay within their budget, and a block's
-    # (S, B, N, d, d) estimates within the block budget, unless a single
+    # (B, S*N, d, d) estimates within the block budget, unless a single
     # seed or round exceeds it.
     d = 3
     S = group_seeds([n_sensors], d, rounds)
     assert S == expected
     if S > 1:
         assert S * rounds * (3 * n_sensors + d * d + 3) <= _GROUP_FLOATS
-    B = block_rounds(n_sensors, d, S)
+    B = block_rounds(S * n_sensors, d)
     assert B <= block_rounds(n_sensors, d)
     if B > 1:
         assert S * B * n_sensors * d * d <= _BLOCK_FLOATS

@@ -233,17 +233,22 @@ def test_round_on_a_seed_stack_equals_reference_bit_for_bit(bench_sys, spec, S,
     cons = consensus_operator(g)
     gains = allocate_gains(g, (bench_sys.n, bench_sys.m), "uniform")
     sched = Schedule(scale=0.05)
+    # The S banks lie on one flat (S*N, d, d) sensor axis, as run_learners
+    # lays them out; each bank must get the bits of its round alone.
     rng = np.random.default_rng(31)
-    stack = ref = _bank_stack(rng, (S, N))
+    ref = _bank_stack(rng, (S, N))
+    stack = ref.reshape(S * N, 3, 3)
+    table, w = _mixing([cons] * S)
     for k in range(6):
         Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=(S, N if private else 1)))
-        stack, norms = _round(stack, Uk, bench_sys, *_mixing([cons]),
-                              gains[:, :, None], sched.alpha(k))
+        flat = np.broadcast_to(Uk, (S, N, *Uk.shape[2:])).reshape(S * N, *Uk.shape[2:])
+        stack, norms = _round(stack, flat, bench_sys, table, w,
+                              np.tile(gains, (S, 1))[:, :, None], sched.alpha(k))
         assert (norms <= DIVERGENCE_CAP).all()
         assert _same_bits(norms, np.linalg.norm(stack, axis=(-2, -1)))
         ref = np.stack([_round_reference(G, k, bench_sys, cons, gains, U, sched)
                         for G, U in zip(ref, Uk)])
-        assert _same_bits(stack, ref)
+        assert _same_bits(stack, ref.reshape(S * N, 3, 3))
 
 
 def _mixing_cases(rng, shape):
@@ -264,30 +269,36 @@ def _mixing_cases(rng, shape):
 @pytest.mark.parametrize("spec", GRAPHS)
 @pytest.mark.parametrize("S", [1, 3])
 def test_mixing_equals_dense_reference_bit_for_bit(spec, S):
+    # S banks of the graph on one flat (S*N, d, d) sensor axis.
     cons = consensus_operator(build_graph(spec))
+    N = cons.graph.n_sensors
+    table, w = _mixing([cons] * S)
     rng = np.random.default_rng(41)
-    for G in _mixing_cases(rng, (S, cons.graph.n_sensors, 3, 3)):
-        got, ref = _mix(G, *_mixing([cons])), _mix_reference(G, cons)
+    for G in _mixing_cases(rng, (S, N, 3, 3)):
+        got = _mix(G.reshape(S * N, 3, 3), table, w).reshape(S, N, 3, 3)
+        ref = _mix_reference(G, cons)
         assert _same_bits(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
-        for s in range(S):  # each bank of the stack as if mixed alone
+        for s in range(S):  # each bank of the axis as if mixed alone
             assert _same_bits(got[s], _mix(G[s], *_mixing([cons])))
 
 
 def test_one_round_on_200_sensors_stays_below_a_megabyte(bench_sys):
-    # The round's temporaries are a few (S, N, d, d) stacks: 43 KB each here,
-    # where the dense pairwise differences alone would take 8.6 MB.
+    # Three banks on one flat (S*N, d, d) sensor axis. The round's
+    # temporaries are a few (S*N, d, d) stacks: 43 KB each here, where the
+    # dense pairwise differences alone would take 8.6 MB.
     g = build_graph("ring:200")
     cons = consensus_operator(g)
-    gains = allocate_gains(g, (bench_sys.n, bench_sys.m), "uniform")
+    gains = np.tile(allocate_gains(g, (bench_sys.n, bench_sys.m), "uniform"),
+                    (3, 1))[:, :, None]
     rng = np.random.default_rng(51)
-    G = _bank_stack(rng, (3, 200))
-    Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=(3, 200)))
-    table, w = _mixing([cons])
-    _round(G, Uk, bench_sys, table, w, gains[:, :, None], 0.01)  # first-call set-up
+    G = _bank_stack(rng, (600,))
+    Uk = realize(bench_sys, rng.normal(1.0, 0.3, size=600))
+    table, w = _mixing([cons] * 3)
+    _round(G, Uk, bench_sys, table, w, gains, 0.01)  # first-call set-up
     tracemalloc.start()
     try:
-        _round(G, Uk, bench_sys, table, w, gains[:, :, None], 0.01)
+        _round(G, Uk, bench_sys, table, w, gains, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
