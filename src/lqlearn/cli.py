@@ -417,9 +417,11 @@ def cmd_validate_controller(
 
 
 def _seeds_arg(raw: str):
-    """--seeds as its config value: a count ("3") or a list ("1,2")."""
+    """--seeds as its config value: a count ("3") or a list ("1,2"). A list
+    drops its empty tokens, so "42," is the one seed 42, and "," is the empty
+    list, which config validation rejects."""
     try:
-        return [int(tok) for tok in raw.split(",")] if "," in raw else int(raw)
+        return [int(tok) for tok in raw.split(",") if tok] if "," in raw else int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be a count or comma-separated list, got {raw!r}"
@@ -452,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="distributed",
             )
             p.add_argument("--seeds", type=_seeds_arg, default=None,
-                           help="count or comma-separated list, overrides config")
+                           help="count or comma-separated list, overrides "
+                           "config; a trailing comma names one seed (42,)")
             p.add_argument("--rounds", type=int, default=None,
                            help="override iteration budget")
         if name == "validate-controller":

@@ -27,9 +27,10 @@ bank that trips the guard simply leaves the axis, while every other bank
 learns on. Each seed's traces and errors equal those of each kind's run
 alone, bit for bit. run_distributed is its one-kind, one-seed case and
 distributed_round one round of one bank. Only the two SVDs of each G_uu
-block still run block by block, inside lqcore._pinv_uu. With a single
-sensor and L_1 = I the round is exactly the centralized iteration, which
-is how lqlearn.qlearning runs it.
+block still run block by block, inside lqcore._pinv_uu, whose loop holds
+those two calls and nothing else. With a single sensor and L_1 = I the
+round is exactly the centralized iteration, which is how lqlearn.qlearning
+runs it.
 """
 
 from __future__ import annotations

@@ -219,25 +219,34 @@ def _pinv_uu(uu: np.ndarray) -> np.ndarray:
     wrapper overhead. The cutoff, the reciprocals and the product run once
     on the whole stack. The SVDs alone run block by block, two per block
     (the rank check's and the full one), because the benchmark pins two
-    SVD calls per sensor update. One stacked call of each would be much
-    faster: for 32 1x1 blocks on one core of a 2-vCPU Xeon, about 125 us
-    for the two stacked calls against 845 us for 64 single ones. That, and
-    taking the pseudo-inverse from the rank check's SVD, wait until the pin
-    is re-stated (ROADMAP item 1).
+    SVD calls per sensor update. The loop holds those two calls and nothing
+    else: their results are joined by one np.concatenate per array. One
+    stacked call of each would be much faster: for 32 1x1 blocks on one
+    core of a 2-vCPU Xeon, about 50 us for the two stacked calls against
+    400 us for 64 single ones. That, and taking the pseudo-inverse from the
+    rank check's SVD, wait until the pin is re-stated (ROADMAP item 1).
     """
-    stack, m = uu.shape[:-2], uu.shape[-1]
-    blocks = uu.reshape(math.prod(stack), m, m)
-    svals, s = np.empty((2, *blocks.shape[:2]))
-    u, vt = np.empty((2, *blocks.shape))
-    for j, block in enumerate(blocks):
-        svals[j] = np.linalg.svd(block, compute_uv=False)
-        u[j], s[j], vt[j] = np.linalg.svd(block, full_matrices=False)
-    # Column slices, not s[:, 0]: an empty (m = 0) block stays empty.
-    deficient = np.flatnonzero(svals[:, -1:] <= PINV_TOL * svals[:, :1])
-    if deficient.size:
-        first = tuple(int(i) for i in np.unravel_index(deficient[0], stack))
+    if not uu.size:
+        # No block to invert (np.concatenate needs at least one array).
+        return np.zeros(uu.shape)
+    m = uu.shape[-1]
+    blocks = list(uu.reshape(-1, m, m))
+    # Looked up per call, so a wrapper installed after import sees each call.
+    svd = np.linalg.svd
+    svals = np.concatenate([svd(block, compute_uv=False) for block in blocks])
+    u, s, vt = zip(*[svd(block, full_matrices=False) for block in blocks])
+    shape = (len(blocks), m, m)
+    u = np.concatenate(u).reshape(shape)
+    s = np.concatenate(s).reshape(shape[:2])
+    vt = np.concatenate(vt).reshape(shape)
+    # Each block's smallest singular value against its largest.
+    deficient = svals[m - 1::m] <= PINV_TOL * svals[::m]
+    count = np.count_nonzero(deficient)
+    if count:
+        first = np.unravel_index(np.flatnonzero(deficient)[0], uu.shape[:-2])
+        first = tuple(int(i) for i in first)
         warnings.warn(
-            f"G_uu rank-deficient at cutoff {PINV_TOL:g} in {deficient.size} "
+            f"G_uu rank-deficient at cutoff {PINV_TOL:g} in {count} "
             f"of {len(blocks)} blocks (first at index {first}); "
             "pseudo-inverse drops the null directions",
             RankDeficientWarning,

@@ -375,6 +375,18 @@ class TestCmdRun:
         assert info.value.code == 2
         assert "argument --seeds: must be a count" in capsys.readouterr().err
 
+    def test_trailing_comma_seeds_override_names_one_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "paper_sec4", "--seeds", "42,",
+                       "--rounds", "5", "--out", out) == 0
+        assert json.loads((out / "summary.json").read_text())["seeds"] == [42]
+        assert sorted(p.name for p in out.glob("seed_*")) == ["seed_0042"]
+        # A bare comma is the empty list, which is no seed at all.
+        assert run_cli("run", "--preset", "paper_sec4", "--seeds", ",",
+                       "--out", tmp_path / "none") == 2
+        assert "seeds must be a count in [1, " in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+
     @pytest.mark.parametrize(
         "command, overrides, violation",
         [

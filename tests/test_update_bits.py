@@ -21,6 +21,7 @@ from lqlearn import (
     consensus_operator,
     distributed_round,
     initial_bank,
+    pi_map,
     realize,
     symmetrize,
     y_operator,
@@ -142,6 +143,18 @@ def test_pinv_uu_warns_once_per_stack_naming_the_first_deficient_block(m):
                 message = str(caught[0].message)
                 assert f"in {deficient.sum()} of {deficient.size} blocks" in message
                 assert f"(first at index {first})" in message
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_empty_stacks_give_empty_stacks(m):
+    n = 2
+    G = np.empty((0, n + m, n + m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _pinv_uu(np.empty((0, m, m))).shape == (0, m, m)
+        assert pi_map(G, n).shape == (0, n, n)
+        Y = y_operator(G, np.empty((0, n, n + m)), np.eye(n), np.eye(m))
+    assert Y.shape == (0, n + m, n + m)
 
 
 @pytest.mark.parametrize("N", [1, 4, 32])
